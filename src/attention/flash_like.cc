@@ -106,15 +106,13 @@ void mha_flash_like(par::Device& dev, const PackedMhaArgs& args,
           float tile_max = srow[0];
           for (int j = 1; j < kr; ++j) tile_max = std::max(tile_max, srow[j]);
           const float m_new = std::max(m_run[static_cast<std::size_t>(i)], tile_max);
+          // m_new is finite (key 0 is never masked), so the -inf start and
+          // the masked keys both take fast_exp(-inf) == 0 exactly.
           const float correction =
-              m_run[static_cast<std::size_t>(i)] == -INFINITY
-                  ? 0.0f
-                  : std::exp(m_run[static_cast<std::size_t>(i)] - m_new);
+              fast_exp(m_run[static_cast<std::size_t>(i)] - m_new);
+          exp_row(srow, m_new, srow, kr);
           float tile_sum = 0.0f;
-          for (int j = 0; j < kr; ++j) {
-            srow[j] = std::exp(srow[j] - m_new);
-            tile_sum += srow[j];
-          }
+          for (int j = 0; j < kr; ++j) tile_sum += srow[j];
           l_run[static_cast<std::size_t>(i)] =
               l_run[static_cast<std::size_t>(i)] * correction + tile_sum;
           m_run[static_cast<std::size_t>(i)] = m_new;

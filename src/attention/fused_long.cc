@@ -15,6 +15,15 @@
 //      its A operand (Algorithm III.2).
 // Q/K/V are consumed directly from the packed token rows via leading-dim
 // strides; the context lands directly in packed rows too.
+//
+// Both softmax steps run at vector speed, so the unit costs little more
+// than its two GEMMs: every exponent is common/numeric.h's 8-wide fast_exp
+// (no libm), the epilogue exponentiates a whole accumulator row at once,
+// the normalize transform runs as a row hook over each widened A-panel row
+// (gemm/microkernel.h), and scores leave the accumulator through one
+// whole-row fp16 store. The tile visitor walks each Q K^T problem
+// column-major, so a CTA packs each K^T stripe once per column rather than
+// once per tile. docs/PERF.md ("Softmax exp") has the measurements.
 #include <vector>
 
 #include "attention/attention.h"

@@ -16,8 +16,8 @@
 // Capacity note (why the 384 cutoff is real here too): at max_seq = 384,
 // head_size = 64 the arena holds ~137 KiB of the 164 KiB budget — past the
 // cutoff it no longer fits and the grouped-GEMM kernel takes over.
+#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 
 #include "attention/attention.h"
@@ -163,11 +163,9 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
       float* lrow = logits.data() + static_cast<std::int64_t>(i) * len;
       float mx = lrow[0];
       for (int j = 1; j < row_len; ++j) mx = std::max(mx, lrow[j]);
+      exp_row(lrow, mx, lrow, row_len);
       float sum = 0.0f;
-      for (int j = 0; j < row_len; ++j) {
-        lrow[j] = std::exp(lrow[j] - mx);
-        sum += lrow[j];
-      }
+      for (int j = 0; j < row_len; ++j) sum += lrow[j];
       const float inv = 1.0f / sum;
       for (int j = 0; j < row_len; ++j) lrow[j] *= inv;
     }

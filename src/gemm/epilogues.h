@@ -10,8 +10,7 @@
 //     second grouped GEMM)
 #pragma once
 
-#include <atomic>
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -67,12 +66,14 @@ struct SoftmaxPartialReduceEpilogue {
                int cols, const float* acc, int ld) const noexcept {
     const SoftmaxPartials& p = partials[static_cast<std::size_t>(problem)];
     const std::int64_t col_tile = col0 / TileShape::kN;
+    float e[TileShape::kN];
     for (int i = 0; i < rows; ++i) {
       const float* acc_row = acc + static_cast<std::int64_t>(i) * ld;
       float mx = acc_row[0];
       for (int j = 1; j < cols; ++j) mx = std::max(mx, acc_row[j]);
+      exp_row(acc_row, mx, e, cols);
       float sum = 0.0f;
-      for (int j = 0; j < cols; ++j) sum += std::exp(acc_row[j] - mx);
+      for (int j = 0; j < cols; ++j) sum += e[j];
       const std::int64_t idx = (row0 + i) * p.col_tiles + col_tile;
       p.partial_max[idx] = mx;
       p.partial_sum[idx] = sum;
@@ -88,13 +89,16 @@ struct SoftmaxRowStats {
 };
 
 // Mainloop fusion: A(row, k) -> exp(a - max[row]) * inv_sum[row], applied
-// when the second grouped GEMM packs its A operand (the score matrix).
+// to each widened row as the second grouped GEMM packs its A operand (the
+// score matrix).
 struct SoftmaxNormalizeATransform {
   std::span<const SoftmaxRowStats> stats;
 
-  float operator()(int problem, std::int64_t row, float v) const noexcept {
+  void on_row(int problem, std::int64_t row, float* v, int n) const noexcept {
     const SoftmaxRowStats& s = stats[static_cast<std::size_t>(problem)];
-    return std::exp(v - s.row_max[row]) * s.row_inv_sum[row];
+    const float inv_sum = s.row_inv_sum[row];
+    exp_row(v, s.row_max[row], v, n);
+    for (int j = 0; j < n; ++j) v[j] *= inv_sum;
   }
 };
 
@@ -113,7 +117,7 @@ inline void softmax_full_reduce(const SoftmaxPartials& p,
     }
     float gsum = 0.0f;
     for (std::int64_t t = 0; t < valid_cols_tiles; ++t) {
-      gsum += ps[t] * std::exp(pm[t] - gmax);
+      gsum += ps[t] * fast_exp(pm[t] - gmax);
     }
     row_max[r] = gmax;
     row_inv_sum[r] = gsum > 0.0f ? 1.0f / gsum : 0.0f;

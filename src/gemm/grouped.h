@@ -8,11 +8,12 @@
 // (paper Sec. III-E2, Figs. 5-6).
 //
 // B panels: each CTA keeps a scratch stripe targeted at the (problem,
-// tile_n) column it is currently working; consecutive tiles of the same
-// column (always the case when a problem has a single column of output
-// tiles, e.g. the P V GEMM with n = head_size) reuse the packed panels
-// instead of repacking per tile. A problem may alternatively carry a
-// persistent PackedB (problem.packed_b), which bypasses packing entirely.
+// tile_n) column it is currently working. The visitor numbers tiles
+// column-major, so a claimed chunk runs down each column and every tile_m
+// of that column reuses the packed panels: the stripe is re-packed once per
+// column per chunk, not per tile (the Q K^T GEMM at len 512 has 8 tile
+// rows per column). A problem may alternatively carry a persistent PackedB
+// (problem.packed_b), which bypasses packing entirely.
 #pragma once
 
 #include <cassert>

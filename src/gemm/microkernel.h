@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <type_traits>
 
 #include "common/half.h"
 #include "common/numeric.h"
@@ -40,11 +39,14 @@ struct TileShape {
   static constexpr int kK = kernels::kPanelK;
 };
 
+// Mainloop transforms expose on_row(problem, row, v, n): applied in place
+// to n widened A elements of one row as the A panel is packed, so the
+// transform runs as one vectorisable loop over the FP32 row.
+//
 // Default hooks: identity mainloop transform / identity epilogue.
 struct IdentityATransform {
-  float operator()(int /*problem*/, std::int64_t /*row*/, float v) const noexcept {
-    return v;
-  }
+  void on_row(int /*problem*/, std::int64_t /*row*/, float* /*v*/,
+              int /*n*/) const noexcept {}
 };
 
 struct IdentityEpilogue {
@@ -63,9 +65,9 @@ concept HasTileHook = requires(E e, int p, std::int64_t r0, std::int64_t c0,
   e.on_tile(p, r0, c0, rows, cols, acc, ld);
 };
 
-// Packs an mc x kc block of op(A) into a zero-padded kM x kK FP32 panel,
-// applying the mainloop transform to each loaded element. The identity
-// transform takes the whole-row widening path (F16C-vectorized for FP16).
+// Packs an mc x kc block of op(A) into a zero-padded kM x kK FP32 panel:
+// each row is widened (whole-row, F16C-vectorized for FP16, when A is not
+// transposed), then the mainloop transform's row hook runs over it.
 template <typename TA, typename ATransform>
 inline void pack_a_panel(Trans ta, const TA* a, std::int64_t lda,
                          std::int64_t row0, std::int64_t k0, int mc, int kc,
@@ -74,18 +76,14 @@ inline void pack_a_panel(Trans ta, const TA* a, std::int64_t lda,
     float* dst = panel + static_cast<std::int64_t>(i) * TileShape::kK;
     const std::int64_t row = row0 + i;
     if (ta == Trans::N) {
-      const TA* src = a + row * lda + k0;
-      if constexpr (std::is_same_v<ATransform, IdentityATransform>) {
-        convert_row_f32(src, dst, kc);
-      } else {
-        for (int p = 0; p < kc; ++p) dst[p] = at(problem, row, load_f32(src[p]));
-      }
+      convert_row_f32(a + row * lda + k0, dst, kc);
     } else {
       const TA* src = a + k0 * lda + row;
       for (int p = 0; p < kc; ++p) {
-        dst[p] = at(problem, row, load_f32(src[static_cast<std::int64_t>(p) * lda]));
+        dst[p] = load_f32(src[static_cast<std::int64_t>(p) * lda]);
       }
     }
+    at.on_row(problem, row, dst, kc);
     if (kc < TileShape::kK) {
       std::memset(dst + kc, 0, sizeof(float) * static_cast<std::size_t>(TileShape::kK - kc));
     }
@@ -155,12 +153,15 @@ inline void compute_tile_bsrc(int problem, Trans ta, std::int64_t m,
   }
 
   for (int i = 0; i < mc; ++i) {
-    const float* acc_row = acc + static_cast<std::int64_t>(i) * TileShape::kN;
+    float* acc_row = acc + static_cast<std::int64_t>(i) * TileShape::kN;
     TC* c_row = c + (row0 + i) * ldc + col0;
     if (beta == 0.0f) {
+      // Epilogue in place on the FP32 row, then one whole-row narrowing
+      // store (same RNE rounding as the per-element store).
       for (int j = 0; j < nc; ++j) {
-        store_f32(c_row[j], ep(problem, row0 + i, col0 + j, acc_row[j]));
+        acc_row[j] = ep(problem, row0 + i, col0 + j, acc_row[j]);
       }
+      convert_row_from_f32(acc_row, c_row, nc);
     } else {
       for (int j = 0; j < nc; ++j) {
         store_f32(c_row[j], ep(problem, row0 + i, col0 + j, acc_row[j]) +

@@ -1,13 +1,14 @@
 // Per-CTA B-panel stripe cache for dynamic (non-prepacked) operands.
 //
 // When a CTA computes several tiles of the same output column (all tile_m
-// for one tile_n), the B panels it needs are identical — the seed mainloop
-// nevertheless re-packed them for every tile. This cache claims whatever is
-// left of the CTA scratch arena after the A panel and accumulator, packs as
-// many K blocks of the current column as fit, and serves them across the
-// tile_m loop; K blocks beyond capacity fall back to pack-on-the-fly into a
-// reserved panel. Packing goes through the same pack_b_panel, so cached and
-// fallback paths are bitwise identical.
+// for one tile_n), the B panels it needs are identical. Plain gemm's column
+// mode and grouped_gemm's column-major tile order both run a column's tiles
+// back to back, so the panels are packed once per column. This cache claims
+// whatever is left of the CTA scratch arena after the A panel and
+// accumulator, packs as many K blocks of the current column as fit, and
+// serves them across the tile_m loop; K blocks beyond capacity fall back to
+// pack-on-the-fly into a reserved panel. Packing goes through the same
+// pack_b_panel, so cached and fallback paths are bitwise identical.
 #pragma once
 
 #include <cstdint>

@@ -9,6 +9,10 @@
 //   * prefetch = 32 — one visit per 32 tiles, lookups amortized by a linear
 //     walk from the chunk start
 // The ablation bench measures the difference directly.
+//
+// Within a problem, tiles are numbered column-major (tile_m fastest), so a
+// claimed chunk walks down output columns: a CTA re-targets its B stripe
+// (gemm/panel_cache.h) once per column instead of once per tile.
 #pragma once
 
 #include <atomic>
@@ -34,11 +38,11 @@ class TileVisitor {
   TileVisitor(std::span<const std::pair<std::int64_t, std::int64_t>> grids,
               std::int64_t prefetch)
       : prefetch_(prefetch > 0 ? prefetch : 1) {
-    tiles_n_.reserve(grids.size());
+    tiles_m_.reserve(grids.size());
     prefix_.reserve(grids.size() + 1);
     prefix_.push_back(0);
     for (const auto& [tm, tn] : grids) {
-      tiles_n_.push_back(tn);
+      tiles_m_.push_back(tm);
       prefix_.push_back(prefix_.back() + tm * tn);
     }
   }
@@ -55,17 +59,18 @@ class TileVisitor {
     return true;
   }
 
-  // Maps a global tile index to (problem, tile_m, tile_n). `cursor` caches
-  // the last problem index per caller so sequential lookups inside a claimed
-  // chunk cost O(1); a fresh lookup does a binary search.
+  // Maps a global tile index to (problem, tile_m, tile_n), column-major
+  // within the problem. `cursor` caches the last problem index per caller
+  // so sequential lookups inside a claimed chunk cost O(1); a fresh lookup
+  // does a binary search.
   TileCoord locate(std::int64_t global, int& cursor) const noexcept {
     assert(global >= 0 && global < total_tiles());
-    if (cursor < 0 || static_cast<std::size_t>(cursor) >= tiles_n_.size() ||
+    if (cursor < 0 || static_cast<std::size_t>(cursor) >= tiles_m_.size() ||
         global < prefix_[static_cast<std::size_t>(cursor)] ||
         global >= prefix_[static_cast<std::size_t>(cursor) + 1]) {
       // binary search for the owning problem
       int lo = 0;
-      int hi = static_cast<int>(tiles_n_.size()) - 1;
+      int hi = static_cast<int>(tiles_m_.size()) - 1;
       while (lo < hi) {
         const int mid = (lo + hi) / 2;
         if (global < prefix_[static_cast<std::size_t>(mid) + 1]) {
@@ -77,12 +82,12 @@ class TileVisitor {
       cursor = lo;
     }
     const std::int64_t local = global - prefix_[static_cast<std::size_t>(cursor)];
-    const std::int64_t tn = tiles_n_[static_cast<std::size_t>(cursor)];
-    return {cursor, local / tn, local % tn};
+    const std::int64_t tm = tiles_m_[static_cast<std::size_t>(cursor)];
+    return {cursor, local % tm, local / tm};
   }
 
  private:
-  std::vector<std::int64_t> tiles_n_;
+  std::vector<std::int64_t> tiles_m_;
   std::vector<std::int64_t> prefix_;  // cumulative tile counts, size P+1
   std::int64_t prefetch_ = 32;
   std::atomic<std::int64_t> next_{0};

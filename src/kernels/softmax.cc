@@ -3,31 +3,50 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/numeric.h"
+
 namespace bt::kernels {
 
 namespace {
 
 constexpr float kMask = -1e4f;  // framework-style additive attention mask
+constexpr int kChunk = 64;       // row elements widened per step
 
-// One padded score row: softmax over [0, max_seq) with additive mask on
-// columns >= len. Register-style: a single pass loads the row once into a
-// local accumulation (two reductions + transform, as in Algorithm III.1).
+// Widens row[j0, j0 + n) into buf, adding the mask to columns >= len.
 template <typename T>
-void softmax_row_full(T* row, int max_seq, int len) {
+void load_chunk(const T* row, int j0, int n, int len, float* buf) {
+  convert_row_f32(row + j0, buf, n);
+  for (int j = 0; j < n; ++j) buf[j] += j0 + j < len ? 0.0f : kMask;
+}
+
+// Softmax over row[0, n) with columns >= len masked, written back in place
+// (a padded row of softmax_full is n = max_seq). Register-style: max, sum
+// of exp and the normalized store each stream the row once (two reductions
+// + transform, as in Algorithm III.1), a chunk at a time through one
+// vectorised exp.
+template <typename T>
+void softmax_row(T* row, int n, int len) {
+  float buf[kChunk];
   float mx = -INFINITY;
-  for (int j = 0; j < max_seq; ++j) {
-    const float v = load_f32(row[j]) + (j < len ? 0.0f : kMask);
-    mx = std::max(mx, v);
+  for (int j0 = 0; j0 < n; j0 += kChunk) {
+    const int c = std::min(kChunk, n - j0);
+    load_chunk(row, j0, c, len, buf);
+    for (int j = 0; j < c; ++j) mx = std::max(mx, buf[j]);
   }
   float sum = 0.0f;
-  for (int j = 0; j < max_seq; ++j) {
-    const float v = load_f32(row[j]) + (j < len ? 0.0f : kMask);
-    sum += std::exp(v - mx);
+  for (int j0 = 0; j0 < n; j0 += kChunk) {
+    const int c = std::min(kChunk, n - j0);
+    load_chunk(row, j0, c, len, buf);
+    exp_row(buf, mx, buf, c);
+    for (int j = 0; j < c; ++j) sum += buf[j];
   }
   const float inv = 1.0f / sum;
-  for (int j = 0; j < max_seq; ++j) {
-    const float v = load_f32(row[j]) + (j < len ? 0.0f : kMask);
-    store_f32(row[j], std::exp(v - mx) * inv);
+  for (int j0 = 0; j0 < n; j0 += kChunk) {
+    const int c = std::min(kChunk, n - j0);
+    load_chunk(row, j0, c, len, buf);
+    exp_row(buf, mx, buf, c);
+    for (int j = 0; j < c; ++j) buf[j] *= inv;
+    convert_row_from_f32(buf, row + j0, c);
   }
 }
 
@@ -35,14 +54,7 @@ void softmax_row_full(T* row, int max_seq, int len) {
 // the following padded batched GEMM reads exact zeros.
 template <typename T>
 void softmax_row_zeropad(T* row, int max_seq, int len) {
-  float mx = -INFINITY;
-  for (int j = 0; j < len; ++j) mx = std::max(mx, load_f32(row[j]));
-  float sum = 0.0f;
-  for (int j = 0; j < len; ++j) sum += std::exp(load_f32(row[j]) - mx);
-  const float inv = 1.0f / sum;
-  for (int j = 0; j < len; ++j) {
-    store_f32(row[j], std::exp(load_f32(row[j]) - mx) * inv);
-  }
+  softmax_row(row, len, len);
   for (int j = len; j < max_seq; ++j) store_f32(row[j], 0.0f);
 }
 
@@ -54,7 +66,7 @@ void softmax_full_impl(par::Device& dev, T* scores, int batch, int heads,
   dev.parallel_for(0, rows, /*grain=*/8, [&](std::int64_t r) {
     const int b = static_cast<int>(r / (static_cast<std::int64_t>(heads) * max_seq));
     const int len = seq_lens[static_cast<std::size_t>(b)];
-    softmax_row_full(scores + r * max_seq, max_seq, len);
+    softmax_row(scores + r * max_seq, max_seq, len);
   });
 }
 

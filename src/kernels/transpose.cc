@@ -1,10 +1,34 @@
 #include "kernels/transpose.h"
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 namespace bt::kernels {
 
 namespace {
+
+// Bias widened once per call, so each split row is one whole-row add.
+template <typename T>
+std::vector<float> widen_bias(const T* bias, std::int64_t n) {
+  std::vector<float> out(static_cast<std::size_t>(n));
+  convert_row_f32(bias, out.data(), n);
+  return out;
+}
+
+// dst[j] = src[j] + bias[j], j in [0, n): widened a chunk at a time and
+// narrowed whole-row (the same RNE rounding as a per-element store).
+template <typename T>
+void add_bias_row(const T* src, const float* bias, T* dst, std::int64_t n) {
+  constexpr std::int64_t kChunk = 64;
+  float buf[kChunk];
+  for (std::int64_t j0 = 0; j0 < n; j0 += kChunk) {
+    const std::int64_t c = std::min(kChunk, n - j0);
+    convert_row_f32(src + j0, buf, c);
+    for (std::int64_t j = 0; j < c; ++j) buf[j] += bias[j0 + j];
+    convert_row_from_f32(buf, dst + j0, c);
+  }
+}
 
 template <typename T>
 void split_padded_impl(par::Device& dev, const T* qkv, const T* qkv_bias,
@@ -12,6 +36,7 @@ void split_padded_impl(par::Device& dev, const T* qkv, const T* qkv_bias,
                        int head_size) {
   const std::int64_t hidden = static_cast<std::int64_t>(heads) * head_size;
   const std::int64_t tokens = static_cast<std::int64_t>(batch) * max_seq;
+  const std::vector<float> bias_f = widen_bias(qkv_bias, 3 * hidden);
   // q/k/v laid out [batch, heads, max_seq, head_size]; for token (b, s) the
   // head-h row is ((b*heads + h)*max_seq + s).
   dev.parallel_for(0, tokens, /*grain=*/8, [&](std::int64_t t) {
@@ -20,15 +45,11 @@ void split_padded_impl(par::Device& dev, const T* qkv, const T* qkv_bias,
     const T* src = qkv + t * 3 * hidden;
     T* outs[3] = {q, k, v};
     for (int which = 0; which < 3; ++which) {
-      const T* part = src + which * hidden;
-      const T* bias = qkv_bias + which * hidden;
       for (int h = 0; h < heads; ++h) {
-        T* dst = outs[which] +
-                 ((b * heads + h) * max_seq + s) * head_size;
-        for (int d = 0; d < head_size; ++d) {
-          store_f32(dst[d], load_f32(part[h * head_size + d]) +
-                                load_f32(bias[h * head_size + d]));
-        }
+        const std::int64_t col = which * hidden + h * head_size;
+        add_bias_row(src + col, bias_f.data() + col,
+                     outs[which] + ((b * heads + h) * max_seq + s) * head_size,
+                     head_size);
       }
     }
   });
@@ -52,20 +73,18 @@ void split_rebuild_impl(par::Device& dev, const T* qkv, const T* qkv_bias,
                                                    max_seq * head_size));
                      });
   }
+  const std::vector<float> bias_f = widen_bias(qkv_bias, 3 * hidden);
   dev.parallel_for(0, off.valid_count, /*grain=*/8, [&](std::int64_t t) {
     const std::int64_t padded = off.packed_to_padded[static_cast<std::size_t>(t)];
     const std::int64_t b = padded / max_seq;
     const std::int64_t s = padded % max_seq;
     const T* src = qkv + t * 3 * hidden;
     for (int which = 0; which < 3; ++which) {
-      const T* part = src + which * hidden;
-      const T* bias = qkv_bias + which * hidden;
       for (int h = 0; h < heads; ++h) {
-        T* dst = outs[which] + ((b * heads + h) * max_seq + s) * head_size;
-        for (int d = 0; d < head_size; ++d) {
-          store_f32(dst[d], load_f32(part[h * head_size + d]) +
-                                load_f32(bias[h * head_size + d]));
-        }
+        const std::int64_t col = which * hidden + h * head_size;
+        add_bias_row(src + col, bias_f.data() + col,
+                     outs[which] + ((b * heads + h) * max_seq + s) * head_size,
+                     head_size);
       }
     }
   });
@@ -77,15 +96,12 @@ void split_packed_impl(par::Device& dev, const T* qkv, const T* qkv_bias,
                        int head_size) {
   const std::int64_t hidden = static_cast<std::int64_t>(heads) * head_size;
   T* outs[3] = {q, k, v};
+  const std::vector<float> bias_f = widen_bias(qkv_bias, 3 * hidden);
   dev.parallel_for(0, valid, /*grain=*/8, [&](std::int64_t t) {
     const T* src = qkv + t * 3 * hidden;
     for (int which = 0; which < 3; ++which) {
-      const T* part = src + which * hidden;
-      const T* bias = qkv_bias + which * hidden;
-      T* dst = outs[which] + t * hidden;
-      for (std::int64_t j = 0; j < hidden; ++j) {
-        store_f32(dst[j], load_f32(part[j]) + load_f32(bias[j]));
-      }
+      add_bias_row(src + which * hidden, bias_f.data() + which * hidden,
+                   outs[which] + t * hidden, hidden);
     }
   });
 }

@@ -209,5 +209,59 @@ TEST(GroupedGemm, MhaShapedProblems) {
   }
 }
 
+TEST(GroupedGemm, QkTransposedColumnTilesMatchPerProblemGemm) {
+  // Q K^T exactly as fused-long MHA submits it: Trans::T B read through
+  // ld = hidden views, ragged lengths giving 1..5 column tiles per problem.
+  // The visitor's column-major order re-targets each CTA's B stripe per
+  // column; every tile must still equal a plain per-problem gemm bitwise,
+  // for any prefetch width.
+  const int heads = 2;
+  const int d = 64;
+  const int hidden = heads * d;
+  const std::vector<int> lens{300, 17, 129, 64, 200};
+  std::int64_t valid = 0;
+  for (int l : lens) valid += l;
+  Rng rng(77);
+  auto q = Tensor<fp16_t>::random_normal({valid, hidden}, rng);
+  auto k = Tensor<fp16_t>::random_normal({valid, hidden}, rng);
+
+  for (std::int64_t prefetch : {1, 3, 32}) {
+    std::vector<Tensor<fp16_t>> scores;
+    std::vector<GroupedProblem<fp16_t, fp16_t, fp16_t>> problems;
+    std::vector<std::int64_t> rows0;
+    std::int64_t row0 = 0;
+    for (int l : lens) {
+      for (int h = 0; h < heads; ++h) {
+        scores.push_back(Tensor<fp16_t>::zeros({l, l}));
+        rows0.push_back(row0);
+      }
+      row0 += l;
+    }
+    std::size_t si = 0;
+    for (int l : lens) {
+      for (int h = 0; h < heads; ++h, ++si) {
+        problems.push_back({l, l, d, q.data() + rows0[si] * hidden + h * d,
+                            hidden, k.data() + rows0[si] * hidden + h * d,
+                            hidden, scores[si].data(), l});
+      }
+    }
+    grouped_gemm<fp16_t, fp16_t, fp16_t>(
+        dev(), Trans::N, Trans::T,
+        std::span<const GroupedProblem<fp16_t, fp16_t, fp16_t>>(problems),
+        0.125f, 0.0f, {}, {}, prefetch);
+
+    for (std::size_t p = 0; p < problems.size(); ++p) {
+      const auto& pr = problems[p];
+      auto want = Tensor<fp16_t>::zeros({pr.m, pr.n});
+      gemm_f16(dev(), Trans::N, Trans::T, pr.m, pr.n, pr.k, 0.125f, pr.a,
+               pr.lda, pr.b, pr.ldb, 0.0f, want.data(), pr.n);
+      for (std::int64_t e = 0; e < want.size(); ++e) {
+        ASSERT_EQ(scores[p].data()[e].bits(), want.data()[e].bits())
+            << "problem " << p << " elem " << e << " prefetch " << prefetch;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bt::gemm

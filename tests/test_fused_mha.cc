@@ -2,6 +2,8 @@
 // scheduler prefetch invariance, and scratch-capacity behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "attention/attention.h"
@@ -180,6 +182,81 @@ TEST(FusedMha, WorkspaceReuseAcrossCallsIsSafe) {
   for (std::int64_t i = 0; i < ctx1.size(); ++i) {
     EXPECT_EQ(ctx1.data()[i].bits(), ctx2.data()[i].bits());
   }
+}
+
+// A micro-batch assembled from per-sequence QKV blocks, each drawn from its
+// own seed, so one sequence's rows are identical in every composition.
+struct Composition {
+  core::SeqOffsets off;
+  Tensor<fp16_t> qkv;
+  Tensor<fp16_t> bias;
+  Tensor<fp16_t> ctx;
+  int hidden;
+
+  Composition(const std::vector<std::pair<int, std::uint64_t>>& seqs,
+              int heads, int hd) {
+    hidden = heads * hd;
+    std::vector<int> lens;
+    int max_seq = 0;
+    for (const auto& [len, seed] : seqs) {
+      lens.push_back(len);
+      max_seq = std::max(max_seq, len);
+    }
+    off = core::build_seq_offsets(dev(), lens, max_seq);
+    qkv = Tensor<fp16_t>({off.valid_count, 3 * hidden});
+    std::int64_t row = 0;
+    for (const auto& [len, seed] : seqs) {
+      Rng rng(seed);
+      auto block = Tensor<fp16_t>::random_normal({len, 3 * hidden}, rng);
+      std::copy(block.data(), block.data() + block.size(),
+                qkv.data() + row * 3 * hidden);
+      row += len;
+    }
+    Rng bias_rng(99);
+    bias = Tensor<fp16_t>::random_normal({3 * hidden}, bias_rng, 0.1f);
+    ctx = Tensor<fp16_t>::zeros({off.valid_count, hidden});
+    core::Workspace ws;
+    PackedMhaArgs args{qkv.data(), bias.data(), ctx.data(), &off, heads, hd};
+    mha_fused(dev(), args, ws);
+  }
+
+  // Context rows of the sequence at batch index b.
+  std::vector<fp16_t> rows_of(int b) const {
+    const std::int64_t r0 = off.batch_offset[static_cast<std::size_t>(b)];
+    const std::int64_t len = off.seq_lens[static_cast<std::size_t>(b)];
+    return {ctx.data() + r0 * hidden, ctx.data() + (r0 + len) * hidden};
+  }
+};
+
+TEST(FusedDispatch, CompositionIndependentWithinRegimeOnly) {
+  // A request's output does not depend on what it is batched with — as
+  // long as the micro-batch stays in the same kernel regime. Sharing a
+  // micro-batch with a sequence over kShortSeqCutoff moves every member to
+  // the long kernel, whose softmax rounds differently: across the boundary
+  // only FP tolerance holds.
+  const int heads = 2;
+  const int hd = 32;
+  const std::pair<int, std::uint64_t> x{100, 5};  // the request under test
+  const Composition alone({x}, heads, hd);
+  const Composition short_mix({{60, 11}, x, {300, 12}}, heads, hd);
+  const Composition long_a({x, {kShortSeqCutoff + 66, 13}}, heads, hd);
+  const Composition long_b({{200, 14}, {kShortSeqCutoff + 116, 15}, x}, heads,
+                           hd);
+
+  const std::vector<fp16_t> ref_short = alone.rows_of(0);
+  const std::vector<fp16_t> ref_long = long_a.rows_of(0);
+  const std::vector<fp16_t> got_short = short_mix.rows_of(1);
+  const std::vector<fp16_t> got_long = long_b.rows_of(2);
+  ASSERT_EQ(ref_short.size(), got_short.size());
+  ASSERT_EQ(ref_long.size(), got_long.size());
+  double cross = 0.0;
+  for (std::size_t i = 0; i < ref_short.size(); ++i) {
+    EXPECT_EQ(got_short[i].bits(), ref_short[i].bits()) << "short elem " << i;
+    EXPECT_EQ(got_long[i].bits(), ref_long[i].bits()) << "long elem " << i;
+    cross = std::max(cross, std::fabs(static_cast<double>(ref_long[i]) -
+                                      static_cast<double>(ref_short[i])));
+  }
+  EXPECT_LT(cross, 3e-2);
 }
 
 }  // namespace

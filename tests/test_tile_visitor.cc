@@ -26,11 +26,24 @@ TEST(TileVisitor, LocateMapsGlobalIndices) {
   std::vector<Grid> grids{{2, 3}, {1, 1}, {4, 2}};
   TileVisitor v(grids, 1);
   int cursor = -1;
-  // Problem 0 occupies [0, 6): row-major (tile_m, tile_n).
+  // Problem 0 occupies [0, 6): column-major (tile_m fastest), so
+  // consecutive tiles share a B column.
   auto t0 = v.locate(0, cursor);
   EXPECT_EQ(t0.problem, 0);
   EXPECT_EQ(t0.tile_m, 0);
   EXPECT_EQ(t0.tile_n, 0);
+  auto t1 = v.locate(1, cursor);
+  EXPECT_EQ(t1.problem, 0);
+  EXPECT_EQ(t1.tile_m, 1);
+  EXPECT_EQ(t1.tile_n, 0);
+  auto t2 = v.locate(2, cursor);
+  EXPECT_EQ(t2.problem, 0);
+  EXPECT_EQ(t2.tile_m, 0);
+  EXPECT_EQ(t2.tile_n, 1);
+  auto t3 = v.locate(3, cursor);
+  EXPECT_EQ(t3.problem, 0);
+  EXPECT_EQ(t3.tile_m, 1);
+  EXPECT_EQ(t3.tile_n, 1);
   auto t5 = v.locate(5, cursor);
   EXPECT_EQ(t5.problem, 0);
   EXPECT_EQ(t5.tile_m, 1);
@@ -39,6 +52,16 @@ TEST(TileVisitor, LocateMapsGlobalIndices) {
   EXPECT_EQ(t6.problem, 1);
   EXPECT_EQ(t6.tile_m, 0);
   EXPECT_EQ(t6.tile_n, 0);
+  // Problem 2 ({4, 2}) occupies [7, 15): global 10 is the last row of its
+  // first column, 11 the top of its second.
+  auto t10 = v.locate(10, cursor);
+  EXPECT_EQ(t10.problem, 2);
+  EXPECT_EQ(t10.tile_m, 3);
+  EXPECT_EQ(t10.tile_n, 0);
+  auto t11 = v.locate(11, cursor);
+  EXPECT_EQ(t11.problem, 2);
+  EXPECT_EQ(t11.tile_m, 0);
+  EXPECT_EQ(t11.tile_n, 1);
   auto t14 = v.locate(14, cursor);
   EXPECT_EQ(t14.problem, 2);
   EXPECT_EQ(t14.tile_m, 3);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Concurrency-hygiene lint for src/ — the grep-level complement to the
-# clang -Wthread-safety build (docs/ANALYSIS.md). Three rules:
+# clang -Wthread-safety build (docs/ANALYSIS.md). Five rules:
 #
 #   1. No raw std::mutex / std::condition_variable members outside the
 #      annotated wrappers in src/common/mutex.h. Raw primitives are
@@ -22,15 +22,11 @@
 #      invisible to operators writing chaos configs — and to the reviewer
 #      deciding whether the injection site is safe.
 #
-#   5. Every metric name registered against obs::MetricRegistry in src/ is
-#      documented in the docs/OBSERVABILITY.md catalog. An undocumented
-#      metric is a dashboard nobody can build and a name nobody reviews
-#      for collision with the existing namespace.
-#
-#   6. Same contract for the cache.* metric namespace (cache/prefix_cache.cc
-#      registers its literals outside rule 5's serving|net|obs prefix set):
-#      every cache.* literal must appear in the docs/OBSERVABILITY.md
-#      catalog.
+#   5. Every metric name registered against obs::MetricRegistry in src/
+#      (the serving.*, net.*, obs.* and cache.* namespaces) is documented
+#      in the docs/OBSERVABILITY.md catalog. An undocumented metric is a
+#      dashboard nobody can build and a name nobody reviews for collision
+#      with the existing namespace.
 #
 # Exit 0 = clean, 1 = violations (printed per rule). Run from anywhere.
 set -u
@@ -132,14 +128,15 @@ if [[ -n "$points" ]]; then
 fi
 
 # ---- rule 5: every registered metric name is in the observability catalog ---
-# Metric names are dotted `serving.*` / `net.*` string literals handed to
-# obs::MetricRegistry — directly (reg.counter("serving.rounds")) or as the
-# literal prefix of a composed name ("serving.model." + name). Every such
-# literal in src/ is either a metric name/prefix or a fault point, and
-# rule 4 already extracted the fault points — subtract them. The registry's
-# own sources (src/obs/) define the API, they don't place product metrics,
-# so their doc-comment examples are exempt.
-metrics=$(grep -rhoE '"(serving|net|obs)\.[a-z0-9_.]+"' \
+# Metric names are dotted `serving.*` / `net.*` / `obs.*` / `cache.*`
+# string literals handed to obs::MetricRegistry — directly
+# (reg.counter("serving.rounds")) or as the literal prefix of a composed
+# name ("serving.model." + name). Every such literal in src/ is either a
+# metric name/prefix or a fault point, and rule 4 already extracted the
+# fault points — subtract them. The registry's own sources (src/obs/)
+# define the API, they don't place product metrics, so their doc-comment
+# examples are exempt.
+metrics=$(grep -rhoE '"(serving|net|obs|cache)\.[a-z0-9_.]+"' \
           --include='*.h' --include='*.cc' --exclude-dir=obs src/ \
           | tr -d '"' | sort -u \
           | grep -vxF -f <(printf '%s\n' "$points"))
@@ -156,29 +153,6 @@ if [[ -n "$metrics" ]]; then
         fail=1
       fi
     done <<< "$metrics"
-  fi
-fi
-
-# ---- rule 6: cache.* metric literals are cataloged too ----------------------
-# The prefix cache's metric names live under their own `cache.` namespace,
-# which rule 5's prefix alternation does not cover; hold them to the same
-# catalog requirement.
-cache_metrics=$(grep -rhoE '"cache\.[a-z0-9_.]+"' \
-                --include='*.h' --include='*.cc' --exclude-dir=obs src/ \
-                | tr -d '"' | sort -u)
-if [[ -n "$cache_metrics" ]]; then
-  if [[ ! -f docs/OBSERVABILITY.md ]]; then
-    note "rule 6: cache.* metrics are registered in src/ but"
-    note "docs/OBSERVABILITY.md is missing — the catalog must document them."
-    fail=1
-  else
-    while IFS= read -r metric; do
-      if ! grep -qF "$metric" docs/OBSERVABILITY.md; then
-        note "rule 6: metric \"$metric\" is registered in src/ but absent from"
-        note "the docs/OBSERVABILITY.md catalog — add a row for it."
-        fail=1
-      fi
-    done <<< "$cache_metrics"
   fi
 fi
 
