@@ -687,9 +687,9 @@ int main(int argc, char** argv) {
                   replay.failures());
     }
     if (args.chaos > 0) {
-      std::printf("  chaos: %lld fires across %s fault points; clients "
+      std::printf("  chaos: %llu fires across %s fault points; clients "
                   "retried %lld, reconnected %lld; %lld request(s) failed\n",
-                  injector.total_fires(),
+                  static_cast<unsigned long long>(injector.total_fires()),
                   args.wire ? "socket+compute" : "compute",
                   wire_resilience.retries, wire_resilience.reconnects,
                   replay.failures());

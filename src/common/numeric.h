@@ -38,6 +38,18 @@ inline float gelu_tanh(float x) noexcept {
   return 0.5f * x * (1.0f + fast_tanh(kSqrt2OverPi * (x + kCoef * x * x * x)));
 }
 
+// v[j] += bias[j] and v[j] = gelu_tanh(v[j] + bias[j]) over one FP32 row:
+// the one body of both the fused GEMM epilogues (gemm/epilogues.h) and the
+// unfused kernels (kernels/activation.cc), so the two paths cannot drift.
+// Each is a single plain loop the compiler vectorises.
+inline void add_bias_row(float* v, const float* bias, std::int64_t n) noexcept {
+  for (std::int64_t j = 0; j < n; ++j) v[j] += bias[j];
+}
+
+inline void bias_gelu_row(float* v, const float* bias, std::int64_t n) noexcept {
+  for (std::int64_t j = 0; j < n; ++j) v[j] = gelu_tanh(v[j] + bias[j]);
+}
+
 // Exact GELU via erf, used by the FP64 references in tests.
 inline double gelu_erf(double x) noexcept {
   return 0.5 * x * (1.0 + std::erf(x / std::sqrt(2.0)));

@@ -25,9 +25,11 @@ namespace bt::gemm {
 template <typename TBias>
 struct BiasEpilogue {
   const TBias* bias = nullptr;
-  float operator()(int /*problem*/, std::int64_t /*row*/, std::int64_t col,
-                   float v) const noexcept {
-    return v + load_f32(bias[col]);
+  void on_row(int /*problem*/, std::int64_t /*row*/, std::int64_t col0,
+              float* v, int n) const noexcept {
+    float b[TileShape::kN];
+    convert_row_f32(bias + col0, b, n);
+    add_bias_row(v, b, n);
   }
 };
 
@@ -35,9 +37,11 @@ struct BiasEpilogue {
 template <typename TBias>
 struct BiasGeluEpilogue {
   const TBias* bias = nullptr;
-  float operator()(int /*problem*/, std::int64_t /*row*/, std::int64_t col,
-                   float v) const noexcept {
-    return gelu_tanh(v + load_f32(bias[col]));
+  void on_row(int /*problem*/, std::int64_t /*row*/, std::int64_t col0,
+              float* v, int n) const noexcept {
+    float b[TileShape::kN];
+    convert_row_f32(bias + col0, b, n);
+    bias_gelu_row(v, b, n);
   }
 };
 
@@ -56,11 +60,6 @@ struct SoftmaxPartials {
 // happens later, fused into the second GEMM's mainloop).
 struct SoftmaxPartialReduceEpilogue {
   std::span<SoftmaxPartials> partials;
-
-  float operator()(int /*problem*/, std::int64_t /*row*/, std::int64_t /*col*/,
-                   float v) const noexcept {
-    return v;
-  }
 
   void on_tile(int problem, std::int64_t row0, std::int64_t col0, int rows,
                int cols, const float* acc, int ld) const noexcept {

@@ -1,102 +1,26 @@
-// Register-blocked AVX2+FMA microkernel.
-//
-// Output is processed in 6x16 register tiles: six rows of two ymm
-// accumulators (12 of the 16 ymm registers) stay resident across the whole
-// k loop, with one broadcast register for the A element and two for the B
-// row — no accumulator round-trips through memory inside the loop. Row
-// remainders (mc % 6) drop to narrower register blocks of the same shape.
-//
-// Per output element the accumulation is a p-ascending FMA chain seeded
-// from the incoming acc value — exactly the scalar kernel's `acc += a * b`
-// under FMA contraction — so forcing kernels for A/B runs never changes
-// results (see the bitwise cross-check in tests/test_gemm_kernels.cc).
-//
-// CMake compiles this file with -mavx2 -mfma -mf16c when the compiler
-// supports them (independent of BT_NATIVE_ARCH, so portable builds still
-// carry the fast path behind runtime dispatch); otherwise the fallback at
-// the bottom aliases the vec kernel and dispatch never selects kAvx2.
-#include "gemm/kernels/kernel.h"
+// The blocked microkernel (gemm/kernels/blocked.h) compiled with at least
+// AVX2+FMA. CMake adds -mavx2 -mfma -mf16c to this file whatever
+// BT_NATIVE_ARCH says, so portable builds still carry the 256-bit kernel;
+// dispatch selects it only when cpuid reports AVX2 and FMA. If the toolchain
+// could not take the flags, this is the build-flag kernel and dispatch never
+// selects it.
+#include "gemm/kernels/blocked.h"
 
-#include <cstdint>
+namespace bt::gemm::kernels {
 
+void tile_multiply_avx2(const float* panel_a, int mc, const float* panel_b,
+                        int kc, float* acc) {
+  tile_multiply_blocked(panel_a, mc, panel_b, kc, acc);
+}
+
+namespace detail {
+bool avx2_kernel_compiled() noexcept {
 #if defined(__AVX2__) && defined(__FMA__)
-
-#include <immintrin.h>
-
-namespace bt::gemm::kernels {
-
-namespace {
-
-// R rows x 16 columns: a/acc point at the block's first row, b at the
-// panel's column offset. Strides are the fixed panel widths.
-template <int R>
-inline void block_rx16(const float* a, const float* b, float* acc, int kc) {
-  __m256 c[R][2];
-  for (int r = 0; r < R; ++r) {
-    c[r][0] = _mm256_loadu_ps(acc + static_cast<std::int64_t>(r) * kPanelN);
-    c[r][1] = _mm256_loadu_ps(acc + static_cast<std::int64_t>(r) * kPanelN + 8);
-  }
-  for (int p = 0; p < kc; ++p) {
-    const float* b_row = b + static_cast<std::int64_t>(p) * kPanelN;
-    const __m256 b0 = _mm256_loadu_ps(b_row);
-    const __m256 b1 = _mm256_loadu_ps(b_row + 8);
-    for (int r = 0; r < R; ++r) {
-      const __m256 av =
-          _mm256_broadcast_ss(a + static_cast<std::int64_t>(r) * kPanelK + p);
-      c[r][0] = _mm256_fmadd_ps(av, b0, c[r][0]);
-      c[r][1] = _mm256_fmadd_ps(av, b1, c[r][1]);
-    }
-  }
-  for (int r = 0; r < R; ++r) {
-    _mm256_storeu_ps(acc + static_cast<std::int64_t>(r) * kPanelN, c[r][0]);
-    _mm256_storeu_ps(acc + static_cast<std::int64_t>(r) * kPanelN + 8, c[r][1]);
-  }
-}
-
-}  // namespace
-
-void tile_multiply_avx2(const float* panel_a, int mc, const float* panel_b,
-                        int kc, float* acc) {
-  static_assert(kPanelN % 16 == 0, "column blocking assumes 16-wide tiles");
-  for (int jb = 0; jb < kPanelN; jb += 16) {
-    const float* b = panel_b + jb;
-    int i = 0;
-    for (; i + 6 <= mc; i += 6) {
-      block_rx16<6>(panel_a + static_cast<std::int64_t>(i) * kPanelK, b,
-                    acc + static_cast<std::int64_t>(i) * kPanelN + jb, kc);
-    }
-    const float* a_tail = panel_a + static_cast<std::int64_t>(i) * kPanelK;
-    float* acc_tail = acc + static_cast<std::int64_t>(i) * kPanelN + jb;
-    switch (mc - i) {
-      case 5: block_rx16<5>(a_tail, b, acc_tail, kc); break;
-      case 4: block_rx16<4>(a_tail, b, acc_tail, kc); break;
-      case 3: block_rx16<3>(a_tail, b, acc_tail, kc); break;
-      case 2: block_rx16<2>(a_tail, b, acc_tail, kc); break;
-      case 1: block_rx16<1>(a_tail, b, acc_tail, kc); break;
-      default: break;
-    }
-  }
-}
-
-namespace detail {
-bool avx2_kernel_compiled() noexcept { return true; }
-}  // namespace detail
-
-}  // namespace bt::gemm::kernels
-
-#else  // toolchain could not build AVX2: alias vec, report unavailable
-
-namespace bt::gemm::kernels {
-
-void tile_multiply_avx2(const float* panel_a, int mc, const float* panel_b,
-                        int kc, float* acc) {
-  tile_multiply_vec(panel_a, mc, panel_b, kc, acc);
-}
-
-namespace detail {
-bool avx2_kernel_compiled() noexcept { return false; }
-}  // namespace detail
-
-}  // namespace bt::gemm::kernels
-
+  return true;
+#else
+  return false;
 #endif
+}
+}  // namespace detail
+
+}  // namespace bt::gemm::kernels

@@ -9,10 +9,12 @@
 // interchangeable implementations of that primitive:
 //
 //   * kScalar — the plain triple loop (the original seed kernel; baseline)
-//   * kVec    — 8-wide GCC generic-vector kernel, portable to any ISA the
-//               compiler can lower 256-bit vectors to
-//   * kAvx2   — explicit 6x16 register-blocked AVX2+FMA kernel (six rows of
-//               two ymm accumulators held in registers across the k loop)
+//   * kVec    — the register-blocked generic-vector kernel (blocked.h)
+//               compiled with the build's flags: 512-, 256- or 128-bit
+//               vectors, whatever the target ISA offers
+//   * kAvx2   — the same template compiled with at least AVX2+FMA
+//               (-mavx2 -mfma -mf16c, or the build's wider ISA) and
+//               selected only when cpuid reports AVX2 and FMA
 //
 // The active kernel is selected once at startup: BT_GEMM_KERNEL=scalar|vec|
 // avx2 overrides, otherwise cpuid-style detection picks the best supported
@@ -37,9 +39,9 @@ inline constexpr int kNumKinds = 3;
 using TileMultiplyFn = void (*)(const float* panel_a, int mc,
                                 const float* panel_b, int kc, float* acc);
 
-// The three implementations. tile_multiply_avx2 falls back to the vec
-// kernel when the toolchain could not build AVX2 code (it is then never
-// selected by dispatch — supported(kAvx2) reports false).
+// The three implementations. When the toolchain could not build AVX2 code,
+// tile_multiply_avx2 is the build-flag kernel and dispatch never selects it
+// (supported(kAvx2) reports false).
 void tile_multiply_scalar(const float* panel_a, int mc, const float* panel_b,
                           int kc, float* acc);
 void tile_multiply_vec(const float* panel_a, int mc, const float* panel_b,
@@ -73,8 +75,7 @@ void tile_multiply(const float* panel_a, int mc, const float* panel_b, int kc,
                    float* acc);
 
 namespace detail {
-// Whether avx2.cc was actually built with AVX2+FMA (CMake probes the flags;
-// portable builds compile it as a vec alias).
+// Whether avx2.cc was actually built with AVX2+FMA (CMake probes the flags).
 bool avx2_kernel_compiled() noexcept;
 }  // namespace detail
 

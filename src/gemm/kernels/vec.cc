@@ -1,77 +1,13 @@
-// Generic-vector microkernel: 8-wide GCC/Clang vector extensions, no
-// ISA-specific intrinsics. One accumulator row (kPanelN = 64 floats = eight
-// 8-lanes) is held in registers across the whole k loop; the compiler
-// lowers the arithmetic to whatever vector ISA the build enables (SSE pairs,
-// AVX ymm, SVE, ...). Each output element still accumulates over p in
-// ascending order — lanes are independent — so results match the scalar
-// kernel bit-for-bit under uniform FMA contraction.
-#include "gemm/kernels/kernel.h"
-
-#include <cstdint>
-#include <cstring>
+// The blocked microkernel (gemm/kernels/blocked.h) compiled with the build's
+// own flags: AVX-512 or AVX2 under BT_NATIVE_ARCH on such a host, 128-bit
+// vectors in portable builds.
+#include "gemm/kernels/blocked.h"
 
 namespace bt::gemm::kernels {
 
-#if defined(__GNUC__) || defined(__clang__)
-
-namespace {
-
-typedef float vf8 __attribute__((vector_size(32)));
-
-inline vf8 load8(const float* p) noexcept {
-  vf8 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void store8(float* p, vf8 v) noexcept { std::memcpy(p, &v, sizeof(v)); }
-
-}  // namespace
-
 void tile_multiply_vec(const float* panel_a, int mc, const float* panel_b,
                        int kc, float* acc) {
-  static_assert(kPanelN == 64, "row blocking below assumes kPanelN == 64");
-  for (int i = 0; i < mc; ++i) {
-    const float* a_row = panel_a + static_cast<std::int64_t>(i) * kPanelK;
-    float* acc_row = acc + static_cast<std::int64_t>(i) * kPanelN;
-    vf8 c0 = load8(acc_row + 0);
-    vf8 c1 = load8(acc_row + 8);
-    vf8 c2 = load8(acc_row + 16);
-    vf8 c3 = load8(acc_row + 24);
-    vf8 c4 = load8(acc_row + 32);
-    vf8 c5 = load8(acc_row + 40);
-    vf8 c6 = load8(acc_row + 48);
-    vf8 c7 = load8(acc_row + 56);
-    for (int p = 0; p < kc; ++p) {
-      const float av = a_row[p];
-      const float* b_row = panel_b + static_cast<std::int64_t>(p) * kPanelN;
-      c0 += av * load8(b_row + 0);
-      c1 += av * load8(b_row + 8);
-      c2 += av * load8(b_row + 16);
-      c3 += av * load8(b_row + 24);
-      c4 += av * load8(b_row + 32);
-      c5 += av * load8(b_row + 40);
-      c6 += av * load8(b_row + 48);
-      c7 += av * load8(b_row + 56);
-    }
-    store8(acc_row + 0, c0);
-    store8(acc_row + 8, c1);
-    store8(acc_row + 16, c2);
-    store8(acc_row + 24, c3);
-    store8(acc_row + 32, c4);
-    store8(acc_row + 40, c5);
-    store8(acc_row + 48, c6);
-    store8(acc_row + 56, c7);
-  }
+  tile_multiply_blocked(panel_a, mc, panel_b, kc, acc);
 }
-
-#else  // no vector extensions: alias the scalar kernel
-
-void tile_multiply_vec(const float* panel_a, int mc, const float* panel_b,
-                       int kc, float* acc) {
-  tile_multiply_scalar(panel_a, mc, panel_b, kc, acc);
-}
-
-#endif
 
 }  // namespace bt::gemm::kernels

@@ -11,7 +11,7 @@
 //     stored (paper Sec. III-C2 / Fig. 8).
 //
 // The inner product itself lives in gemm/kernels/ (runtime-dispatched
-// scalar / generic-vector / AVX2 microkernels); this header owns packing,
+// scalar and register-blocked microkernels); this header owns packing,
 // the k loop, and the epilogue. compute_tile_bsrc abstracts *where* the B
 // panel comes from — packed on the fly into scratch, served from a
 // persistent prepacked weight panel (gemm/packed.h), or from a per-CTA
@@ -43,6 +43,10 @@ struct TileShape {
 // to n widened A elements of one row as the A panel is packed, so the
 // transform runs as one vectorisable loop over the FP32 row.
 //
+// Epilogues expose on_row(problem, row, col0, v, n): applied in place to the
+// n FP32 accumulator values of output row `row`, columns [col0, col0 + n),
+// before the row is stored — again one loop per row.
+//
 // Default hooks: identity mainloop transform / identity epilogue.
 struct IdentityATransform {
   void on_row(int /*problem*/, std::int64_t /*row*/, float* /*v*/,
@@ -50,15 +54,17 @@ struct IdentityATransform {
 };
 
 struct IdentityEpilogue {
-  float operator()(int /*problem*/, std::int64_t /*row*/, std::int64_t /*col*/,
-                   float v) const noexcept {
-    return v;
-  }
+  void on_row(int /*problem*/, std::int64_t /*row*/, std::int64_t /*col0*/,
+              float* /*v*/, int /*n*/) const noexcept {}
 };
 
-// Epilogues may additionally expose a whole-tile hook, called on the scaled
-// FP32 accumulator before values are transformed/stored. Used by the fused
-// softmax partial reduction.
+template <typename E>
+concept HasRowHook = requires(E e, int p, std::int64_t r, std::int64_t c0,
+                              float* v, int n) { e.on_row(p, r, c0, v, n); };
+
+// Epilogues may instead (or also) expose a whole-tile hook, called on the
+// scaled FP32 accumulator before the row hooks run. Used by the fused
+// softmax partial reduction, which stores values unchanged.
 template <typename E>
 concept HasTileHook = requires(E e, int p, std::int64_t r0, std::int64_t c0,
                                int rows, int cols, const float* acc, int ld) {
@@ -155,17 +161,15 @@ inline void compute_tile_bsrc(int problem, Trans ta, std::int64_t m,
   for (int i = 0; i < mc; ++i) {
     float* acc_row = acc + static_cast<std::int64_t>(i) * TileShape::kN;
     TC* c_row = c + (row0 + i) * ldc + col0;
+    if constexpr (HasRowHook<Epilogue>) {
+      ep.on_row(problem, row0 + i, col0, acc_row, nc);
+    }
     if (beta == 0.0f) {
-      // Epilogue in place on the FP32 row, then one whole-row narrowing
-      // store (same RNE rounding as the per-element store).
-      for (int j = 0; j < nc; ++j) {
-        acc_row[j] = ep(problem, row0 + i, col0 + j, acc_row[j]);
-      }
+      // One whole-row narrowing store (same RNE rounding as store_f32).
       convert_row_from_f32(acc_row, c_row, nc);
     } else {
       for (int j = 0; j < nc; ++j) {
-        store_f32(c_row[j], ep(problem, row0 + i, col0 + j, acc_row[j]) +
-                                beta * load_f32(c_row[j]));
+        store_f32(c_row[j], acc_row[j] + beta * load_f32(c_row[j]));
       }
     }
   }

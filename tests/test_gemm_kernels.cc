@@ -8,7 +8,9 @@
 //   * dispatch / BT_GEMM_KERNEL parsing and force() fallback behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -173,6 +175,50 @@ TEST(KernelBitwise, ForcedVariantsAgreeBitwise) {
     for (std::int64_t i = 0; i < c_scalar.size(); ++i) {
       ASSERT_EQ(c_scalar.data()[i].bits(), c_kind.data()[i].bits())
           << "scalar vs " << kernels::name(kind) << " at " << i;
+    }
+  }
+}
+
+// Direct kernel calls on zero-padded panels for every mc in 1..kPanelM, so
+// every register-block height (full blocks and each row remainder) meets
+// every K shape: a single step, an odd count, a ragged and a full K block.
+// The incoming acc is nonzero, so the seeded chain is compared too, and the
+// whole acc tile is compared, so rows past mc must come back untouched.
+TEST(KernelBitwise, EveryRowRemainderMatchesScalar) {
+  using kernels::kPanelK;
+  using kernels::kPanelM;
+  using kernels::kPanelN;
+  Rng rng(29);
+  std::vector<float> panel_a(static_cast<std::size_t>(kPanelM) * kPanelK);
+  std::vector<float> panel_b(static_cast<std::size_t>(kPanelK) * kPanelN);
+  std::vector<float> acc0(static_cast<std::size_t>(kPanelM) * kPanelN);
+  std::vector<float> want(acc0.size());
+  std::vector<float> got(acc0.size());
+  for (int kc : {1, 5, 127, 128}) {
+    std::fill(panel_a.begin(), panel_a.end(), 0.0f);
+    std::fill(panel_b.begin(), panel_b.end(), 0.0f);
+    for (int i = 0; i < kPanelM; ++i) {
+      for (int p = 0; p < kc; ++p) {
+        panel_a[static_cast<std::size_t>(i) * kPanelK + p] = rng.normal();
+      }
+    }
+    rng.fill_normal(std::span<float>(panel_b.data(),
+                                     static_cast<std::size_t>(kc) * kPanelN));
+    rng.fill_normal(std::span<float>(acc0));
+    for (int mc = 1; mc <= kPanelM; ++mc) {
+      want = acc0;
+      kernels::fn(kernels::Kind::kScalar)(panel_a.data(), mc, panel_b.data(),
+                                          kc, want.data());
+      for (auto kind : supported_kinds()) {
+        if (kind == kernels::Kind::kScalar) continue;
+        got = acc0;
+        kernels::fn(kind)(panel_a.data(), mc, panel_b.data(), kc, got.data());
+        ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "scalar vs " << kernels::name(kind) << " mc=" << mc
+            << " kc=" << kc;
+      }
     }
   }
 }
