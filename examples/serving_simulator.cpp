@@ -86,6 +86,7 @@
 #include "core/model.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/fields.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serving/request_gen.h"
@@ -614,9 +615,7 @@ int main(int argc, char** argv) {
     const double total_ms = replay.last_done_seconds * 1e3;
     net::ClientStats wire_resilience;
     for (const auto& client : clients) {
-      const net::ClientStats cs = client->stats();
-      wire_resilience.retries += cs.retries;
-      wire_resilience.reconnects += cs.reconnects;
+      obs::merge_fields(wire_resilience, client->stats());
     }
     // Teardown order matters: clients first (so the server sees clean
     // EOFs), then the socket front-end, then the compute tier it fronts.

@@ -14,31 +14,13 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 PrefixCache::PrefixCache(std::size_t budget_bytes)
     : budget_(budget_bytes),
       lru_(budget_bytes),
-      m_hits_(obs::MetricRegistry::global().counter("cache.prefix.hits")),
-      m_misses_(obs::MetricRegistry::global().counter("cache.prefix.misses")),
-      m_inserts_(
-          obs::MetricRegistry::global().counter("cache.prefix.inserts")),
-      m_extends_(
-          obs::MetricRegistry::global().counter("cache.prefix.extends")),
-      m_rejected_(
-          obs::MetricRegistry::global().counter("cache.prefix.rejected")),
-      m_evictions_(
-          obs::MetricRegistry::global().counter("cache.prefix.evictions")),
-      m_invalidations_(
-          obs::MetricRegistry::global().counter("cache.prefix.invalidations")),
-      m_migrations_(
-          obs::MetricRegistry::global().counter("cache.prefix.migrations")),
-      m_saved_tokens_(
-          obs::MetricRegistry::global().counter("cache.prefix.saved_tokens")),
-      m_bytes_(obs::MetricRegistry::global().gauge("cache.prefix.bytes")),
-      m_entries_(obs::MetricRegistry::global().gauge("cache.prefix.entries")),
-      m_budget_(
-          obs::MetricRegistry::global().gauge("cache.prefix.budget_bytes")),
       m_suffix_ratio_(obs::MetricRegistry::global().histogram(
           "cache.prefix.suffix_ratio_pct")),
       m_entry_bytes_(obs::MetricRegistry::global().histogram(
           "cache.prefix.entry_bytes")) {
-  m_budget_.set(static_cast<double>(budget_));
+  obs::MetricRegistry::global()
+      .gauge("cache.prefix.budget_bytes")
+      .set(static_cast<double>(budget_));
 }
 
 std::string PrefixCache::session_key(std::string_view scope,
@@ -81,15 +63,12 @@ std::shared_ptr<const PrefixEntry> PrefixCache::probe(const std::string& key,
       stats_.hits += 1;
       stats_.hit_suffix_tokens += suffix;
       stats_.hit_prefix_tokens += entry->length;
-      m_hits_.inc();
-      m_saved_tokens_.inc(entry->length);
       m_suffix_ratio_.record(
           static_cast<std::uint64_t>(suffix * 100 / len));
       return entry;
     }
   }
   stats_.misses += 1;
-  m_misses_.inc();
   return nullptr;
 }
 
@@ -117,11 +96,9 @@ void PrefixCache::insert(const std::string& key, const fp16_t* input_rows,
   auto result = lru_.put(key, std::move(entry), bytes);
   if (result.stored) {
     stats_.inserts += 1;
-    m_inserts_.inc();
     m_entry_bytes_.record(bytes);
   } else {
     stats_.rejected += 1;
-    m_rejected_.inc();
   }
   on_put_result_locked(result);
 }
@@ -166,11 +143,9 @@ void PrefixCache::extend(const std::string& key,
   auto result = lru_.put(key, std::move(entry), bytes);
   if (result.stored) {
     stats_.extends += 1;
-    m_extends_.inc();
     m_entry_bytes_.record(bytes);
   } else {
     stats_.rejected += 1;
-    m_rejected_.inc();
     // put() rejects oversized entries before touching the map, so the base
     // entry (the longest cacheable state) is still resident.
   }
@@ -179,12 +154,8 @@ void PrefixCache::extend(const std::string& key,
 
 void PrefixCache::invalidate(const std::string& key) {
   MutexLock lock(mutex_);
-  if (lru_.erase(key) > 0) {
-    stats_.invalidations += 1;
-    m_invalidations_.inc();
-  }
+  if (lru_.erase(key) > 0) stats_.invalidations += 1;
   replica_of_.erase(key);
-  refresh_gauges_locked();
 }
 
 bool PrefixCache::note_route(const std::string& key, int replica) {
@@ -203,14 +174,9 @@ bool PrefixCache::note_route(const std::string& key, int replica) {
   if (it->second == replica) return false;
   // Sticky pin moved (breaker quarantine): the state built on the old
   // replica is no longer trusted — drop it and let the next round rebuild.
-  if (lru_.erase(key) > 0) {
-    stats_.invalidations += 1;
-    m_invalidations_.inc();
-  }
+  if (lru_.erase(key) > 0) stats_.invalidations += 1;
   replica_of_.erase(it);
   stats_.migrations += 1;
-  m_migrations_.inc();
-  refresh_gauges_locked();
   return true;
 }
 
@@ -222,23 +188,11 @@ CacheStats PrefixCache::stats() const {
   return out;
 }
 
-void PrefixCache::publish_stats() const {
-  MutexLock lock(mutex_);
-  refresh_gauges_locked();
-}
-
 void PrefixCache::on_put_result_locked(const BudgetLru::PutResult& result) {
   if (result.evicted_count > 0) {
     stats_.evictions += static_cast<long long>(result.evicted_count);
-    m_evictions_.inc(static_cast<long long>(result.evicted_count));
     for (const std::string& k : result.evicted_keys) replica_of_.erase(k);
   }
-  refresh_gauges_locked();
-}
-
-void PrefixCache::refresh_gauges_locked() const {
-  m_bytes_.set(static_cast<double>(lru_.bytes()));
-  m_entries_.set(static_cast<double>(lru_.size()));
 }
 
 }  // namespace bt::cache

@@ -43,12 +43,7 @@
 #include "common/annotations.h"
 #include "common/half.h"
 #include "common/mutex.h"
-
-namespace bt::obs {
-class Counter;
-class Gauge;
-class LatencyHistogram;
-}  // namespace bt::obs
+#include "obs/fields.h"
 
 namespace bt::cache {
 
@@ -75,6 +70,7 @@ struct PrefixEntry {
 
 // Monotonic counters + point-in-time levels; a snapshot under the cache
 // mutex, so hits + misses always equals the number of probes issued.
+// Service::publish_stats() publishes it as the "cache.prefix.*" gauges.
 struct CacheStats {
   long long probes = 0;
   long long hits = 0;
@@ -89,6 +85,22 @@ struct CacheStats {
   long long hit_prefix_tokens = 0;   // tokens served from cache on hits
   std::size_t bytes = 0;    // current resident bytes
   std::size_t entries = 0;  // current resident entries
+
+  static constexpr std::tuple kFields{
+      obs::Field{"probes", &CacheStats::probes},
+      obs::Field{"hits", &CacheStats::hits},
+      obs::Field{"misses", &CacheStats::misses},
+      obs::Field{"inserts", &CacheStats::inserts},
+      obs::Field{"extends", &CacheStats::extends},
+      obs::Field{"rejected", &CacheStats::rejected},
+      obs::Field{"evictions", &CacheStats::evictions},
+      obs::Field{"invalidations", &CacheStats::invalidations},
+      obs::Field{"migrations", &CacheStats::migrations},
+      obs::Field{"hit_suffix_tokens", &CacheStats::hit_suffix_tokens},
+      obs::Field{"saved_tokens", &CacheStats::hit_prefix_tokens},
+      obs::Field{"bytes", &CacheStats::bytes},
+      obs::Field{"entries", &CacheStats::entries},
+  };
 };
 
 class PrefixCache {
@@ -161,16 +173,11 @@ class PrefixCache {
   CacheStats stats() const;
   std::size_t budget() const noexcept { return budget_; }
 
-  // Gauge refresh + nothing else: counters/histograms are recorded inline
-  // at the event sites (registration-slow/record-fast, obs/metrics.h).
-  void publish_stats() const;
-
   static constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
  private:
   void on_put_result_locked(const BudgetLru::PutResult& result)
       BT_REQUIRES(mutex_);
-  void refresh_gauges_locked() const BT_REQUIRES(mutex_);
 
   const std::size_t budget_;
   mutable Mutex mutex_;
@@ -178,19 +185,8 @@ class PrefixCache {
   std::unordered_map<std::string, int> replica_of_ BT_GUARDED_BY(mutex_);
   CacheStats stats_ BT_GUARDED_BY(mutex_);
 
-  // Metric refs resolved once at construction (hot-path recording only).
-  obs::Counter& m_hits_;
-  obs::Counter& m_misses_;
-  obs::Counter& m_inserts_;
-  obs::Counter& m_extends_;
-  obs::Counter& m_rejected_;
-  obs::Counter& m_evictions_;
-  obs::Counter& m_invalidations_;
-  obs::Counter& m_migrations_;
-  obs::Counter& m_saved_tokens_;
-  obs::Gauge& m_bytes_;
-  obs::Gauge& m_entries_;
-  obs::Gauge& m_budget_;
+  // The distributions CacheStats does not hold, resolved once at
+  // construction (hot-path recording only).
   obs::LatencyHistogram& m_suffix_ratio_;
   obs::LatencyHistogram& m_entry_bytes_;
 };

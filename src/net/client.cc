@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "obs/metrics.h"
 
 namespace bt::net {
 
@@ -172,11 +171,7 @@ std::future<WireStats> Client::fetch_stats(bool include_traces) {
 }
 
 ClientStats Client::stats() const {
-  const ClientStats s{retries_.load(), reconnects_.load()};
-  auto& reg = obs::MetricRegistry::global();
-  reg.gauge("net.client.retries").set(static_cast<double>(s.retries));
-  reg.gauge("net.client.reconnects").set(static_cast<double>(s.reconnects));
-  return s;
+  return {retries_.load(), reconnects_.load()};
 }
 
 void Client::start_request(PendingOp op) {

@@ -53,6 +53,7 @@
 #include "common/annotations.h"
 #include "common/mutex.h"
 #include "net/protocol.h"
+#include "obs/fields.h"
 #include "serving/engine.h"
 
 namespace bt::net {
@@ -125,10 +126,16 @@ struct ClientOptions {
   std::string host = "127.0.0.1";
 };
 
-// Cumulative retry accounting (monotonic).
+// Cumulative retry accounting of one client (monotonic); a process with
+// several clients sums them with obs::merge_fields.
 struct ClientStats {
   long long retries = 0;     // frames re-sent (error replies + reconnects)
   long long reconnects = 0;  // successful reconnections
+
+  static constexpr std::tuple kFields{
+      obs::Field{"retries", &ClientStats::retries},
+      obs::Field{"reconnects", &ClientStats::reconnects},
+  };
 };
 
 class Client {
@@ -161,9 +168,7 @@ class Client {
   // or retries exhausted / disabled after a connection loss.
   bool connected() const { return !closed_.load(); }
 
-  // Snapshot of the retry counters. Also publishes them into the global
-  // MetricRegistry as "net.client.*" gauges — the snapshot-method dedup
-  // rule of docs/OBSERVABILITY.md (client.cc).
+  // Snapshot of this client's retry counters; no side effects.
   ClientStats stats() const;
 
  private:

@@ -73,27 +73,6 @@ obs::Counter& wire_error_counter(serving::ErrorCode code) {
   }
 }
 
-// ServerStats -> "net.server.*" gauges. The registry-side twin of
-// Server::stats(), same dedup rule as EngineStats::publish.
-void publish_server_stats(const ServerStats& s) {
-  auto& reg = obs::MetricRegistry::global();
-  const auto g = [&reg](const char* name, long long v) {
-    reg.gauge(name).set(static_cast<double>(v));
-  };
-  g("net.server.accepted_connections", s.accepted_connections);
-  g("net.server.active_connections", s.active_connections);
-  g("net.server.frames_received", s.frames_received);
-  g("net.server.responses_sent", s.responses_sent);
-  g("net.server.error_frames_sent", s.error_frames_sent);
-  g("net.server.backpressure_replies", s.backpressure_replies);
-  g("net.server.protocol_errors", s.protocol_errors);
-  g("net.server.dropped_completions", s.dropped_completions);
-  g("net.server.idle_disconnects", s.idle_disconnects);
-  g("net.server.slow_peer_disconnects", s.slow_peer_disconnects);
-  g("net.server.inflight_capped", s.inflight_capped);
-  g("net.server.stats_requests", s.stats_requests);
-}
-
 }  // namespace
 
 struct Server::Impl {
@@ -449,17 +428,14 @@ struct Server::Impl {
   // the connection must be closed (send failure).
   bool handle_stats(Connection& conn, const StatsRequestFrame& f)
       BT_REQUIRES(loop_thread) {
-    {
-      MutexLock lock(stats_mutex);
-      ++stats.stats_requests;
-    }
     // Publish the struct-tracked snapshots (service fleet + this server's
     // wire counters) so the serialized registry reflects this instant, then
     // snapshot everything in one pass.
     service.publish_stats();
     {
       MutexLock lock(stats_mutex);
-      publish_server_stats(stats);
+      ++stats.stats_requests;
+      obs::publish_fields(obs::MetricRegistry::global(), "net.server", stats);
     }
     StatsResponseFrame reply;
     reply.correlation = f.correlation;
@@ -728,15 +704,10 @@ std::uint16_t Server::port() const {
 }
 
 ServerStats Server::stats() const {
-  ServerStats copy;
-  {
-    MutexLock lock(lifecycle_mutex_);
-    if (impl_ == nullptr) return {};
-    MutexLock slock(impl_->stats_mutex);
-    copy = impl_->stats;
-  }
-  publish_server_stats(copy);
-  return copy;
+  MutexLock lock(lifecycle_mutex_);
+  if (impl_ == nullptr) return {};
+  MutexLock slock(impl_->stats_mutex);
+  return impl_->stats;
 }
 
 }  // namespace bt::net

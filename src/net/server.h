@@ -64,6 +64,7 @@
 #include "common/annotations.h"
 #include "common/mutex.h"
 #include "net/protocol.h"
+#include "obs/fields.h"
 #include "serving/service.h"
 
 namespace bt::net {
@@ -113,6 +114,23 @@ struct ServerStats {
   long long inflight_capped = 0;        // kBackpressure subset: frames
                                         // declined by the in-flight cap
   long long stats_requests = 0;         // well-formed kStatsRequest frames
+
+  // Published as "net.server.<name>" by every stats pull (obs/fields.h).
+  static constexpr std::tuple kFields{
+      obs::Field{"accepted_connections", &ServerStats::accepted_connections},
+      obs::Field{"active_connections", &ServerStats::active_connections},
+      obs::Field{"frames_received", &ServerStats::frames_received},
+      obs::Field{"responses_sent", &ServerStats::responses_sent},
+      obs::Field{"error_frames_sent", &ServerStats::error_frames_sent},
+      obs::Field{"backpressure_replies", &ServerStats::backpressure_replies},
+      obs::Field{"protocol_errors", &ServerStats::protocol_errors},
+      obs::Field{"dropped_completions", &ServerStats::dropped_completions},
+      obs::Field{"idle_disconnects", &ServerStats::idle_disconnects},
+      obs::Field{"slow_peer_disconnects",
+                 &ServerStats::slow_peer_disconnects},
+      obs::Field{"inflight_capped", &ServerStats::inflight_capped},
+      obs::Field{"stats_requests", &ServerStats::stats_requests},
+  };
 };
 
 class Server {
@@ -140,10 +158,9 @@ class Server {
   // after start().
   std::uint16_t port() const BT_EXCLUDES(lifecycle_mutex_);
 
-  // Snapshot of the wire-level counters. Also publishes the snapshot into
-  // the global MetricRegistry as "net.server.*" gauges — the same dedup
-  // rule as EngineStats::publish: struct-tracked values reach the registry
-  // only through their snapshot method, never a second live count.
+  // Snapshot of the wire-level counters; no side effects. The registry's
+  // "net.server.*" gauges are published from the same struct by the stats
+  // pull handler (docs/OBSERVABILITY.md rule 3).
   ServerStats stats() const BT_EXCLUDES(lifecycle_mutex_);
   const ServerOptions& options() const { return opts_; }
 

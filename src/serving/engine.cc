@@ -9,33 +9,8 @@
 
 #include "cache/prefix_cache.h"
 #include "core/padding.h"
-#include "obs/metrics.h"
 
 namespace bt::serving {
-
-void EngineStats::publish(obs::MetricRegistry& reg,
-                          const std::string& prefix) const {
-  const auto set = [&](const char* field, double v) {
-    reg.gauge(prefix + '.' + field).set(v);
-  };
-  set("requests", static_cast<double>(requests));
-  set("batches", static_cast<double>(batches));
-  set("micro_batches", static_cast<double>(micro_batches));
-  set("valid_tokens", static_cast<double>(valid_tokens));
-  set("processed_tokens", static_cast<double>(processed_tokens));
-  set("padding_tokens", static_cast<double>(padding_tokens()));
-  set("compute_seconds", compute_seconds);
-  set("session_ws_hits", static_cast<double>(session_ws_hits));
-  set("session_ws_misses", static_cast<double>(session_ws_misses));
-  set("workspace_allocations", static_cast<double>(workspace_allocations));
-  set("deadline_met", static_cast<double>(deadline_met));
-  set("deadline_missed", static_cast<double>(deadline_missed));
-  set("deadline_shed", static_cast<double>(deadline_shed));
-  set("cache_hits", static_cast<double>(cache_hits));
-  set("cache_misses", static_cast<double>(cache_misses));
-  set("cache_hit_suffix_tokens", static_cast<double>(cache_hit_suffix_tokens));
-  set("cache_saved_tokens", static_cast<double>(cache_saved_tokens));
-}
 
 namespace {
 

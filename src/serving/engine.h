@@ -36,14 +36,11 @@
 #include "common/timer.h"
 #include "core/model.h"
 #include "core/workspace.h"
+#include "obs/fields.h"
 #include "parallel/device.h"
 #include "serving/error.h"
 #include "serving/scheduler.h"
 #include "tensor/tensor.h"
-
-namespace bt::obs {
-class MetricRegistry;  // obs/metrics.h — EngineStats::publish target
-}
 
 namespace bt::cache {
 class PrefixCache;  // cache/prefix_cache.h — EngineOptions::prefix_cache
@@ -275,34 +272,32 @@ struct EngineStats {
 
   long long padding_tokens() const { return processed_tokens - valid_tokens; }
 
-  // Publishes every field as a gauge named "<prefix>.<field>" — merge's
-  // registry-side twin, so the wire stats snapshot (docs/OBSERVABILITY.md)
-  // and this struct cannot drift: both views are written by the same two
-  // methods that know every field. Service::stats() publishes the fleet
-  // aggregate under "serving.stats" and each model under
-  // "serving.model.<name>".
-  void publish(obs::MetricRegistry& reg, const std::string& prefix) const;
+  static constexpr std::tuple kFields{
+      obs::Field{"requests", &EngineStats::requests},
+      obs::Field{"batches", &EngineStats::batches},
+      obs::Field{"micro_batches", &EngineStats::micro_batches},
+      obs::Field{"valid_tokens", &EngineStats::valid_tokens},
+      obs::Field{"processed_tokens", &EngineStats::processed_tokens},
+      obs::Field{"padding_tokens", &EngineStats::padding_tokens},
+      obs::Field{"compute_seconds", &EngineStats::compute_seconds},
+      obs::Field{"session_ws_hits", &EngineStats::session_ws_hits},
+      obs::Field{"session_ws_misses", &EngineStats::session_ws_misses},
+      obs::Field{"workspace_allocations",
+                 &EngineStats::workspace_allocations},
+      obs::Field{"deadline_met", &EngineStats::deadline_met},
+      obs::Field{"deadline_missed", &EngineStats::deadline_missed},
+      obs::Field{"deadline_shed", &EngineStats::deadline_shed},
+      obs::Field{"cache_hits", &EngineStats::cache_hits},
+      obs::Field{"cache_misses", &EngineStats::cache_misses},
+      obs::Field{"cache_hit_suffix_tokens",
+                 &EngineStats::cache_hit_suffix_tokens},
+      obs::Field{"cache_saved_tokens", &EngineStats::cache_saved_tokens},
+  };
 
-  // Accumulates `o` into this — the one place that knows every field, so
-  // fleet-level aggregation (EnginePool::stats, Service::stats) cannot
-  // silently drop a newly added counter.
-  void merge(const EngineStats& o) {
-    requests += o.requests;
-    batches += o.batches;
-    micro_batches += o.micro_batches;
-    valid_tokens += o.valid_tokens;
-    processed_tokens += o.processed_tokens;
-    compute_seconds += o.compute_seconds;
-    session_ws_hits += o.session_ws_hits;
-    session_ws_misses += o.session_ws_misses;
-    workspace_allocations += o.workspace_allocations;
-    deadline_met += o.deadline_met;
-    deadline_missed += o.deadline_missed;
-    deadline_shed += o.deadline_shed;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    cache_hit_suffix_tokens += o.cache_hit_suffix_tokens;
-    cache_saved_tokens += o.cache_saved_tokens;
+  // Service::publish_stats() publishes the fleet aggregate under
+  // "serving.stats" and each model under "serving.model.<name>".
+  void publish(obs::MetricRegistry& reg, const std::string& prefix) const {
+    obs::publish_fields(reg, prefix, *this);
   }
 };
 

@@ -342,7 +342,7 @@ long long EnginePool::pending_tokens() const {
 
 EngineStats EnginePool::stats() const {
   EngineStats total;
-  for (const auto& engine : engines_) total.merge(engine->stats());
+  for (const auto& engine : engines_) obs::merge_fields(total, engine->stats());
   return total;
 }
 
@@ -358,24 +358,6 @@ EnginePool::BreakerStats EnginePool::breaker_stats() const {
 }
 
 double EnginePool::unique_sessions() const { return sessions_hll_->estimate(); }
-
-void EnginePool::publish_stats(obs::MetricRegistry& reg,
-                               const std::string& prefix) const {
-  stats().publish(reg, prefix);
-  const SessionRouteStats sessions = session_route_stats();
-  const BreakerStats breaker = breaker_stats();
-  const auto set = [&](const char* field, double v) {
-    reg.gauge(prefix + '.' + field).set(v);
-  };
-  set("session_requests", static_cast<double>(sessions.session_requests));
-  set("sticky_hits", static_cast<double>(sessions.sticky_hits));
-  set("breaker_quarantines", static_cast<double>(breaker.quarantines));
-  set("breaker_probes", static_cast<double>(breaker.probes));
-  set("breaker_readmissions", static_cast<double>(breaker.readmissions));
-  set("pending", static_cast<double>(pending()));
-  set("unique_sessions", unique_sessions());
-  set("replicas", static_cast<double>(replicas()));
-}
 
 std::optional<std::size_t> EnginePool::pinned_replica(
     std::string_view session) const {

@@ -64,12 +64,12 @@
 
 #include "common/annotations.h"
 #include "common/mutex.h"
+#include "obs/fields.h"
 #include "serving/async_engine.h"
 #include "serving/router.h"
 
 namespace bt::obs {
-class Hll;             // obs/hll.h — per-model unique-session cardinality
-class MetricRegistry;  // obs/metrics.h — publish_stats target
+class Hll;  // obs/hll.h — per-model unique-session cardinality
 }
 
 namespace bt::serving {
@@ -160,6 +160,11 @@ class EnginePool {
   struct SessionRouteStats {
     long long session_requests = 0;
     long long sticky_hits = 0;
+
+    static constexpr std::tuple kFields{
+        obs::Field{"session_requests", &SessionRouteStats::session_requests},
+        obs::Field{"sticky_hits", &SessionRouteStats::sticky_hits},
+    };
   };
   SessionRouteStats session_route_stats() const BT_EXCLUDES(mutex_);
 
@@ -176,20 +181,18 @@ class EnginePool {
     long long quarantines = 0;   // kHealthy/kHalfOpen -> kQuarantined trips
     long long probes = 0;        // requests routed as half-open probes
     long long readmissions = 0;  // kHalfOpen -> kHealthy recoveries
+
+    static constexpr std::tuple kFields{
+        obs::Field{"breaker_quarantines", &BreakerStats::quarantines},
+        obs::Field{"breaker_probes", &BreakerStats::probes},
+        obs::Field{"breaker_readmissions", &BreakerStats::readmissions},
+    };
   };
   BreakerStats breaker_stats() const BT_EXCLUDES(mutex_);
 
   // HyperLogLog estimate of distinct session ids routed through this pool
   // (4 KiB of state; ~1.6% standard error — obs/hll.h).
   double unique_sessions() const;
-
-  // Publishes this pool's whole snapshot family — EngineStats fields plus
-  // session-route, breaker, pending, and unique-session gauges — under
-  // "<prefix>.<field>" in `reg`. The registry-side twin of the snapshot
-  // methods above, so the wire stats view cannot drift from them
-  // (docs/OBSERVABILITY.md).
-  void publish_stats(obs::MetricRegistry& reg, const std::string& prefix) const
-      BT_EXCLUDES(mutex_);
 
   // One replica's health counters (forwarded from AsyncEngine::health).
   ReplicaHealth replica_health(std::size_t i) const {

@@ -172,7 +172,7 @@ const EnginePool& Service::pool_at(std::string_view model) const {
 
 EngineStats Service::stats() const {
   EngineStats total;
-  for (const auto& pool : pools_) total.merge(pool->stats());
+  for (const auto& pool : pools_) obs::merge_fields(total, pool->stats());
   return total;
 }
 
@@ -187,25 +187,27 @@ const EnginePool& Service::pool(std::string_view model) const {
 void Service::publish_stats() const {
   auto& reg = obs::MetricRegistry::global();
   stats().publish(reg, "serving.stats");
-  const EnginePool::SessionRouteStats sessions = session_route_stats();
-  reg.gauge("serving.route.session_requests")
-      .set(static_cast<double>(sessions.session_requests));
-  reg.gauge("serving.route.sticky_hits")
-      .set(static_cast<double>(sessions.sticky_hits));
+  obs::publish_fields(reg, "serving.route", session_route_stats());
   reg.gauge("serving.pending").set(static_cast<double>(pending()));
-  if (prefix_cache_ != nullptr) prefix_cache_->publish_stats();
-  const std::vector<std::string>& names = registry_.names();
+  if (prefix_cache_ != nullptr) {
+    obs::publish_fields(reg, "cache.prefix", prefix_cache_->stats());
+  }
   for (std::size_t i = 0; i < pools_.size(); ++i) {
-    pools_[i]->publish_stats(reg, "serving.model." + names[i]);
+    const EnginePool& pool = *pools_[i];
+    const std::string prefix = "serving.model." + registry_.names()[i];
+    pool.stats().publish(reg, prefix);
+    obs::publish_fields(reg, prefix, pool.session_route_stats());
+    obs::publish_fields(reg, prefix, pool.breaker_stats());
+    reg.gauge(prefix + ".pending").set(static_cast<double>(pool.pending()));
+    reg.gauge(prefix + ".unique_sessions").set(pool.unique_sessions());
+    reg.gauge(prefix + ".replicas").set(static_cast<double>(pool.replicas()));
   }
 }
 
 EnginePool::SessionRouteStats Service::session_route_stats() const {
   EnginePool::SessionRouteStats total;
   for (const auto& pool : pools_) {
-    const auto s = pool->session_route_stats();
-    total.session_requests += s.session_requests;
-    total.sticky_hits += s.sticky_hits;
+    obs::merge_fields(total, pool->session_route_stats());
   }
   return total;
 }

@@ -138,10 +138,11 @@ class Service {
 
   // Publishes the fleet snapshot into the global MetricRegistry: the
   // aggregate EngineStats under "serving.stats.*", fleet session-route
-  // gauges under "serving.route.*", and each model's full pool family
-  // under "serving.model.<name>.*". The wire stats frame calls this before
-  // serializing, so `bt_stats` always reports exactly what stats() would —
-  // one aggregation path, no drift (docs/OBSERVABILITY.md).
+  // gauges under "serving.route.*", the prefix cache's CacheStats under
+  // "cache.prefix.*", and each model's full pool family under
+  // "serving.model.<name>.*" — each struct through its field list. The
+  // wire stats frame calls this before serializing, so `bt_stats` always
+  // reports exactly what the getters would (docs/OBSERVABILITY.md).
   void publish_stats() const;
 
   std::size_t pending() const;       // across every model's pool

@@ -1,21 +1,30 @@
 // obs layer: log2 histogram boundaries/merge/percentile agreement with
 // bt::stats::percentile, counter/gauge concurrency, the runtime kill
 // switch, registry identity + JSON shape, HyperLogLog accuracy (<3% at
-// 10k sessions) and merge, trace-ring sampling/wrap semantics, and trace
+// 10k sessions) and merge, the stats-struct field lists (every field
+// published and summed), trace-ring sampling/wrap semantics, and trace
 // stage ordering under concurrent submitters through a real Service.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
+#include "cache/prefix_cache.h"
 #include "common/stats.h"
 #include "core/model.h"
+#include "net/client.h"
+#include "net/server.h"
+#include "obs/fields.h"
 #include "obs/hll.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -221,6 +230,136 @@ TEST(Registry, PublishMirrorsEngineStats) {
                    120.0);
   EXPECT_DOUBLE_EQ(reg.gauge("test.obs.engine.padding_tokens").value(), 19.0);
   EXPECT_DOUBLE_EQ(reg.gauge("test.obs.engine.deadline_shed").value(), 2.0);
+}
+
+// The field-list check itself: the aggregate member count, and a list that
+// leaves out a data member (a getter entry does not count as one).
+struct ThreeFields {
+  long long a = 0;
+  double b = 0;
+  std::size_t c = 0;
+  long long twice_a() const { return 2 * a; }
+  static constexpr std::tuple kFields{Field{"a", &ThreeFields::a},
+                                      Field{"b", &ThreeFields::b},
+                                      Field{"twice_a", &ThreeFields::twice_a}};
+};
+static_assert(detail::member_count<ThreeFields>() == 3);
+static_assert(!detail::lists_every_member<ThreeFields>());
+
+// Sets the k-th listed data member to base + k, so every field is distinct.
+template <typename S>
+S distinct_fields(int base) {
+  S s;
+  int k = 0;
+  std::apply(
+      [&](const auto&... f) {
+        (
+            [&] {
+              if constexpr (detail::kIsData<decltype(f.member)>) {
+                using V = std::remove_cvref_t<decltype(s.*f.member)>;
+                s.*f.member = static_cast<V>(base + k++);
+              }
+            }(),
+            ...);
+      },
+      S::kFields);
+  return s;
+}
+
+template <typename S>
+std::vector<std::string> listed_names() {
+  return std::apply(
+      [](const auto&... f) {
+        return std::vector<std::string>{std::string(f.name)...};
+      },
+      S::kFields);
+}
+
+// merge_fields sums every data member; the derived entries follow from them.
+template <typename S>
+void expect_merge_sums_every_field() {
+  const S a = distinct_fields<S>(1);
+  const S b = distinct_fields<S>(1000);
+  S sum = a;
+  merge_fields(sum, b);
+  std::apply(
+      [&](const auto&... f) {
+        (
+            [&] {
+              if constexpr (detail::kIsData<decltype(f.member)>) {
+                EXPECT_EQ(sum.*f.member, a.*f.member + b.*f.member) << f.name;
+              }
+            }(),
+            ...);
+      },
+      S::kFields);
+}
+
+// publish_fields sets one "<prefix>.<name>" gauge per entry, the names are
+// exactly `names` (the registry contract docs/OBSERVABILITY.md catalogs),
+// and no data member is listed twice (each carries its own value).
+template <typename S>
+void expect_publish_covers_every_field(const std::string& prefix,
+                                       const std::vector<std::string>& names) {
+  EXPECT_EQ(listed_names<S>(), names) << prefix;
+  const S s = distinct_fields<S>(7);
+  auto& reg = MetricRegistry::global();
+  publish_fields(reg, prefix, s);
+  std::set<double> member_values;
+  std::apply(
+      [&](const auto&... f) {
+        (
+            [&] {
+              const double v = static_cast<double>(std::invoke(f.member, s));
+              EXPECT_DOUBLE_EQ(
+                  reg.gauge(prefix + '.' + std::string(f.name)).value(), v)
+                  << prefix << '.' << f.name;
+              if constexpr (detail::kIsData<decltype(f.member)>) {
+                EXPECT_TRUE(member_values.insert(v).second)
+                    << f.name << " shares a member with another entry";
+              }
+            }(),
+            ...);
+      },
+      S::kFields);
+}
+
+TEST(Registry, PublishAndMergeCoverEveryStatsField) {
+  using Route = serving::EnginePool::SessionRouteStats;
+  using Breaker = serving::EnginePool::BreakerStats;
+  // The structs callers aggregate: replicas -> pool -> service, pools ->
+  // fleet route totals, clients -> process.
+  expect_merge_sums_every_field<serving::EngineStats>();
+  expect_merge_sums_every_field<Route>();
+  expect_merge_sums_every_field<net::ClientStats>();
+  expect_merge_sums_every_field<cache::CacheStats>();
+
+  BT_SKIP_IF_COMPILED_OUT();
+  expect_publish_covers_every_field<serving::EngineStats>(
+      "test.obs.fields.engine",
+      {"requests", "batches", "micro_batches", "valid_tokens",
+       "processed_tokens", "padding_tokens", "compute_seconds",
+       "session_ws_hits", "session_ws_misses", "workspace_allocations",
+       "deadline_met", "deadline_missed", "deadline_shed", "cache_hits",
+       "cache_misses", "cache_hit_suffix_tokens", "cache_saved_tokens"});
+  expect_publish_covers_every_field<Route>("test.obs.fields.route",
+                                           {"session_requests", "sticky_hits"});
+  expect_publish_covers_every_field<Breaker>(
+      "test.obs.fields.breaker",
+      {"breaker_quarantines", "breaker_probes", "breaker_readmissions"});
+  expect_publish_covers_every_field<net::ServerStats>(
+      "test.obs.fields.server",
+      {"accepted_connections", "active_connections", "frames_received",
+       "responses_sent", "error_frames_sent", "backpressure_replies",
+       "protocol_errors", "dropped_completions", "idle_disconnects",
+       "slow_peer_disconnects", "inflight_capped", "stats_requests"});
+  expect_publish_covers_every_field<net::ClientStats>(
+      "test.obs.fields.client", {"retries", "reconnects"});
+  expect_publish_covers_every_field<cache::CacheStats>(
+      "test.obs.fields.cache",
+      {"probes", "hits", "misses", "inserts", "extends", "rejected",
+       "evictions", "invalidations", "migrations", "hit_suffix_tokens",
+       "saved_tokens", "bytes", "entries"});
 }
 
 TEST(Hll, Within3PercentAt10kSessions) {

@@ -2,7 +2,8 @@
 // adversarial truncation and overrun handling, the strict include_traces
 // flag, and the end-to-end pull — a live net::Server answers a client's
 // fetch_stats() with a registry snapshot whose request counters equal the
-// service's own totals, plus a non-empty trace dump on request.
+// service's own totals, plus a non-empty trace dump on request, and
+// cache.prefix.* gauges that equal the prefix cache's own CacheStats.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "cache/prefix_cache.h"
+#include "common/rng.h"
 #include "core/model.h"
 #include "net/client.h"
 #include "net/protocol.h"
@@ -289,6 +292,67 @@ TEST(StatsWire, LiveServerSnapshotMatchesServiceTotals) {
   server.stop();
   service.stop();
   obs::TraceRing::global().clear();
+}
+
+// The prefix cache's registry view is its CacheStats, published by the
+// stats pull: a sticky causal conversation with hits and evictions reads
+// the same numbers over the wire as in-process.
+TEST(StatsWire, CacheGaugesMatchInProcessCacheStats) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "telemetry compiled out (BT_OBS_DISABLED)";
+  }
+  obs::MetricRegistry::global().reset_for_testing();
+
+  serving::EnginePoolOptions opts;
+  opts.engine.engine.policy = serving::BatchPolicy::kPacked;
+  opts.engine.engine.flags.causal = true;
+  opts.engine.max_wait_seconds = 0.001;
+  opts.replicas = 2;
+  opts.threads_per_replica = 1;
+  opts.route = serving::RoutePolicy::kStickySession;
+  serving::ModelRegistry registry;
+  registry.add("tiny", tiny_model(), opts);
+  serving::ServiceOptions service_opts;
+  // Room for about two finished conversations: the third evicts the first.
+  service_opts.prefix_cache_bytes = std::size_t(48) << 10;
+  serving::Service service(std::move(registry), service_opts);
+  ASSERT_NE(service.prefix_cache(), nullptr);
+  Server server(service);
+  server.start();
+  Client client(server.port());
+
+  const int hidden = tiny_config().hidden();
+  for (int conv = 0; conv < 3; ++conv) {
+    Rng rng(900 + conv);
+    const Tensor<fp16_t> history =
+        Tensor<fp16_t>::random_normal({48, hidden}, rng);
+    for (const int len : {16, 32, 48}) {
+      WireRequest req;
+      req.session = "conv-" + std::to_string(conv);
+      req.hidden = Tensor<fp16_t>({len, hidden});
+      for (int r = 0; r < len; ++r) {
+        for (int j = 0; j < hidden; ++j) req.hidden(r, j) = history(r, j);
+      }
+      EXPECT_NO_THROW(client.submit_serving(std::move(req)).get());
+    }
+  }
+
+  const WireStats stats = client.fetch_stats().get();
+  const cache::CacheStats cs = service.prefix_cache()->stats();
+  ASSERT_GT(cs.hits, 0);
+  ASSERT_GT(cs.evictions, 0);
+  EXPECT_EQ(json_number(stats.metrics_json, "cache.prefix.hits"),
+            static_cast<double>(cs.hits));
+  EXPECT_EQ(json_number(stats.metrics_json, "cache.prefix.misses"),
+            static_cast<double>(cs.misses));
+  EXPECT_EQ(json_number(stats.metrics_json, "cache.prefix.evictions"),
+            static_cast<double>(cs.evictions));
+  EXPECT_EQ(json_number(stats.metrics_json, "cache.prefix.saved_tokens"),
+            static_cast<double>(cs.hit_prefix_tokens));
+
+  client.close();
+  server.stop();
+  service.stop();
 }
 
 TEST(StatsWire, CloseRejectsPendingStatsPulls) {

@@ -11,10 +11,12 @@
 // S seconds until interrupted (or N pulls with --count). Exit status is 0
 // when every pull succeeded, 1 otherwise.
 //
-// The snapshot is exactly what the in-process observers report: the server
-// publishes its Service/Server struct snapshots into the registry before
-// serializing (docs/OBSERVABILITY.md), so counters here equal what a
-// co-located caller of Service::stats() would see.
+// The snapshot is exactly what the in-process observers report: before
+// serializing, the server publishes its stats structs (engine, route,
+// per-model, prefix-cache and server stats) into the registry through each
+// struct's field list (docs/OBSERVABILITY.md rule 3), so the gauges here
+// equal what a co-located caller of Service::stats() or
+// PrefixCache::stats() would read. This tool only prints the JSON.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

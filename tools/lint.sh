@@ -23,10 +23,11 @@
 #      deciding whether the injection site is safe.
 #
 #   5. Every metric name registered against obs::MetricRegistry in src/
-#      (the serving.*, net.*, obs.* and cache.* namespaces) is documented
-#      in the docs/OBSERVABILITY.md catalog. An undocumented metric is a
-#      dashboard nobody can build and a name nobody reviews for collision
-#      with the existing namespace.
+#      (the serving.*, net.*, obs.* and cache.* namespaces), and every
+#      name in a stats struct's field list (obs::Field{"name", ...},
+#      obs/fields.h), is documented in the docs/OBSERVABILITY.md catalog.
+#      An undocumented metric is a dashboard nobody can build and a name
+#      nobody reviews for collision with the existing namespace.
 #
 # Exit 0 = clean, 1 = violations (printed per rule). Run from anywhere.
 set -u
@@ -155,6 +156,15 @@ if [[ -n "$metrics" ]]; then
     done <<< "$metrics"
   fi
 fi
+# Field-list entries (obs::Field{"requests", ...}) are bare suffixes
+# published under a runtime prefix: each must appear as `name` or `a.b.name`.
+for field in $(grep -rhoE 'Field\{"[a-z0-9_]+"' --include='*.h' --include='*.cc' \
+               src/ | cut -d'"' -f2 | sort -u); do
+  grep -qE "\`([a-z0-9_.]+\.)?$field\`" docs/OBSERVABILITY.md && continue
+  note "rule 5: stats field \"$field\" is in a field list in src/ but absent"
+  note "from the docs/OBSERVABILITY.md catalog — document it."
+  fail=1
+done
 
 if [[ $fail -eq 0 ]]; then
   note "lint: clean (no raw sync members, no scheduler-thread throws,"
