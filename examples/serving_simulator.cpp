@@ -10,17 +10,17 @@
 // request carries a model key and optionally a session id (`--sessions`),
 // and the per-model router spreads requests over replicas — sticky-session
 // routing (`--sticky` or `--route sticky`) pins each session to the replica
-// whose per-session workspace is already warm. With `--slo-ms X` every
-// request carries a deadline X ms after submission; requests whose deadline
-// passes before compute are shed with a distinct error instead of burning
-// batch capacity. Three batching policies are compared:
+// that served its first request. With `--slo-ms X` every request carries a
+// deadline X ms after submission; requests whose deadline passes before
+// compute are shed with a distinct error instead of burning batch capacity.
+// Three batching policies are compared:
 //   pad-to-max   — conventional frameworks,
 //   sort+group   — TurboTransformer SmartBatch proxy,
 //   packed       — ByteTransformer padding-free.
 // Prints throughput, end-to-end latency percentiles (arrival -> response),
 // padded-token waste per policy, deadline met/missed/shed accounting, the
-// sticky-session hit rate plus workspace reuse, and — with more than one
-// replica — the per-model, per-replica routing/utilization breakdown.
+// sticky-session hit rate, and — with more than one replica — the
+// per-model, per-replica routing/utilization breakdown.
 //
 // With `--wire` the same trace is driven over real loopback sockets: a
 // net::Server fronts the service, `--wire-conns` client connections carry
@@ -695,15 +695,8 @@ int main(int argc, char** argv) {
     }
     if (args.sessions > 0) {
       const auto sr = service.session_route_stats();
-      const long long ws_total = st.session_ws_hits + st.session_ws_misses;
-      std::printf(
-          "  sessions: %lld/%lld sticky-routed to their pin, workspace "
-          "hit rate %.0f%% (%lld/%lld)\n",
-          sr.sticky_hits, sr.session_requests,
-          ws_total > 0 ? 100.0 * static_cast<double>(st.session_ws_hits) /
-                             static_cast<double>(ws_total)
-                       : 0.0,
-          st.session_ws_hits, ws_total);
+      std::printf("  sessions: %lld/%lld sticky-routed to their pin\n",
+                  sr.sticky_hits, sr.session_requests);
     }
     if (args.replicas > 1) {
       // Per-model, per-replica breakdown: routed share, compute-busy
@@ -731,7 +724,7 @@ int main(int argc, char** argv) {
       "shows up as both lower tail latency and higher token throughput;\n"
       "each replica's scheduler overlaps its next round's batch formation\n"
       "with the current round's compute, the per-model routers keep\n"
-      "replicas' outstanding work balanced, and sticky sessions land on\n"
-      "the replica whose per-session workspace is already sized for them.\n");
+      "replicas' outstanding work balanced, and sticky sessions stay on\n"
+      "the replica that holds their conversation.\n");
   return 0;
 }

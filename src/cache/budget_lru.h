@@ -1,12 +1,11 @@
 // Byte-budgeted LRU map: the eviction engine under cache::PrefixCache.
 //
-// Unlike the count-capped session-Workspace LRU in serving::Engine (whose
-// entries are all the same "shape"), activation cache entries vary by orders
-// of magnitude with prefix length and model size, so the budget here is
-// BYTES, not entries. put() admits an entry only if it can fit within the
-// budget after evicting colder entries; an entry larger than the whole
-// budget is rejected outright (never stored, never evicts anything — one
-// oversized conversation must not wipe the cache for everyone else).
+// Activation cache entries vary by orders of magnitude with prefix length
+// and model size, so the budget here is BYTES, not entries. put() admits an
+// entry only if it can fit within the budget after evicting colder entries;
+// an entry larger than the whole budget is rejected outright (never stored,
+// never evicts anything — one oversized conversation must not wipe the
+// cache for everyone else).
 //
 // Values are held as shared_ptr<const void>: readers that resolved a value
 // via get() keep it alive even if eviction races ahead and drops the map's

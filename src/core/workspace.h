@@ -50,8 +50,9 @@ class Workspace {
   }
 
   // Cumulative count of (re)allocations performed by get(). Steady-state
-  // reuse holds this constant — the observable the per-session workspace
-  // tests pin (a session's follow-up request must not allocate).
+  // reuse holds this constant — the observable behind
+  // EngineStats::workspace_allocations (a round no larger than one already
+  // served must not allocate).
   std::size_t allocations() const { return allocations_; }
 
  private:

@@ -33,10 +33,9 @@ void validate_options(const EngineOptions& opts) {
     throw std::invalid_argument(
         "EngineOptions: max_batch_requests must be positive");
   }
-  if (opts.session_workspaces < -1) {
+  if (opts.max_batch_tokens < 0) {
     throw std::invalid_argument(
-        "EngineOptions: session_workspaces must be >= -1 (-1 = auto, "
-        "0 disables the per-session workspace cache)");
+        "EngineOptions: max_batch_tokens must be >= 0 (0 = unlimited)");
   }
 }
 
@@ -46,14 +45,11 @@ Engine::Engine(std::shared_ptr<const core::BertModel> model,
                EngineOptions opts)
     : opts_(opts),
       model_(std::move(model)),
-      dev_(opts.threads, opts.scratch_bytes) {
+      dev_(opts.threads) {
   if (model_ == nullptr) {
     throw std::invalid_argument("Engine: model must not be null");
   }
   validate_options(opts_);
-  // -1 = auto: standalone engines leave the cache off; a sticky-routed
-  // EnginePool already resolved it to kStickySessionWorkspaces.
-  if (opts_.session_workspaces < 0) opts_.session_workspaces = 0;
   if (opts_.prefix_cache != nullptr) {
     // causal is the exactness prerequisite (bidirectional prefix state can
     // never be reused); causal itself requires fused_mha via
@@ -133,51 +129,6 @@ RequestId Engine::submit(Tensor<fp16_t> hidden) {
   return submit(Request{-1, std::move(hidden)});
 }
 
-core::Workspace& Engine::round_workspace(std::size_t count) {
-  if (opts_.session_workspaces <= 0 || count == 0 ||
-      !queue_[0].session.has_value()) {
-    return ws_;
-  }
-  const std::string& session = *queue_[0].session;
-  for (std::size_t i = 1; i < count; ++i) {
-    if (!queue_[i].session.has_value() || *queue_[i].session != session) {
-      return ws_;  // mixed round: no single owner to charge the buffers to
-    }
-  }
-  const long long n = static_cast<long long>(count);
-  for (auto it = session_ws_.begin(); it != session_ws_.end(); ++it) {
-    if (it->session == session) {
-      session_ws_.splice(session_ws_.end(), session_ws_, it);  // refresh LRU
-      stats_.session_ws_hits += n;
-      return session_ws_.back().ws;
-    }
-  }
-  if (session_ws_.size() >= static_cast<std::size_t>(opts_.session_workspaces)) {
-    // Evict the least recently used session but recycle its storage: the
-    // new session inherits the buffers (same grow-only keys), so traffic
-    // with more live sessions than the cap degrades to shared-workspace
-    // behaviour — allocation-free at steady state — instead of freeing and
-    // re-mallocing a full activation workspace every round.
-    session_ws_.splice(session_ws_.end(), session_ws_, session_ws_.begin());
-    session_ws_.back().session = session;
-  } else {
-    session_ws_.push_back(SessionWorkspace{session, core::Workspace()});
-  }
-  stats_.session_ws_misses += n;
-  return session_ws_.back().ws;
-}
-
-void Engine::refresh_workspace_allocations() {
-  long long total = static_cast<long long>(ws_.allocations());
-  for (const SessionWorkspace& s : session_ws_) {
-    total += static_cast<long long>(s.ws.allocations());
-  }
-  // Counts survive eviction (the evicted workspace is recycled, counter and
-  // all), so the sum only moves when a live workspace truly allocates —
-  // which is what "a follow-up must not allocate" pins.
-  stats_.workspace_allocations = total;
-}
-
 namespace {
 
 // Stages each layer's packed QKV rows into one [layers, rows, 3*hidden]
@@ -218,7 +169,6 @@ std::vector<Response> Engine::run_batch() {
   const std::int64_t h = hidden();
   const int layers = model_->config().layers;
   std::vector<Response> responses(count);
-  core::Workspace& ws = round_workspace(count);
 
   // Prefix-cache probe: sessioned requests whose input extends a cached
   // prefix are peeled out of the batch and resumed individually; everything
@@ -260,7 +210,7 @@ std::vector<Response> Engine::run_batch() {
     const core::SeqOffsets off =
         core::build_seq_offsets(dev_, std::span<const int>(&len, 1), len);
     auto suffix_qkv =
-        ws.get<fp16_t>("engine.cache_suffix_qkv", layers * suffix * 3 * h);
+        ws_.get<fp16_t>("engine.cache_suffix_qkv", layers * suffix * 3 * h);
 
     Response& r = responses[hit.pos];
     r.id = p.id;
@@ -273,7 +223,7 @@ std::vector<Response> Engine::run_batch() {
     model_->forward_resume(dev_, hit.entry->qkv.data(), prefix,
                            p.hidden.data() + prefix * h,
                            r.output.data() + prefix * h, suffix_qkv.data(),
-                           off, opts_.flags, ws, &stages);
+                           off, opts_.flags, ws_, &stages);
     const double compute = t.seconds();
     stats_.compute_seconds += compute;
     opts_.prefix_cache->extend(hit.key, hit.entry, p.hidden.data() + prefix * h,
@@ -307,8 +257,8 @@ std::vector<Response> Engine::run_batch() {
     for (const MicroBatch& mb : plan.micro) {
       const std::int64_t gb = static_cast<std::int64_t>(mb.indices.size());
       const std::int64_t rows = gb * mb.max_len;
-      auto in = ws.get<fp16_t>("engine.in", rows * h);
-      auto out = ws.get<fp16_t>("engine.out", rows * h);
+      auto in = ws_.get<fp16_t>("engine.in", rows * h);
+      auto out = ws_.get<fp16_t>("engine.out", rows * h);
 
       // Zero-padded gather: request i's valid rows form the prefix of padded
       // row-block i, matching build_seq_offsets' prefix-mask convention.
@@ -333,14 +283,14 @@ std::vector<Response> Engine::run_batch() {
       std::optional<StagingCaptureSink> sink;
       std::span<fp16_t> capture;
       if (capture_wanted) {
-        capture = ws.get<fp16_t>("engine.cache_capture",
-                                 layers * off.valid_count * 3 * h);
+        capture = ws_.get<fp16_t>("engine.cache_capture",
+                                  layers * off.valid_count * 3 * h);
         sink.emplace(capture.data(), off.valid_count, h);
       }
 
       StageTimes stages;
       Timer t;
-      model_->forward(dev_, in.data(), out.data(), off, opts_.flags, ws,
+      model_->forward(dev_, in.data(), out.data(), off, opts_.flags, ws_,
                       &stages, capture_wanted ? &*sink : nullptr);
       const double compute = t.seconds();
       stats_.compute_seconds += compute;
@@ -380,7 +330,7 @@ std::vector<Response> Engine::run_batch() {
   stats_.micro_batches += static_cast<long long>(plan.micro.size());
   stats_.valid_tokens += plan.valid_tokens;
   stats_.processed_tokens += plan.processed_tokens;
-  refresh_workspace_allocations();
+  stats_.workspace_allocations = static_cast<long long>(ws_.allocations());
   return responses;
 }
 

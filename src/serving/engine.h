@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -55,26 +54,10 @@ struct EngineOptions {
   BatchPolicy policy = BatchPolicy::kPacked;
   int group_size = 4;            // kSortGroup: requests per group
   int max_batch_requests = 8;    // scheduling-round request cap
-  long long max_batch_tokens = 0;  // valid-token cap per round; 0 = unlimited
-                                   // (always admits at least one request)
+  long long max_batch_tokens = 0;  // valid-token cap per round, >= 0;
+                                   // 0 = unlimited (always admits at least
+                                   // one request)
   int threads = 0;               // engine Device workers; 0 = global pool
-  std::size_t scratch_bytes = par::CtaScratch::kDefaultBytes;
-  // Per-session workspace cache: when every request of a round carries the
-  // same Request::session, the round runs on that session's own Workspace,
-  // so a conversational follow-up finds its buffers already sized (zero
-  // allocations — EngineStats::workspace_allocations is the proof) instead
-  // of resizing the engine-wide scratch behind other sessions' traffic. At
-  // most this many sessions keep a workspace; evicting the least-recently-
-  // used session recycles its buffers into the incoming one, so traffic
-  // with more live sessions than the cap costs a cache miss, never a round
-  // of reallocation. Each retained workspace holds a full set of
-  // activation-sized buffers, so the cache is opt-in: -1 (the default)
-  // means auto — disabled on a standalone Engine/AsyncEngine, while
-  // EnginePool raises it to kStickySessionWorkspaces for replicas of a
-  // pool routed with RoutePolicy::kStickySession (the policy whose whole
-  // point is landing a session where its workspace is warm). 0 forces the
-  // cache off even under sticky routing; > 0 sets the cap explicitly.
-  int session_workspaces = -1;
   // Prefix activation cache (cache/prefix_cache.h), default off. When set,
   // sessioned requests whose input extends a previously-encoded prefix skip
   // re-encoding it: the engine resumes from the cached per-layer state and
@@ -124,9 +107,9 @@ struct Request {
   std::optional<std::string> model = std::nullopt;
   // Session identity for conversational traffic. Under
   // RoutePolicy::kStickySession the session is pinned to the replica that
-  // served its first request, and the replica keeps a per-session Workspace
-  // (EngineOptions::session_workspaces) so follow-ups skip reallocation.
-  // Sessionless requests behave exactly as before.
+  // served its first request, and with EngineOptions::prefix_cache set its
+  // follow-ups resume from the cached prefix state. Sessionless requests
+  // behave exactly as before.
   std::optional<std::string> session = std::nullopt;
 };
 
@@ -245,12 +228,8 @@ struct EngineStats {
   long long processed_tokens = 0;  // per-policy padded-token accounting
   double compute_seconds = 0;
 
-  // Session workspace reuse (Engine-maintained): requests of rounds served
-  // from an already-warm per-session workspace vs. rounds that created one.
-  long long session_ws_hits = 0;
-  long long session_ws_misses = 0;
-  // Cumulative Workspace::allocations() across the engine-wide and every
-  // retained session workspace, as of the last round.
+  // Workspace::allocations() of the engine's one workspace as of the last
+  // round: flat once the workspace has grown to the largest round.
   long long workspace_allocations = 0;
 
   // Deadline accounting (AsyncEngine-maintained; the synchronous Engine
@@ -280,8 +259,6 @@ struct EngineStats {
       obs::Field{"processed_tokens", &EngineStats::processed_tokens},
       obs::Field{"padding_tokens", &EngineStats::padding_tokens},
       obs::Field{"compute_seconds", &EngineStats::compute_seconds},
-      obs::Field{"session_ws_hits", &EngineStats::session_ws_hits},
-      obs::Field{"session_ws_misses", &EngineStats::session_ws_misses},
       obs::Field{"workspace_allocations",
                  &EngineStats::workspace_allocations},
       obs::Field{"deadline_met", &EngineStats::deadline_met},
@@ -306,8 +283,8 @@ class Engine {
   // Throws std::invalid_argument on inconsistent options: flags that fail
   // OptFlags::validate(), a kPacked policy without the zero_padding pipeline
   // (the padded pipeline would silently re-introduce the waste the policy
-  // claims to remove), a non-positive group_size under kSortGroup, or a
-  // non-positive max_batch_requests.
+  // claims to remove), a non-positive group_size under kSortGroup, a
+  // non-positive max_batch_requests, or a negative max_batch_tokens.
   Engine(std::shared_ptr<const core::BertModel> model, EngineOptions opts);
   Engine(core::BertModel model, EngineOptions opts);
 
@@ -350,23 +327,10 @@ class Engine {
     std::optional<std::string> session;
   };
 
-  // Workspace for the round formed by the first `count` queued requests:
-  // when all of them carry the same session id (the conversational
-  // turn-taking shape sticky routing produces) the session's cached
-  // workspace — created/refreshed under the LRU cap, hit/miss accounted;
-  // otherwise the engine-wide one.
-  core::Workspace& round_workspace(std::size_t count);
-  void refresh_workspace_allocations();
-
   EngineOptions opts_;
   std::shared_ptr<const core::BertModel> model_;
   par::Device dev_;
-  core::Workspace ws_;
-  struct SessionWorkspace {
-    std::string session;
-    core::Workspace ws;
-  };
-  std::list<SessionWorkspace> session_ws_;  // LRU order: back = most recent
+  core::Workspace ws_;  // every round, whatever its sessions, runs on it
   std::deque<Pending> queue_;
   RequestIdTracker ids_;  // rejects duplicate caller-supplied ids
   EngineStats stats_;

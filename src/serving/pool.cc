@@ -51,13 +51,6 @@ EnginePool::EnginePool(std::shared_ptr<const core::BertModel> model,
   AsyncEngineOptions replica_opts = opts_.engine;
   replica_opts.engine.threads = resolve_threads_per_replica(opts_);
   replica_opts.model_name = opts_.model_name;
-  if (opts_.route == RoutePolicy::kStickySession &&
-      replica_opts.engine.session_workspaces < 0) {
-    // Sticky routing exists to land sessions on warm workspaces; give the
-    // replicas the cache unless the caller sized it explicitly (0 = a
-    // deliberate off, which stays off).
-    replica_opts.engine.session_workspaces = kStickySessionWorkspaces;
-  }
   // Per-model unique-session cardinality. Bare pools share one "default"
   // estimator; Service-owned pools get their registry name.
   sessions_hll_ = &obs::MetricRegistry::global().hll_prefixed(

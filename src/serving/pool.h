@@ -74,12 +74,6 @@ class Hll;  // obs/hll.h — per-model unique-session cardinality
 
 namespace bt::serving {
 
-// Session-workspace cache depth EnginePool configures on each replica when
-// the pool routes with RoutePolicy::kStickySession and the caller left
-// EngineOptions::session_workspaces at -1 (auto); an explicit value — 0
-// (off) included — always wins.
-inline constexpr int kStickySessionWorkspaces = 8;
-
 // Per-replica circuit breaker knobs (see "Replica health and circuit
 // breaking" above). quarantine_seconds doubles as the probe patience: a
 // half-open probe that neither completes nor fails within it (e.g. it was

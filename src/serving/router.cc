@@ -95,7 +95,7 @@ class LeastOutstandingTokensRouter final : public Router {
 
 // Sessionful routing: the first request of a session picks the replica with
 // the fewest outstanding tokens and pins the session there; follow-ups go
-// to the pin so the replica's per-session workspace is warm. Sessionless
+// to the pin, which is what the prefix cache trusts (note_route). Sessionless
 // requests route least-outstanding-tokens and leave no pin. The pin map is
 // a bounded LRU (kStickyMaxPins): memory tracks recently active sessions,
 // and an evicted (long-idle) session transparently re-pins by load on its
@@ -112,9 +112,9 @@ class StickySessionRouter final : public Router {
       // replica count is fixed at construction) would invalidate the pin;
       // re-route and re-pin instead of indexing out of range. A pin on an
       // unavailable (quarantined) replica migrates the same way: drop it
-      // and re-pin by load below — the session's warm workspace is lost,
-      // but a warm workspace on a broken replica serves nothing. Not a
-      // pinned_hit: an existing pin did not decide this pick.
+      // and re-pin by load below (the prefix cache then drops the session's
+      // entry, built on the broken replica). Not a pinned_hit: an existing
+      // pin did not decide this pick.
       if (it->second.replica < replicas.size() &&
           replicas[it->second.replica].available) {
         lru_.splice(lru_.end(), lru_, it->second.pos);  // refresh recency

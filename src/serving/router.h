@@ -22,8 +22,9 @@
 //                                of a session routes least-outstanding-
 //                                tokens and pins the session to that
 //                                replica; every follow-up goes to the pin,
-//                                so the replica's per-session workspace
-//                                (engine.h) is already sized for it.
+//                                and a prefix-cache entry is trusted only
+//                                while its session's pin holds (a moved pin
+//                                drops it: PrefixCache::note_route).
 //                                Sessionless requests fall back to
 //                                least-outstanding-tokens and never pin.
 //                                Pins are a bounded LRU (kStickyMaxPins):

@@ -6,9 +6,9 @@
 // replica group per registered model, and submit() dispatches each request
 // by its Request::model key (std::nullopt = the default model). Sessions
 // ride along: under RoutePolicy::kStickySession a model's router pins each
-// Request::session to the replica that served its first request, and that
-// replica's per-session workspace (EngineOptions::session_workspaces) makes
-// the follow-up allocation-free.
+// Request::session to the replica that served its first request, and with a
+// prefix cache (EngineOptions::prefix_cache) the follow-up resumes from the
+// session's cached prefix instead of re-encoding it.
 //
 //   serving::ModelRegistry registry;
 //   registry.add("bert-base", base_model, pool_opts);
@@ -18,7 +18,7 @@
 //   serving::Request req;
 //   req.hidden = std::move(hidden);
 //   req.model = "bert-large";        // nullopt -> default model
-//   req.session = "conv-42";        // sticky routing + warm workspace
+//   req.session = "conv-42";        // sticky routing + prefix reuse
 //   auto fut = service.submit(std::move(req));
 //   serving::Response r = fut.get(); // r.model / r.replica / r.session
 //   service.stop();                  // drains every model's pool

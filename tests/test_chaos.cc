@@ -232,7 +232,7 @@ TEST(Chaos, StickyPinMigratesOffUnavailableReplica) {
   EXPECT_FALSE(pinned);  // a migration is a fresh pin, not a hit
 
   // The new pin sticks — including after replica 0 is readmitted (no
-  // flap-back; per-session workspace now lives on replica 2).
+  // flap-back; the session's prefix-cache state now builds on replica 2).
   EXPECT_EQ(router->pick(loads, {10, "s"}, &pinned), 2u);
   EXPECT_TRUE(pinned);
   loads[0].available = true;

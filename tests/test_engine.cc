@@ -285,6 +285,11 @@ TEST(Engine, RejectsInconsistentOptions) {
                           core::OptFlags::byte_transformer());
   opts.max_batch_requests = 0;
   EXPECT_THROW(Engine(model, opts), std::invalid_argument);
+
+  // 0 means unlimited; a negative cap is an error, not a second spelling.
+  opts.max_batch_requests = 8;
+  opts.max_batch_tokens = -1;
+  EXPECT_THROW(Engine(model, opts), std::invalid_argument);
 }
 
 TEST(Engine, CallerSuppliedIdsStayDisjointFromAutoIds) {
@@ -433,125 +438,6 @@ TEST(Engine, SubmitRejectsMalformedHidden) {
       engine.submit(Request{std::numeric_limits<RequestId>::max(),
                             Tensor<fp16_t>::zeros({4, engine.hidden()})}),
       std::invalid_argument);
-}
-
-// ---- per-session workspaces -------------------------------------------------
-
-EngineOptions packed_options() {
-  EngineOptions opts;
-  opts.policy = BatchPolicy::kPacked;
-  opts.flags = core::OptFlags::byte_transformer();
-  opts.threads = 2;
-  opts.session_workspaces = 8;  // opt in (default 0; EnginePool opts in for
-                                // sticky-routed replicas)
-  return opts;
-}
-
-RequestId submit_session(Engine& engine, int len, const char* session,
-                         Rng& rng) {
-  Request req;
-  req.hidden = Tensor<fp16_t>::random_normal({len, engine.hidden()}, rng);
-  if (session != nullptr) req.session = session;
-  return engine.submit(std::move(req));
-}
-
-// The session-reuse contract: a session's follow-up round runs on the
-// workspace its first round sized, so it performs zero allocations —
-// observable through EngineStats::workspace_allocations.
-TEST(Engine, SessionRoundsReuseTheirWorkspaceWithoutReallocating) {
-  Engine engine(shared_model(), packed_options());
-  Rng rng(5);
-
-  // Turn 1 of session "a": creates the session workspace (a miss).
-  submit_session(engine, 9, "a", rng);
-  const auto first = engine.run_batch();
-  ASSERT_EQ(first.size(), 1u);
-  ASSERT_TRUE(first[0].session.has_value());  // provenance echoes the session
-  EXPECT_EQ(*first[0].session, "a");
-  const EngineStats s1 = engine.stats();
-  EXPECT_EQ(s1.session_ws_misses, 1);
-  EXPECT_EQ(s1.session_ws_hits, 0);
-  EXPECT_GT(s1.workspace_allocations, 0);
-
-  // Turn 2, same geometry: warm workspace, not one new allocation.
-  submit_session(engine, 9, "a", rng);
-  engine.run_batch();
-  const EngineStats s2 = engine.stats();
-  EXPECT_EQ(s2.session_ws_hits, 1);
-  EXPECT_EQ(s2.session_ws_misses, 1);
-  EXPECT_EQ(s2.workspace_allocations, s1.workspace_allocations);
-
-  // A different session must not see "a"'s buffers as its own: it creates
-  // its own workspace (a second miss, new allocations).
-  submit_session(engine, 9, "b", rng);
-  engine.run_batch();
-  const EngineStats s3 = engine.stats();
-  EXPECT_EQ(s3.session_ws_misses, 2);
-  EXPECT_GT(s3.workspace_allocations, s2.workspace_allocations);
-}
-
-// Rounds mixing sessions (or carrying none) run on the engine-wide
-// workspace: there is no single session to charge the buffers to, and the
-// hit/miss accounting stays untouched.
-TEST(Engine, MixedOrSessionlessRoundsUseTheEngineWideWorkspace) {
-  Engine engine(shared_model(), packed_options());
-  Rng rng(6);
-
-  submit_session(engine, 4, "a", rng);
-  submit_session(engine, 6, "b", rng);
-  engine.run_batch();  // one round, two sessions
-  submit_session(engine, 5, nullptr, rng);
-  submit_session(engine, 5, nullptr, rng);
-  engine.run_batch();  // one round, no sessions
-  submit_session(engine, 4, "a", rng);
-  submit_session(engine, 6, nullptr, rng);
-  engine.run_batch();  // one round, sessioned + sessionless
-
-  const EngineStats st = engine.stats();
-  EXPECT_EQ(st.session_ws_hits, 0);
-  EXPECT_EQ(st.session_ws_misses, 0);
-  EXPECT_GT(st.workspace_allocations, 0);  // engine-wide buffers exist
-}
-
-TEST(Engine, SessionWorkspaceCacheEvictsLeastRecentlyUsed) {
-  EngineOptions opts = packed_options();
-  opts.session_workspaces = 1;  // room for exactly one session
-  Engine engine(shared_model(), opts);
-  Rng rng(7);
-
-  submit_session(engine, 8, "a", rng);
-  engine.run_batch();  // miss: "a" cached
-  submit_session(engine, 8, "b", rng);
-  engine.run_batch();  // miss: "b" evicts "a"
-  submit_session(engine, 8, "a", rng);
-  engine.run_batch();  // miss again: "a" was evicted
-  submit_session(engine, 8, "a", rng);
-  engine.run_batch();  // hit: "a" is resident again
-
-  const EngineStats st = engine.stats();
-  EXPECT_EQ(st.session_ws_misses, 3);
-  EXPECT_EQ(st.session_ws_hits, 1);
-}
-
-TEST(Engine, SessionWorkspacesDisabledKeepsEverythingEngineWide) {
-  EngineOptions opts = packed_options();
-  opts.session_workspaces = 0;
-  Engine engine(shared_model(), opts);
-  Rng rng(8);
-
-  submit_session(engine, 8, "a", rng);
-  engine.run_batch();
-  submit_session(engine, 8, "a", rng);
-  engine.run_batch();
-
-  const EngineStats st = engine.stats();
-  EXPECT_EQ(st.session_ws_hits, 0);
-  EXPECT_EQ(st.session_ws_misses, 0);
-
-  opts.session_workspaces = -1;  // auto: resolves to disabled standalone
-  Engine(shared_model(), opts);
-  opts.session_workspaces = -2;  // validated like every other option
-  EXPECT_THROW(Engine(shared_model(), opts), std::invalid_argument);
 }
 
 TEST(OptFlags, PresetsValidateAndNamesCarryVariant) {

@@ -339,9 +339,9 @@ TEST(Registry, PublishAndMergeCoverEveryStatsField) {
       "test.obs.fields.engine",
       {"requests", "batches", "micro_batches", "valid_tokens",
        "processed_tokens", "padding_tokens", "compute_seconds",
-       "session_ws_hits", "session_ws_misses", "workspace_allocations",
-       "deadline_met", "deadline_missed", "deadline_shed", "cache_hits",
-       "cache_misses", "cache_hit_suffix_tokens", "cache_saved_tokens"});
+       "workspace_allocations", "deadline_met", "deadline_missed",
+       "deadline_shed", "cache_hits", "cache_misses",
+       "cache_hit_suffix_tokens", "cache_saved_tokens"});
   expect_publish_covers_every_field<Route>("test.obs.fields.route",
                                            {"session_requests", "sticky_hits"});
   expect_publish_covers_every_field<Breaker>(

@@ -1,16 +1,21 @@
-// Session-workspace LRU edge cases: cap=1 thrash recycles storage instead
-// of re-mallocing, an evicted session re-pins cleanly on its next round,
-// and eviction strictly follows recency under interleaved traffic. The
-// basics (reuse-without-allocating, mixed rounds, disabled mode) live in
-// tests/test_engine.cc; this file pins the cache-pressure behaviour those
-// tests never reach.
+// The shared-workspace contract: an Engine runs every round — one session,
+// mixed sessions, no session — on its one grow-only Workspace, so once it
+// has served the largest round geometry it never allocates again, however
+// many sessions come and go. EngineStats::workspace_allocations is the
+// observable.
 #include <gtest/gtest.h>
 
+#include <future>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/model.h"
 #include "serving/engine.h"
+#include "serving/service.h"
 #include "tensor/tensor.h"
 
 namespace bt::serving {
@@ -33,89 +38,155 @@ std::shared_ptr<const core::BertModel> shared_model() {
   return model;
 }
 
-EngineOptions packed_options(int session_workspaces) {
-  EngineOptions opts;
-  opts.policy = BatchPolicy::kPacked;
-  opts.flags = core::OptFlags::byte_transformer();
-  opts.threads = 2;
-  opts.session_workspaces = session_workspaces;
-  return opts;
-}
-
-void run_round(Engine& engine, int len, const char* session, Rng& rng) {
+Request make_request(std::int64_t hidden, int len,
+                     std::optional<std::string> session, Rng& rng) {
   Request req;
-  req.hidden = Tensor<fp16_t>::random_normal({len, engine.hidden()}, rng);
-  req.session = session;
-  engine.submit(std::move(req));
-  engine.run_batch();
+  req.hidden = Tensor<fp16_t>::random_normal({len, hidden}, rng);
+  req.session = std::move(session);
+  return req;
 }
 
-// cap=1 with two alternating sessions is the worst case: every round
-// evicts the other session, so every round is a miss — but eviction
-// RECYCLES the evicted workspace's buffers (same grow-only keys), so after
-// both sessions have run the same geometry once, the allocation counter
-// must never move again. Thrash degrades to shared-workspace behaviour,
-// not to a malloc storm.
-TEST(SessionWorkspace, CapOneThrashRecyclesStorageAllocationFree) {
-  Engine engine(shared_model(), packed_options(1));
+TEST(SharedWorkspace, EngineRoundOfKnownGeometryAllocatesNothing) {
+  EngineOptions opts;
+  opts.threads = 2;
+  Engine engine(shared_model(), opts);
   Rng rng(21);
 
-  run_round(engine, 10, "a", rng);  // miss: sizes the single slot
-  run_round(engine, 10, "b", rng);  // miss: evicts "a", inherits its buffers
+  engine.submit(make_request(engine.hidden(), 10, "a", rng));
+  const auto first = engine.run_batch();
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_TRUE(first[0].session.has_value());  // provenance echoes the session
+  EXPECT_EQ(*first[0].session, "a");
   const long long warm = engine.stats().workspace_allocations;
   EXPECT_GT(warm, 0);
 
-  for (int round = 0; round < 6; ++round) {
-    run_round(engine, 10, round % 2 == 0 ? "a" : "b", rng);
+  // Same geometry under the same session, a new session and no session:
+  // all three rounds reuse the buffers the first one sized.
+  for (std::optional<std::string> session :
+       {std::optional<std::string>("a"), std::optional<std::string>("b"),
+        std::optional<std::string>()}) {
+    engine.submit(make_request(engine.hidden(), 10, session, rng));
+    const auto round = engine.run_batch();
+    ASSERT_EQ(round.size(), 1u);
+    EXPECT_EQ(round[0].session, session);
+    EXPECT_EQ(engine.stats().workspace_allocations, warm);
   }
-  const EngineStats st = engine.stats();
-  EXPECT_EQ(st.session_ws_hits, 0);    // every round displaced the other
-  EXPECT_EQ(st.session_ws_misses, 8);  // 2 warmup + 6 thrash
-  EXPECT_EQ(st.workspace_allocations, warm);  // storage recycled, not grown
 }
 
-// An evicted session is not poisoned: when it comes back it re-pins as an
-// ordinary miss, its next same-geometry round is a hit again, and — because
-// it inherits the evictee's identically-sized buffers — the comeback itself
-// allocates nothing.
-TEST(SessionWorkspace, EvictedSessionRePinsAndIsWarmAgain) {
-  Engine engine(shared_model(), packed_options(1));
-  Rng rng(22);
+// Sticky-routed Service, 2 replicas, rounds of up to kCap requests. Every
+// round below is made full on purpose, so it dispatches at once and the
+// long batching window never expires: a "ballast" session pinned to one
+// replica queues kCap - 1 requests of kMaxLen tokens there, which makes the
+// other replica the least loaded, so every new session and sessionless
+// request of the step lands on it; the ballast's last request then fills
+// its own round.
+constexpr int kCap = 4;
+constexpr int kMaxLen = 24;  // ballast and warm-up length; others are shorter
 
-  run_round(engine, 12, "a", rng);  // miss: "a" resident
-  run_round(engine, 12, "a", rng);  // hit
-  const long long warm = engine.stats().workspace_allocations;
-  run_round(engine, 12, "b", rng);  // miss: evicts "a"
+class StickyService {
+ public:
+  StickyService() : service_(make_registry()) {
+    hidden_ = service_.pool("m").hidden();
+  }
 
-  run_round(engine, 12, "a", rng);  // miss: re-pins, recycling "b"'s buffers
-  run_round(engine, 12, "a", rng);  // hit: warm again
-  const EngineStats st = engine.stats();
-  EXPECT_EQ(st.session_ws_hits, 2);
-  EXPECT_EQ(st.session_ws_misses, 3);
-  EXPECT_EQ(st.workspace_allocations, warm);
+  Service& service() { return service_; }
+
+  // One step: the kCap `items` (session or none, length < kMaxLen) fill a
+  // round on the replica `ballast` is NOT pinned to. Returns the responses,
+  // items first, then the ballast's kCap.
+  std::vector<Response> step(
+      const std::string& ballast,
+      const std::vector<std::pair<std::optional<std::string>, int>>& items) {
+    std::vector<std::future<Response>> futures;
+    for (int i = 0; i + 1 < kCap; ++i) {
+      futures.push_back(submit(ballast, kMaxLen));
+    }
+    std::vector<std::future<Response>> item_futures;
+    for (const auto& [session, len] : items) {
+      item_futures.push_back(submit(session, len));
+    }
+    futures.push_back(submit(ballast, kMaxLen));
+    std::vector<Response> out;
+    for (auto& f : item_futures) out.push_back(f.get());
+    for (auto& f : futures) out.push_back(f.get());
+    return out;
+  }
+
+ private:
+  static ModelRegistry make_registry() {
+    EnginePoolOptions opts;
+    opts.engine.engine.max_batch_requests = kCap;
+    opts.engine.max_wait_seconds = 5.0;  // only ever cut short by full rounds
+    opts.replicas = 2;
+    opts.route = RoutePolicy::kStickySession;
+    opts.threads_per_replica = 1;
+    ModelRegistry registry;
+    registry.add("m", shared_model(), opts);
+    return registry;
+  }
+
+  std::future<Response> submit(std::optional<std::string> session, int len) {
+    return service_.submit(
+        make_request(hidden_, len, std::move(session), rng_));
+  }
+
+  Service service_;
+  std::int64_t hidden_ = 0;
+  Rng rng_{22};
+};
+
+void expect_one_round(const std::vector<Response>& rs, std::size_t begin,
+                      int replica) {
+  for (std::size_t i = begin; i < begin + kCap; ++i) {
+    EXPECT_EQ(rs[i].replica, replica) << i;
+    EXPECT_EQ(rs[i].round, rs[begin].round) << i;
+  }
 }
 
-// Eviction order is recency, not insertion: with cap=2, touching the older
-// resident session promotes it, so the next newcomer evicts the session
-// that has actually been idle longest.
-TEST(SessionWorkspace, InterleavedTrafficEvictsByRecencyNotInsertion) {
-  Engine engine(shared_model(), packed_options(2));
-  Rng rng(23);
+// After one warm-up round per replica at the largest geometry (kCap x
+// kMaxLen), 32 new sessions run single-session, mixed and sessionless
+// rounds. None of them may allocate: a session costs the replica no memory.
+TEST(SharedWorkspace, StickyServiceNewSessionsNeverAllocateAfterWarmup) {
+  StickyService fleet;
+  Service& service = fleet.service();
 
-  run_round(engine, 8, "a", rng);  // miss: ["a"]
-  run_round(engine, 8, "b", rng);  // miss: ["a","b"]
-  run_round(engine, 8, "a", rng);  // hit: refreshes "a" -> ["b","a"]
-  run_round(engine, 8, "c", rng);  // miss: evicts "b" (LRU), NOT "a"
+  // Warm-up: "w0" pins replica 0 (ties go to the lowest index) and queues
+  // kCap - 1 requests there; "w1" then pins the idle replica 1 and fills a
+  // full round of its own. Both rounds are kCap x kMaxLen.
+  const std::vector<Response> warm = fleet.step(
+      "w0", std::vector<std::pair<std::optional<std::string>, int>>(
+                kCap, {"w1", kMaxLen}));
+  expect_one_round(warm, 0, 1);
+  expect_one_round(warm, kCap, 0);
+  const long long warm_allocs = service.stats().workspace_allocations;
+  EXPECT_GT(warm_allocs, 0);
 
-  run_round(engine, 8, "a", rng);  // must still be a hit
-  const EngineStats mid = engine.stats();
-  EXPECT_EQ(mid.session_ws_hits, 2);
-  EXPECT_EQ(mid.session_ws_misses, 3);
-
-  run_round(engine, 8, "b", rng);  // miss: "b" was the one displaced
-  const EngineStats st = engine.stats();
-  EXPECT_EQ(st.session_ws_hits, 2);
-  EXPECT_EQ(st.session_ws_misses, 4);
+  int next = 0;
+  const auto fresh = [&] { return "s" + std::to_string(next++); };
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    const int target = cycle % 2;
+    const std::string ballast = target == 0 ? "w1" : "w0";
+    // Single-session round: one new session, kCap turns.
+    const std::string solo = fresh();
+    // Mixed round: three new sessions and one sessionless request.
+    const std::string m1 = fresh(), m2 = fresh(), m3 = fresh();
+    const std::vector<std::vector<std::pair<std::optional<std::string>, int>>>
+        rounds = {
+            {{solo, 9}, {solo, 20}, {solo, 13}, {solo, 5}},
+            {{m1, 17}, {std::nullopt, 6}, {m2, 20}, {m3, 11}},
+            {{std::nullopt, 20}, {std::nullopt, 7}, {std::nullopt, 15},
+             {std::nullopt, 19}},
+        };
+    for (const auto& items : rounds) {
+      const std::vector<Response> rs = fleet.step(ballast, items);
+      expect_one_round(rs, 0, target);
+      expect_one_round(rs, kCap, 1 - target);
+      EXPECT_EQ(service.stats().workspace_allocations, warm_allocs)
+          << "cycle " << cycle << " allocated";
+    }
+  }
+  EXPECT_EQ(service.pool("m").pinned_replica("s0"), 0u);
+  EXPECT_EQ(service.pool("m").pinned_replica("s4"), 1u);
 }
 
 }  // namespace
