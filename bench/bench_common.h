@@ -22,7 +22,6 @@
 #include "core/workspace.h"
 #include "gemm/kernels/kernel.h"
 #include "parallel/device.h"
-#include "serving/batching.h"
 #include "serving/engine.h"
 #include "serving/request_gen.h"
 #include "tensor/tensor.h"

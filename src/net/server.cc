@@ -471,8 +471,9 @@ struct Server::Impl {
     // happens inside the service, where the model is known.
     if (f.rows < 1 || f.cols < 1) return false;
     if (conn.inflight.count(f.correlation) != 0) {
-      // Same stable code a C++ caller gets for a duplicate request id; the
-      // connection survives — the frame itself was well-formed.
+      // The one source of kDuplicateId (in-process ids are assigned, so
+      // they cannot collide); the connection survives — the frame itself
+      // was well-formed.
       queue_error(conn, f.correlation, serving::ErrorCode::kDuplicateId,
                   "correlation id already in flight on this connection");
       return true;

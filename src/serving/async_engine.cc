@@ -58,8 +58,6 @@ obs::Counter& failure_counter(ErrorCode code) {
   auto& reg = obs::MetricRegistry::global();
   static obs::Counter& unknown_model =
       reg.counter("serving.errors.unknown_model");
-  static obs::Counter& duplicate_id =
-      reg.counter("serving.errors.duplicate_id");
   static obs::Counter& backpressure =
       reg.counter("serving.errors.backpressure");
   static obs::Counter& deadline_exceeded =
@@ -69,8 +67,6 @@ obs::Counter& failure_counter(ErrorCode code) {
   switch (code) {
     case ErrorCode::kUnknownModel:
       return unknown_model;
-    case ErrorCode::kDuplicateId:
-      return duplicate_id;
     case ErrorCode::kBackpressure:
       return backpressure;
     case ErrorCode::kDeadlineExceeded:
@@ -119,10 +115,10 @@ AsyncEngine::AsyncEngine(core::BertModel model, AsyncEngineOptions opts)
 
 AsyncEngine::~AsyncEngine() { stop(); }
 
-std::future<Response> AsyncEngine::enqueue_reserved_locked(Request&& req,
-                                                           RequestId id) {
+std::future<Response> AsyncEngine::enqueue_locked(
+    Request&& req, std::optional<RequestId> id) {
   Queued q;
-  q.id = id;
+  q.id = id.has_value() ? *id : next_id_++;
   q.hidden = std::move(req.hidden);
   q.arrival = Clock::now();
   q.deadline = req.deadline;
@@ -139,41 +135,41 @@ std::future<Response> AsyncEngine::enqueue_reserved_locked(Request&& req,
 }
 
 std::future<Response> AsyncEngine::submit(Request req) {
-  MutexLock lock(mutex_);
+  return submit(std::move(req), std::nullopt);
+}
+
+std::future<Response> AsyncEngine::submit(Tensor<fp16_t> hidden) {
+  return submit(Request{std::move(hidden)});
+}
+
+std::optional<std::future<Response>> AsyncEngine::try_submit(Request req) {
+  return try_submit(std::move(req), std::nullopt);
+}
+
+std::future<Response> AsyncEngine::submit(Request req,
+                                          std::optional<RequestId> id) {
   // Same contract as Engine::submit, enforced here because the throw must
-  // reach the submitting thread, not the scheduler. Validate before the
-  // backpressure wait so a malformed request throws immediately instead of
+  // reach the submitting thread, not the scheduler — and before the
+  // backpressure wait, so a malformed request throws immediately instead of
   // blocking behind a full queue first.
-  validate_request("AsyncEngine::submit", req.hidden, hidden(), req.id, ids_);
+  validate_request_shape("AsyncEngine::submit", req.hidden, hidden());
+  MutexLock lock(mutex_);
   while (!stop_ && queue_.size() >= opts_.max_queue) cv_space_.wait(mutex_);
   if (stop_) {
     throw ShutdownError("AsyncEngine::submit: engine is stopped");
   }
-  // Re-validate-and-reserve after the wait: another submitter could have
-  // issued the same caller-supplied id while this thread was blocked. The
-  // inner engine checks again at round time against its own tracker; both
-  // run this one helper, and this tracker only issues fresh ids, so the
-  // inner check cannot fire for async traffic.
-  const RequestId id = validate_and_reserve_id("AsyncEngine::submit",
-                                               req.hidden, hidden(), req.id,
-                                               ids_);
-  return enqueue_reserved_locked(std::move(req), id);
+  return enqueue_locked(std::move(req), id);
 }
 
-std::future<Response> AsyncEngine::submit(Tensor<fp16_t> hidden) {
-  return submit(Request{-1, std::move(hidden)});
-}
-
-std::optional<std::future<Response>> AsyncEngine::try_submit(Request req) {
-  MutexLock lock(mutex_);
+std::optional<std::future<Response>> AsyncEngine::try_submit(
+    Request req, std::optional<RequestId> id) {
   // Programming errors throw even when the request would be declined —
   // otherwise a malformed request looks like transient backpressure while
-  // the queue happens to be full, and only throws once it drains. The lock
-  // is held through the reserve, so the validation cannot go stale.
-  validate_request("AsyncEngine::try_submit", req.hidden, hidden(), req.id,
-                   ids_);
+  // the queue happens to be full, and only throws once it drains.
+  validate_request_shape("AsyncEngine::try_submit", req.hidden, hidden());
+  MutexLock lock(mutex_);
   if (stop_ || queue_.size() >= opts_.max_queue) return std::nullopt;
-  return enqueue_reserved_locked(std::move(req), ids_.reserve(req.id));
+  return enqueue_locked(std::move(req), id);
 }
 
 void AsyncEngine::stop() {
@@ -412,10 +408,9 @@ void AsyncEngine::scheduler_loop() {
       }
       for (Queued& q : live) {
         Request r;
-        r.id = q.id;
         r.hidden = std::move(q.hidden);
         r.session = std::move(q.session);
-        engine_.submit(std::move(r));
+        engine_.submit(std::move(r), q.id);
       }
       if (!live.empty()) responses = engine_.drain();
     } catch (...) {

@@ -111,8 +111,8 @@ class AsyncEngine {
 
   // Enqueues a request and returns the future its Response resolves on.
   // Blocks while the queue is full. Throws std::invalid_argument on a
-  // malformed tensor or duplicate caller-supplied id (same contract as
-  // Engine::submit), std::runtime_error after stop().
+  // malformed tensor (same contract as Engine::submit), std::runtime_error
+  // after stop().
   std::future<Response> submit(Request req) BT_EXCLUDES(mutex_);
   std::future<Response> submit(Tensor<fp16_t> hidden) BT_EXCLUDES(mutex_);
 
@@ -148,7 +148,17 @@ class AsyncEngine {
   int hidden() const { return engine_.hidden(); }
 
  private:
+  friend class EnginePool;  // hands down the id it assigned
+
   using Clock = std::chrono::steady_clock;
+
+  // The entry points behind the public ones: `id` is the owning tier's id,
+  // or std::nullopt to take the next value of next_id_ under the lock.
+  std::future<Response> submit(Request req, std::optional<RequestId> id)
+      BT_EXCLUDES(mutex_);
+  std::optional<std::future<Response>> try_submit(Request req,
+                                                  std::optional<RequestId> id)
+      BT_EXCLUDES(mutex_);
 
   struct Queued {
     RequestId id;
@@ -159,7 +169,8 @@ class AsyncEngine {
     std::optional<std::string> session;
   };
 
-  std::future<Response> enqueue_reserved_locked(Request&& req, RequestId id)
+  std::future<Response> enqueue_locked(Request&& req,
+                                       std::optional<RequestId> id)
       BT_REQUIRES(mutex_);
   // Queue indices in admission order: identity (FIFO) while no queued
   // request has a deadline, else earliest-deadline-first with queue
@@ -184,7 +195,7 @@ class AsyncEngine {
   // Popped, promises not yet fulfilled — and their valid tokens.
   std::size_t in_flight_ BT_GUARDED_BY(mutex_) = 0;
   long long in_flight_tokens_ BT_GUARDED_BY(mutex_) = 0;
-  RequestIdTracker ids_ BT_GUARDED_BY(mutex_);
+  RequestId next_id_ BT_GUARDED_BY(mutex_) = 0;
   EngineStats stats_ BT_GUARDED_BY(mutex_);  // snapshot, updated per round
   // Deadline accounting: resolved before its deadline / computed but
   // resolved after / deadline passed before compute.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -82,51 +81,19 @@ void validate_request_shape(const char* who, const Tensor<fp16_t>& hidden,
   }
 }
 
-void validate_request_id(const char* who, RequestId requested,
-                         const RequestIdTracker& ids) {
-  if (requested == std::numeric_limits<RequestId>::max()) {
-    // The tracker's watermark is one past the largest issued id; issuing
-    // the maximum representable id would overflow it.
-    throw std::invalid_argument(std::string(who) + ": request id " +
-                                std::to_string(requested) + " is out of range");
-  }
-  if (requested >= 0 && ids.issued(requested)) {
-    // DuplicateIdError is still an invalid_argument (existing catch sites
-    // hold), but carries ErrorCode::kDuplicateId for the wire front-end.
-    throw DuplicateIdError(
-        std::string(who) + ": request id " + std::to_string(requested) +
-        " collides with a queued or previously issued id; duplicate "
-        "Response::ids would be indistinguishable to the caller");
-  }
-}
-
-void validate_request(const char* who, const Tensor<fp16_t>& hidden,
-                      std::int64_t hidden_dim, RequestId requested,
-                      const RequestIdTracker& ids) {
-  validate_request_shape(who, hidden, hidden_dim);
-  validate_request_id(who, requested, ids);
-}
-
-RequestId validate_and_reserve_id(const char* who,
-                                  const Tensor<fp16_t>& hidden,
-                                  std::int64_t hidden_dim, RequestId requested,
-                                  RequestIdTracker& ids) {
-  validate_request(who, hidden, hidden_dim, requested, ids);
-  // Auto-assignment stays disjoint from caller-supplied ids: the tracker's
-  // next id is always one past the largest issued one.
-  return ids.reserve(requested);
-}
-
 RequestId Engine::submit(Request req) {
-  const RequestId id = validate_and_reserve_id("Engine::submit", req.hidden,
-                                               hidden(), req.id, ids_);
+  return submit(std::move(req), next_id_++);
+}
+
+RequestId Engine::submit(Request req, RequestId id) {
+  validate_request_shape("Engine::submit", req.hidden, hidden());
   queue_.push_back(
       Pending{id, std::move(req.hidden), Timer(), std::move(req.session)});
   return id;
 }
 
 RequestId Engine::submit(Tensor<fp16_t> hidden) {
-  return submit(Request{-1, std::move(hidden)});
+  return submit(Request{std::move(hidden)});
 }
 
 namespace {

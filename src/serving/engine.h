@@ -24,11 +24,8 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <limits>
-#include <map>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -90,8 +87,12 @@ inline Deadline deadline_in(double seconds) {
 // ErrorCode each of them carries live in serving/error.h (included above):
 // one error vocabulary shared by every serving tier and the wire protocol.
 
+// Request ids are assigned, never supplied: each tier's public submit
+// stamps the next value of its own counter, and an owning tier (Service ->
+// EnginePool -> AsyncEngine -> Engine) hands its id down through a private
+// entry point only it can reach. Response::id is therefore unique across
+// the whole stack and increases in submission order at the entry tier.
 struct Request {
-  RequestId id = -1;       // < 0: engine assigns the next sequential id
   Tensor<fp16_t> hidden;   // [length, hidden] valid rows only (no padding)
   // Optional SLO deadline. The synchronous Engine processes its queue in
   // submission order and ignores it; AsyncEngine (and EnginePool replicas)
@@ -113,85 +114,12 @@ struct Request {
   std::optional<std::string> session = std::nullopt;
 };
 
-// Tracks which request ids have ever been issued, so duplicate
-// caller-supplied ids can be rejected without storing every id forever: a
-// watermark covers the dense auto-assigned prefix (every id below `next()`
-// is issued unless it sits in a gap a caller-supplied id jumped over), and
-// only those gaps are stored — memory is O(out-of-order submissions), zero
-// for pure auto-id traffic, regardless of how long the server runs.
-class RequestIdTracker {
- public:
-  bool issued(RequestId id) const {
-    if (id >= next_) return false;
-    // Find the gap starting at or before id, if any.
-    auto it = gaps_.upper_bound(id);
-    if (it == gaps_.begin()) return true;
-    --it;
-    return id >= it->second;  // outside [start, end) -> issued
-  }
-
-  // Marks `id` as issued; the caller must have checked !issued(id).
-  void mark(RequestId id) {
-    if (id >= next_) {
-      if (id > next_) gaps_.emplace(next_, id);  // [next_, id) stays unissued
-      next_ = id + 1;
-      return;
-    }
-    // id lies inside an existing gap (guaranteed by !issued(id)): split it.
-    auto it = --gaps_.upper_bound(id);
-    const RequestId start = it->first;
-    const RequestId end = it->second;
-    gaps_.erase(it);
-    if (start < id) gaps_.emplace(start, id);
-    if (id + 1 < end) gaps_.emplace(id + 1, end);
-  }
-
-  // The next auto-assigned id (one past the largest issued id).
-  RequestId next() const { return next_; }
-
-  // Reserves and returns `requested` (>= 0; the caller must have checked
-  // !issued(requested)) or the next auto-assigned id.
-  RequestId reserve(RequestId requested) {
-    const RequestId id = requested >= 0 ? requested : next_;
-    // mark() advances the watermark to id + 1, so the maximum representable
-    // id would overflow it. Unreachable for pure auto-id traffic (2^63
-    // requests), but a caller-supplied id can move the watermark arbitrarily
-    // close to the edge, after which the next auto id lands on it.
-    if (id == std::numeric_limits<RequestId>::max()) {
-      throw std::invalid_argument("RequestIdTracker: request id space exhausted");
-    }
-    mark(id);
-    return id;
-  }
-
- private:
-  RequestId next_ = 0;
-  std::map<RequestId, RequestId> gaps_;  // unissued [start, end) below next_
-};
-
-// The submission contract shared by Engine::submit and AsyncEngine (which
-// must enforce it on the caller thread, before the request ever reaches the
-// scheduler): validates the tensor shape and the id against `ids`, throwing
-// std::invalid_argument with `who` naming the API in the message. Mutates
-// nothing — AsyncEngine::try_submit uses it to report programming errors
-// even when it then declines the request for backpressure. The two halves
-// are also callable separately: Service runs the model-independent checks
-// (shape with hidden_dim < 0 = "any width", id) before it has resolved
-// which model — and so which hidden width — the request is for.
+// The submission shape contract shared by every serving tier: `hidden` must
+// be a rank-2 [length >= 1, hidden_dim] tensor (hidden_dim < 0 = "any
+// width", for Service before it has resolved which model the request is
+// for). Throws std::invalid_argument with `who` naming the API.
 void validate_request_shape(const char* who, const Tensor<fp16_t>& hidden,
                             std::int64_t hidden_dim);
-void validate_request_id(const char* who, RequestId requested,
-                         const RequestIdTracker& ids);
-void validate_request(const char* who, const Tensor<fp16_t>& hidden,
-                      std::int64_t hidden_dim, RequestId requested,
-                      const RequestIdTracker& ids);
-
-// validate_request, then reserves and returns the id — `requested` if >= 0,
-// else the next auto-assigned one.
-RequestId validate_and_reserve_id(const char* who,
-                                  const Tensor<fp16_t>& hidden,
-                                  std::int64_t hidden_dim, RequestId requested,
-                                  RequestIdTracker& ids);
 
 struct Response {
   RequestId id = -1;
@@ -292,10 +220,8 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   // Enqueues a request; `hidden` must be a rank-2 [length, hidden] tensor
-  // with at least one row, and a caller-supplied id must not collide with a
-  // queued or previously issued id (throws std::invalid_argument otherwise —
-  // a collision would produce duplicate Response::ids and break callers that
-  // key completions by id). Returns the id responses will carry.
+  // with at least one row (throws std::invalid_argument otherwise). Returns
+  // the id responses will carry: the next sequential one.
   RequestId submit(Request req);
   RequestId submit(Tensor<fp16_t> hidden);
 
@@ -308,9 +234,9 @@ class Engine {
   std::vector<Response> drain();
 
   // Drops every queued (not yet computed) request and returns how many were
-  // discarded. Their ids stay burned. Used by AsyncEngine to clear the
-  // engine after a round failed mid-compute, so the leftovers cannot bleed
-  // into the next round's responses.
+  // discarded. Used by AsyncEngine to clear the engine after a round failed
+  // mid-compute, so the leftovers cannot bleed into the next round's
+  // responses.
   std::size_t discard_pending();
 
   std::size_t pending() const { return queue_.size(); }
@@ -320,6 +246,10 @@ class Engine {
   int hidden() const { return model_->config().hidden(); }
 
  private:
+  friend class AsyncEngine;  // hands down the id it assigned
+
+  RequestId submit(Request req, RequestId id);
+
   struct Pending {
     RequestId id;
     Tensor<fp16_t> hidden;
@@ -332,7 +262,7 @@ class Engine {
   par::Device dev_;
   core::Workspace ws_;  // every round, whatever its sessions, runs on it
   std::deque<Pending> queue_;
-  RequestIdTracker ids_;  // rejects duplicate caller-supplied ids
+  RequestId next_id_ = 0;
   EngineStats stats_;
 };
 

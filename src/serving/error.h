@@ -16,10 +16,12 @@
 //     and switch on code() when one handler serves every path — that is
 //     exactly what the wire server does.
 //   * DuplicateIdError derives from std::invalid_argument, not
-//     ServingError: a duplicate caller-supplied id is a programming error
-//     thrown on the submit thread (the contract every tier documents), and
-//     existing callers catch std::invalid_argument. It still reports
-//     code() == kDuplicateId so the wire can frame it.
+//     ServingError: it is wire-only — a client reusing a correlation id
+//     still in flight on its connection, a client programming error.
+//     In-process request ids are assigned by the serving tiers, never
+//     supplied, so no in-process submit can raise it. net::Client rethrows
+//     it from a kDuplicateId frame, and callers catch it as
+//     std::invalid_argument like the other validation errors.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,7 @@ namespace bt::serving {
 enum class ErrorCode : std::uint8_t {
   kOk = 0,
   kUnknownModel = 1,     // Request::model is not a registered name
-  kDuplicateId = 2,      // id collides with a queued or issued id
+  kDuplicateId = 2,      // wire: correlation id already in flight
   kBackpressure = 3,     // bounded queue full; retry later
   kDeadlineExceeded = 4, // deadline passed before compute; request shed
   kShutdown = 5,         // serving tier stopped (or failed terminally)
@@ -117,8 +119,9 @@ class InternalError : public ServingError {
       : ServingError(ErrorCode::kInternal, what) {}
 };
 
-// Duplicate caller-supplied request id — a programming error on the submit
-// thread (see the taxonomy note above for why this is invalid_argument).
+// Wire correlation id already in flight on its connection — a client
+// programming error (see the taxonomy note above for why this is
+// invalid_argument).
 class DuplicateIdError : public std::invalid_argument {
  public:
   explicit DuplicateIdError(const std::string& what)

@@ -244,6 +244,20 @@ void EnginePool::undo_route(const RouteDecision& d, long long tokens) {
 }
 
 std::future<Response> EnginePool::submit(Request req) {
+  return submit(std::move(req), std::nullopt);
+}
+
+std::future<Response> EnginePool::submit(Tensor<fp16_t> hidden) {
+  return submit(Request{std::move(hidden)});
+}
+
+std::optional<std::future<Response>> EnginePool::try_submit(Request req) {
+  return try_submit(std::move(req), std::nullopt);
+}
+
+std::future<Response> EnginePool::submit(Request req,
+                                         std::optional<RequestId> id) {
+  validate_request_shape("EnginePool::submit", req.hidden, hidden());
   RouteDecision decision;
   const long long tokens = req.hidden.dim(0);
   {
@@ -251,10 +265,7 @@ std::future<Response> EnginePool::submit(Request req) {
     if (stop_) {
       throw ShutdownError("EnginePool::submit: pool is stopped");
     }
-    // Pool-level id assignment keeps ids unique across replicas; each
-    // replica then sees a fresh caller-supplied id it cannot collide on.
-    req.id = validate_and_reserve_id("EnginePool::submit", req.hidden,
-                                     hidden(), req.id, ids_);
+    if (!id.has_value()) id = next_id_++;
     decision = route_and_account(req);
   }
   // Hand off outside the pool lock: a full replica queue blocks this
@@ -262,7 +273,7 @@ std::future<Response> EnginePool::submit(Request req) {
   // charge keeps the router honest meanwhile). A stop() racing this
   // hand-off surfaces as the replica's stopped error.
   try {
-    auto fut = engines_[decision.target]->submit(std::move(req));
+    auto fut = engines_[decision.target]->submit(std::move(req), id);
     finish_hand_off(decision, tokens);
     return fut;
   } catch (...) {
@@ -272,33 +283,21 @@ std::future<Response> EnginePool::submit(Request req) {
   }
 }
 
-std::future<Response> EnginePool::submit(Tensor<fp16_t> hidden) {
-  return submit(Request{-1, std::move(hidden), std::nullopt});
-}
-
-std::optional<std::future<Response>> EnginePool::try_submit(Request req) {
-  MutexLock lock(mutex_);
+std::optional<std::future<Response>> EnginePool::try_submit(
+    Request req, std::optional<RequestId> id) {
   // Same contract as AsyncEngine::try_submit: programming errors throw even
   // when the request would be declined.
-  validate_request("EnginePool::try_submit", req.hidden, hidden(), req.id,
-                   ids_);
-  if (stop_) return std::nullopt;
+  validate_request_shape("EnginePool::try_submit", req.hidden, hidden());
   const long long tokens = req.hidden.dim(0);
-  // Reserve only on acceptance, so a declined caller-supplied id can be
-  // resubmitted. Two-phase is safe because the pool lock is held across
-  // peek + replica hand-off + mark. (The replica call is non-blocking; its
-  // lock is always taken after the pool's, never the reverse.)
-  const RequestId id = req.id >= 0 ? req.id : ids_.next();
-  if (id == std::numeric_limits<RequestId>::max()) {
-    // Mirrors RequestIdTracker::reserve: marking the maximum id would
-    // overflow the watermark.
-    throw std::invalid_argument("EnginePool: request id space exhausted");
-  }
+  MutexLock lock(mutex_);
+  if (stop_) return std::nullopt;
+  if (!id.has_value()) id = next_id_++;
+  // The replica call is non-blocking and its lock is always taken after the
+  // pool's, never the reverse, so the whole route + hand-off + settle runs
+  // under one pool lock hold.
   const RouteDecision decision = route_and_account(req);
-  req.id = id;
-  auto fut = engines_[decision.target]->try_submit(std::move(req));
+  auto fut = engines_[decision.target]->try_submit(std::move(req), id);
   if (fut.has_value()) {
-    ids_.mark(id);
     settle_hand_off_locked(decision, tokens);
   } else {
     undo_route(decision, tokens);

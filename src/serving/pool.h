@@ -25,9 +25,9 @@
 //   scheduler threads and N workspaces, not N weight copies.
 //
 // Request ids
-//   The pool assigns ids from one pool-level tracker, so ids are unique
-//   across replicas and the duplicate-id contract of Engine::submit holds
-//   pool-wide.
+//   The pool assigns every id from one pool-level counter and hands it down
+//   to the chosen replica, so ids are unique across replicas and increase
+//   in submission order. A declined try_submit may burn one.
 //
 // Deadlines
 //   Request::deadline passes through to the target replica, whose batching
@@ -114,8 +114,7 @@ class EnginePool {
 
   // Routes the request to a replica and returns its future. Blocks while
   // the chosen replica's queue is full. Throws std::invalid_argument on a
-  // malformed tensor or duplicate caller-supplied id (pool-wide contract),
-  // std::runtime_error after stop().
+  // malformed tensor, std::runtime_error after stop().
   std::future<Response> submit(Request req) BT_EXCLUDES(mutex_);
   std::future<Response> submit(Tensor<fp16_t> hidden) BT_EXCLUDES(mutex_);
 
@@ -201,7 +200,17 @@ class EnginePool {
   int hidden() const { return engines_.front()->hidden(); }
 
  private:
+  friend class Service;  // hands down the id it assigned
+
   using Clock = std::chrono::steady_clock;
+
+  // The entry points behind the public ones: `id` is the owning tier's id,
+  // or std::nullopt to take the next value of next_id_ under the pool lock.
+  std::future<Response> submit(Request req, std::optional<RequestId> id)
+      BT_EXCLUDES(mutex_);
+  std::optional<std::future<Response>> try_submit(Request req,
+                                                  std::optional<RequestId> id)
+      BT_EXCLUDES(mutex_);
 
   struct RouteDecision {
     std::size_t target = 0;
@@ -251,14 +260,14 @@ class EnginePool {
   EnginePoolOptions opts_;
   std::vector<std::unique_ptr<AsyncEngine>> engines_;
 
-  // Router state, id tracker, routing accounting. Never held across a
+  // Router state, id counter, routing accounting. Never held across a
   // blocking replica call: submit() releases it before the hand-off, and
   // try_submit()'s whole chain under it is non-blocking (replica locks
   // order strictly after the pool's).
   mutable Mutex mutex_;
   std::unique_ptr<Router> router_ BT_GUARDED_BY(mutex_)
       BT_PT_GUARDED_BY(mutex_);
-  RequestIdTracker ids_ BT_GUARDED_BY(mutex_);
+  RequestId next_id_ BT_GUARDED_BY(mutex_) = 0;
   struct Routed {
     long long requests = 0;
     long long tokens = 0;

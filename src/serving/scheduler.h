@@ -19,7 +19,6 @@
 #include <span>
 #include <vector>
 
-#include "serving/batching.h"
 
 namespace bt::serving {
 

@@ -1,6 +1,5 @@
 #include "serving/service.h"
 
-#include <limits>
 #include <utility>
 
 #include "cache/prefix_cache.h"
@@ -10,19 +9,19 @@ namespace bt::serving {
 
 namespace {
 
-std::future<Response> resolved_error_future(std::exception_ptr error) {
-  std::promise<Response> promise;
-  promise.set_exception(std::move(error));
-  return promise.get_future();
-}
-
-// Unknown-model rejections never reach an AsyncEngine (the request enters
-// no pool), so the scheduler-side failure counters cannot see them; count
-// them here at the only place they happen.
-obs::Counter& unknown_model_counter() {
-  static obs::Counter& c =
+// A future already resolved with UnknownModelError. Unknown-model
+// rejections never reach an AsyncEngine (the request enters no pool), so
+// the scheduler-side failure counters cannot see them; count them here at
+// the only place they happen.
+std::future<Response> unknown_model_future(const char* who,
+                                           const std::string& name) {
+  static obs::Counter& counter =
       obs::MetricRegistry::global().counter("serving.errors.unknown_model");
-  return c;
+  counter.inc();
+  std::promise<Response> promise;
+  promise.set_exception(std::make_exception_ptr(UnknownModelError(
+      std::string(who) + ": unknown model \"" + name + "\"")));
+  return promise.get_future();
 }
 
 }  // namespace
@@ -71,79 +70,59 @@ std::future<Response> Service::submit(Request req) {
   // not allocate on the dispatch path.
   const std::string& name =
       req.model.has_value() ? *req.model : default_model_;
-  EnginePool* pool = nullptr;
+  // Model-independent programming errors throw on the caller thread even
+  // when the model name is unknown — otherwise a typo in the name would
+  // mask the real bug as a routing error. Only the hidden-width check must
+  // wait for model resolution.
+  validate_request_shape("Service::submit", req.hidden, /*hidden_dim=*/-1);
+  EnginePool* pool = find_pool(name);
+  if (pool != nullptr) {
+    validate_request_shape("Service::submit", req.hidden, pool->hidden());
+  }
+  RequestId id = 0;
   {
     MutexLock lock(mutex_);
     if (stop_) {
       throw ShutdownError("Service::submit: service is stopped");
     }
-    // Model-independent programming errors (malformed tensor, duplicate id)
-    // throw on the caller thread even when the model name is unknown —
-    // otherwise a typo in the name would mask the real bug as a routing
-    // error. Only the hidden-width check must wait for model resolution.
-    validate_request_shape("Service::submit", req.hidden, /*hidden_dim=*/-1);
-    validate_request_id("Service::submit", req.id, ids_);
-    const auto it = index_.find(name);
-    if (it == index_.end()) {
+    if (pool == nullptr) {
       // Routing error, not a programming error: resolve the future the
       // caller already awaits instead of throwing, and burn no request id
       // (the request never entered any pool).
-      unknown_model_counter().inc();
-      return resolved_error_future(std::make_exception_ptr(UnknownModelError(
-          "Service::submit: unknown model \"" + name + "\"")));
+      return unknown_model_future("Service::submit", name);
     }
-    pool = pools_[it->second].get();
-    // The resolved model defines the hidden width — the one check that had
-    // to wait. The id was validated above under this same lock hold, so
-    // reserve directly (no second tracker lookup): service-wide ids mean
-    // the same caller-supplied id is rejected even across different
-    // models, and the pool sees an id its own tracker cannot collide on.
-    validate_request_shape("Service::submit", req.hidden, pool->hidden());
-    req.id = ids_.reserve(req.id);
+    id = next_id_++;
   }
   // Hand off outside the service lock: one model's full replica queue must
   // not stall dispatch (or id assignment) for every other model.
-  return pool->submit(std::move(req));
+  return pool->submit(std::move(req), id);
 }
 
 std::future<Response> Service::submit(Tensor<fp16_t> hidden) {
-  Request req;
-  req.hidden = std::move(hidden);
-  return submit(std::move(req));
+  return submit(Request{std::move(hidden)});
 }
 
 std::optional<std::future<Response>> Service::try_submit(Request req) {
   const std::string& name =
       req.model.has_value() ? *req.model : default_model_;
-  MutexLock lock(mutex_);
   // Programming errors throw even when the request would be declined (the
   // try_submit contract of every tier below).
-  validate_request_shape("Service::try_submit", req.hidden, /*hidden_dim=*/-1);
-  validate_request_id("Service::try_submit", req.id, ids_);
-  if (stop_) return std::nullopt;
-  const auto it = index_.find(name);
-  if (it == index_.end()) {
-    unknown_model_counter().inc();
-    return resolved_error_future(std::make_exception_ptr(UnknownModelError(
-        "Service::try_submit: unknown model \"" + name + "\"")));
+  validate_request_shape("Service::try_submit", req.hidden,
+                         /*hidden_dim=*/-1);
+  EnginePool* pool = find_pool(name);
+  if (pool != nullptr) {
+    validate_request_shape("Service::try_submit", req.hidden, pool->hidden());
   }
-  EnginePool* pool = pools_[it->second].get();
-  validate_request_shape("Service::try_submit", req.hidden, pool->hidden());
-  // Two-phase id reservation, like EnginePool::try_submit: reserve the
-  // service-wide id only once the pool accepted, so a declined caller-
-  // supplied id can be resubmitted. Holding the service lock across the
-  // pool call is safe — the whole chain below is non-blocking, and pool
-  // locks are always taken after the service's, never the reverse. The
-  // hand-off cannot stall other models' blocking submits either: those
-  // release the service lock before their (blocking) pool hand-off.
-  const RequestId id = req.id >= 0 ? req.id : ids_.next();
-  if (id == std::numeric_limits<RequestId>::max()) {
-    throw std::invalid_argument("Service: request id space exhausted");
+  RequestId id = 0;
+  {
+    MutexLock lock(mutex_);
+    if (stop_) return std::nullopt;
+    if (pool == nullptr) {
+      return unknown_model_future("Service::try_submit", name);
+    }
+    id = next_id_++;
   }
-  req.id = id;
-  auto fut = pool->try_submit(std::move(req));
-  if (fut.has_value()) ids_.mark(id);
-  return fut;
+  return pool->try_submit(std::move(req), id);
 }
 
 void Service::stop() {
@@ -161,13 +140,18 @@ bool Service::stopped() const {
   return stop_;
 }
 
-const EnginePool& Service::pool_at(std::string_view model) const {
+EnginePool* Service::find_pool(std::string_view model) const {
   const auto it = index_.find(model);
-  if (it == index_.end()) {
+  return it == index_.end() ? nullptr : pools_[it->second].get();
+}
+
+const EnginePool& Service::pool_at(std::string_view model) const {
+  const EnginePool* pool = find_pool(model);
+  if (pool == nullptr) {
     throw std::out_of_range("Service: unknown model \"" + std::string(model) +
                             "\"");
   }
-  return *pools_[it->second];
+  return *pool;
 }
 
 EngineStats Service::stats() const {

@@ -24,18 +24,22 @@
 //   service.stop();                  // drains every model's pool
 //
 // Error contract
-//   * Malformed tensors and duplicate request ids are programming errors:
-//     submit() throws std::invalid_argument on the caller thread, exactly
-//     like the tiers below — even when the request also names an unknown
-//     model (the model-independent checks run first; only the hidden-width
-//     check needs the resolved model, so a wrong-width tensor aimed at an
-//     unknown model reports the unknown model). Ids are service-wide — the
-//     same id cannot be reused across different models.
+//   * Malformed tensors are programming errors: submit() throws
+//     std::invalid_argument on the caller thread, exactly like the tiers
+//     below — even when the request also names an unknown model (the
+//     model-independent checks run first; only the hidden-width check
+//     needs the resolved model, so a wrong-width tensor aimed at an
+//     unknown model reports the unknown model).
 //   * An unknown model name is a routing error, not a programming error: it
 //     travels the async path the caller already handles — submit() returns
 //     a future already resolved with UnknownModelError (never a throw on a
 //     scheduler thread, never a burned request id).
 //   * submit() after stop() throws std::runtime_error.
+//
+// Request ids
+//   The service assigns every id from one service-wide counter and hands
+//   it down to the model's pool, so ids are unique across models and
+//   increase in submission order. A declined try_submit may burn one.
 //
 // Single-model equivalence
 //   A Service with one registered model adds a name lookup and a
@@ -108,8 +112,7 @@ class Service {
   // service is stopped (the backpressure signal, same contract as
   // EnginePool/AsyncEngine::try_submit); programming errors still throw,
   // and an unknown model still comes back as an engaged future already
-  // resolved with UnknownModelError. A declined request burns no service-
-  // wide id — the same id can be resubmitted on retry.
+  // resolved with UnknownModelError.
   std::optional<std::future<Response>> try_submit(Request req)
       BT_EXCLUDES(mutex_);
 
@@ -149,6 +152,7 @@ class Service {
   long long pending_tokens() const;
 
  private:
+  EnginePool* find_pool(std::string_view model) const;  // nullptr: unknown
   const EnginePool& pool_at(std::string_view model) const;
 
   // registry_, default_model_, pools_, and index_ are written only by the
@@ -164,11 +168,9 @@ class Service {
   std::unordered_map<std::string, std::size_t, StringKeyHash, std::equal_to<>>
       index_;
 
-  // Service-wide id tracker + stop flag. Ordered before every pool's lock:
-  // try_submit holds it across the (non-blocking) pool call, never the
-  // reverse.
+  // Service-wide id counter + stop flag. Never held across a pool call.
   mutable Mutex mutex_;
-  RequestIdTracker ids_ BT_GUARDED_BY(mutex_);
+  RequestId next_id_ BT_GUARDED_BY(mutex_) = 0;
   bool stop_ BT_GUARDED_BY(mutex_) = false;
 };
 

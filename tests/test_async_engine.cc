@@ -122,7 +122,7 @@ TEST(AsyncEngine, BitMatchesSyncEngineUnderConcurrentSubmitters) {
           Rng rng(1000 + t * 100 + j);
           auto hidden = Tensor<fp16_t>::random_normal({len, h}, rng);
           inputs[slot] = hidden.clone();
-          futures[slot] = engine.submit(Request{-1, std::move(hidden)});
+          futures[slot] = engine.submit(Request{std::move(hidden)});
         }
       });
     }
@@ -145,7 +145,7 @@ TEST(AsyncEngine, BitMatchesSyncEngineUnderConcurrentSubmitters) {
     // Synchronous reference: same tensors in engine-id (i.e. queue) order.
     Engine sync(shared_model(), async_options(pc, kTotal, 0.0).engine);
     for (auto& [id, input] : inputs_by_id) {
-      ASSERT_EQ(sync.submit(Request{id, input.clone()}), id);
+      ASSERT_EQ(sync.submit(input.clone()), id);
     }
     const auto want = sync.drain();
     ASSERT_EQ(want.size(), static_cast<std::size_t>(kTotal));
@@ -233,7 +233,7 @@ TEST(AsyncEngine, SubmitAfterStopThrowsAndTrySubmitDeclines) {
   EXPECT_THROW(engine.submit(Tensor<fp16_t>::random_normal({3, h}, rng)),
                std::runtime_error);
   EXPECT_FALSE(
-      engine.try_submit(Request{-1, Tensor<fp16_t>::random_normal({3, h}, rng)})
+      engine.try_submit(Request{Tensor<fp16_t>::random_normal({3, h}, rng)})
           .has_value());
 }
 
@@ -251,11 +251,11 @@ TEST(AsyncEngine, TrySubmitAppliesBackpressureWhenQueueIsFull) {
   auto first = engine.submit(Tensor<fp16_t>::random_normal({512, h}, rng));
   auto second = engine.submit(Tensor<fp16_t>::random_normal({512, h}, rng));
   auto declined =
-      engine.try_submit(Request{-1, Tensor<fp16_t>::random_normal({4, h}, rng)});
+      engine.try_submit(Request{Tensor<fp16_t>::random_normal({4, h}, rng)});
   EXPECT_FALSE(declined.has_value());
   // Programming errors are never masked as backpressure: a malformed
   // request throws even while the queue is full.
-  EXPECT_THROW(engine.try_submit(Request{-1, Tensor<fp16_t>::zeros({4})}),
+  EXPECT_THROW(engine.try_submit(Request{Tensor<fp16_t>::zeros({4})}),
                std::invalid_argument);
 
   EXPECT_EQ(first.get().output.dim(0), 512);
@@ -280,7 +280,7 @@ TEST(AsyncEngine, TokenSaturatedRoundDispatchesBeforeWindowCloses) {
   engine.stop();
 }
 
-TEST(AsyncEngine, RejectsMalformedRequestsAndDuplicateIds) {
+TEST(AsyncEngine, RejectsMalformedRequests) {
   AsyncEngine engine(shared_model(),
                      async_options(all_policies()[2], 8, /*max_wait=*/30.0));
   const std::int64_t h = engine.hidden();
@@ -293,18 +293,15 @@ TEST(AsyncEngine, RejectsMalformedRequestsAndDuplicateIds) {
   EXPECT_THROW(engine.submit(Tensor<fp16_t>::zeros({4, h + 1})),
                std::invalid_argument);  // wrong hidden
 
-  auto ok =
-      engine.submit(Request{42, Tensor<fp16_t>::random_normal({3, h}, rng)});
-  EXPECT_THROW(
-      engine.submit(Request{42, Tensor<fp16_t>::random_normal({3, h}, rng)}),
-      std::invalid_argument);
-  // try_submit shares the id contract: programming errors throw rather than
+  // try_submit shares the contract: programming errors throw rather than
   // masquerading as backpressure.
-  EXPECT_THROW(engine.try_submit(
-                   Request{42, Tensor<fp16_t>::random_normal({3, h}, rng)}),
+  EXPECT_THROW(engine.try_submit(Request{Tensor<fp16_t>::zeros({4, h + 1})}),
                std::invalid_argument);
+
+  // None of the rejected submissions consumed an id.
+  auto ok = engine.submit(Tensor<fp16_t>::random_normal({3, h}, rng));
   engine.stop();
-  EXPECT_EQ(ok.get().id, 42);
+  EXPECT_EQ(ok.get().id, 0);
 }
 
 TEST(AsyncEngine, RejectsInconsistentOptions) {
@@ -343,11 +340,11 @@ TEST(AsyncEngine, DeadlineRequestsPopEarliestDeadlineFirst) {
   // submits below then queue while the blocker computes.
   auto blocker = engine.submit(Tensor<fp16_t>::random_normal({1024, h}, rng));
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  auto late = engine.submit(Request{-1, Tensor<fp16_t>::random_normal({3, h}, rng),
+  auto late = engine.submit(Request{Tensor<fp16_t>::random_normal({3, h}, rng),
                                     deadline_in(100.0)});
-  auto mid = engine.submit(Request{-1, Tensor<fp16_t>::random_normal({4, h}, rng),
+  auto mid = engine.submit(Request{Tensor<fp16_t>::random_normal({4, h}, rng),
                                    deadline_in(50.0)});
-  auto soon = engine.submit(Request{-1, Tensor<fp16_t>::random_normal({5, h}, rng),
+  auto soon = engine.submit(Request{Tensor<fp16_t>::random_normal({5, h}, rng),
                                     deadline_in(10.0)});
 
   EXPECT_EQ(blocker.get().round, 0);
@@ -386,7 +383,7 @@ TEST(AsyncEngine, NearDeadlineClosesBatchingWindowEarly) {
   AsyncEngine engine(shared_model(), opts);
   const std::int64_t h = engine.hidden();
   Rng rng(23);
-  auto fut = engine.submit(Request{-1, Tensor<fp16_t>::random_normal({6, h}, rng),
+  auto fut = engine.submit(Request{Tensor<fp16_t>::random_normal({6, h}, rng),
                                    deadline_in(0.05)});
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(10)), std::future_status::ready);
   EXPECT_EQ(fut.get().output.dim(0), 6);
@@ -407,12 +404,12 @@ TEST(AsyncEngine, ShedsRequestsWhoseDeadlinePassedBeforeCompute) {
 
   // Expired on arrival.
   auto dead = engine.submit(Request{
-      -1, Tensor<fp16_t>::random_normal({5, h}, rng), deadline_in(-0.001)});
+      Tensor<fp16_t>::random_normal({5, h}, rng), deadline_in(-0.001)});
   EXPECT_THROW(dead.get(), DeadlineExceeded);
 
   // Plenty of slack: computes and resolves inside its deadline.
   auto alive = engine.submit(Request{
-      -1, Tensor<fp16_t>::random_normal({5, h}, rng), deadline_in(600.0)});
+      Tensor<fp16_t>::random_normal({5, h}, rng), deadline_in(600.0)});
   EXPECT_EQ(alive.get().output.dim(0), 5);
   engine.stop();
 
@@ -450,7 +447,7 @@ TEST(AsyncEngine, DeadlinePassingDuringComputeCountsAsMissed) {
                            << len;
 
   auto fut = engine.submit(Request{
-      -1, Tensor<fp16_t>::random_normal({len, h}, rng),
+      Tensor<fp16_t>::random_normal({len, h}, rng),
       deadline_in(compute * 0.25)});
   EXPECT_EQ(fut.get().output.dim(0), len);  // computed and delivered, late
   engine.stop();

@@ -3,7 +3,6 @@
 // queue-edge behaviour.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -292,73 +291,6 @@ TEST(Engine, RejectsInconsistentOptions) {
   EXPECT_THROW(Engine(model, opts), std::invalid_argument);
 }
 
-TEST(Engine, CallerSuppliedIdsStayDisjointFromAutoIds) {
-  Engine engine(shared_model(),
-                options_for(BatchPolicy::kPacked,
-                            core::OptFlags::byte_transformer()));
-  const std::int64_t h = engine.hidden();
-  Rng rng(11);
-  EXPECT_EQ(engine.submit(Request{5, Tensor<fp16_t>::random_normal({3, h}, rng)}),
-            5);
-  // Auto-assignment must skip past the caller's id, not reuse 0..5.
-  EXPECT_EQ(engine.submit(Tensor<fp16_t>::random_normal({3, h}, rng)), 6);
-  const auto responses = engine.drain();
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_NE(responses[0].id, responses[1].id);
-}
-
-TEST(Engine, SubmitRejectsDuplicateCallerIds) {
-  Engine engine(shared_model(),
-                options_for(BatchPolicy::kPacked,
-                            core::OptFlags::byte_transformer()));
-  const std::int64_t h = engine.hidden();
-  Rng rng(12);
-
-  // Collision with a still-queued caller-supplied id.
-  engine.submit(Request{3, Tensor<fp16_t>::random_normal({2, h}, rng)});
-  EXPECT_THROW(
-      engine.submit(Request{3, Tensor<fp16_t>::random_normal({2, h}, rng)}),
-      std::invalid_argument);
-
-  // Collision with an auto-assigned id that is still queued.
-  const RequestId auto_id =
-      engine.submit(Tensor<fp16_t>::random_normal({2, h}, rng));
-  EXPECT_THROW(engine.submit(Request{auto_id,
-                                     Tensor<fp16_t>::random_normal({2, h}, rng)}),
-               std::invalid_argument);
-
-  // Ids stay burned after the response was issued: resubmitting a completed
-  // id would produce a second Response with the same id.
-  engine.drain();
-  EXPECT_THROW(
-      engine.submit(Request{3, Tensor<fp16_t>::random_normal({2, h}, rng)}),
-      std::invalid_argument);
-  EXPECT_THROW(engine.submit(Request{auto_id,
-                                     Tensor<fp16_t>::random_normal({2, h}, rng)}),
-               std::invalid_argument);
-
-  // The failed submissions must not have enqueued anything, and fresh ids
-  // still work.
-  EXPECT_EQ(engine.pending(), 0u);
-  const RequestId fresh =
-      engine.submit(Request{100, Tensor<fp16_t>::random_normal({2, h}, rng)});
-  EXPECT_EQ(fresh, 100);
-  const auto responses = engine.drain();
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].id, 100);
-
-  // Ids the jump to 100 skipped over were never issued: filling one of the
-  // gaps is legal exactly once, and auto-assignment continues past the
-  // watermark.
-  EXPECT_EQ(engine.submit(Request{50, Tensor<fp16_t>::random_normal({2, h}, rng)}),
-            50);
-  EXPECT_THROW(
-      engine.submit(Request{50, Tensor<fp16_t>::random_normal({2, h}, rng)}),
-      std::invalid_argument);
-  EXPECT_EQ(engine.submit(Tensor<fp16_t>::random_normal({2, h}, rng)), 101);
-  engine.drain();
-}
-
 TEST(Engine, DiscardPendingDropsQueueAndBurnsIds) {
   Engine engine(shared_model(),
                 options_for(BatchPolicy::kPacked,
@@ -366,61 +298,18 @@ TEST(Engine, DiscardPendingDropsQueueAndBurnsIds) {
   const std::int64_t h = engine.hidden();
   Rng rng(13);
   const RequestId a = engine.submit(Tensor<fp16_t>::random_normal({3, h}, rng));
+  EXPECT_EQ(a, 0);
   const RequestId b = engine.submit(Tensor<fp16_t>::random_normal({5, h}, rng));
   EXPECT_EQ(engine.discard_pending(), 2u);
   EXPECT_EQ(engine.pending(), 0u);
   EXPECT_TRUE(engine.drain().empty());
-  // Discarded ids stay burned; the engine keeps working for new requests.
-  EXPECT_THROW(
-      engine.submit(Request{a, Tensor<fp16_t>::random_normal({2, h}, rng)}),
-      std::invalid_argument);
+  // Discarded ids stay burned (never reissued); the engine keeps working
+  // for new requests.
   const RequestId c = engine.submit(Tensor<fp16_t>::random_normal({2, h}, rng));
   EXPECT_GT(c, b);
   const auto responses = engine.drain();
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].id, c);
-}
-
-TEST(RequestIdTracker, WatermarkAndGapSemantics) {
-  RequestIdTracker ids;
-  EXPECT_FALSE(ids.issued(0));
-  EXPECT_EQ(ids.next(), 0);
-
-  ids.mark(0);
-  ids.mark(1);
-  EXPECT_TRUE(ids.issued(0));
-  EXPECT_TRUE(ids.issued(1));
-  EXPECT_EQ(ids.next(), 2);
-
-  ids.mark(10);  // gap [2, 10)
-  EXPECT_EQ(ids.next(), 11);
-  EXPECT_TRUE(ids.issued(10));
-  for (RequestId g = 2; g < 10; ++g) EXPECT_FALSE(ids.issued(g)) << g;
-
-  ids.mark(5);  // splits the gap into [2, 5) and [6, 10)
-  EXPECT_TRUE(ids.issued(5));
-  EXPECT_FALSE(ids.issued(4));
-  EXPECT_FALSE(ids.issued(6));
-
-  ids.mark(2);  // shrinks [2, 5) to [3, 5)
-  ids.mark(4);  // shrinks [3, 5) to [3, 4)
-  EXPECT_TRUE(ids.issued(2));
-  EXPECT_FALSE(ids.issued(3));
-  EXPECT_TRUE(ids.issued(4));
-
-  ids.mark(3);  // gap [3, 4) fully consumed
-  for (RequestId g = 0; g < 6; ++g) EXPECT_TRUE(ids.issued(g)) << g;
-  EXPECT_FALSE(ids.issued(11));
-}
-
-TEST(RequestIdTracker, RejectsWatermarkOverflow) {
-  constexpr RequestId kMax = std::numeric_limits<RequestId>::max();
-  RequestIdTracker ids;
-  EXPECT_THROW(ids.reserve(kMax), std::invalid_argument);
-  // A caller id just below the edge is fine, but the next auto id would
-  // land on kMax and overflow the watermark.
-  EXPECT_EQ(ids.reserve(kMax - 1), kMax - 1);
-  EXPECT_THROW(ids.reserve(-1), std::invalid_argument);
 }
 
 TEST(Engine, SubmitRejectsMalformedHidden) {
@@ -433,11 +322,6 @@ TEST(Engine, SubmitRejectsMalformedHidden) {
                std::invalid_argument);  // zero-length
   EXPECT_THROW(engine.submit(Tensor<fp16_t>::zeros({4, engine.hidden() + 1})),
                std::invalid_argument);  // wrong hidden dim
-  // The maximum representable id would overflow the tracker's watermark.
-  EXPECT_THROW(
-      engine.submit(Request{std::numeric_limits<RequestId>::max(),
-                            Tensor<fp16_t>::zeros({4, engine.hidden()})}),
-      std::invalid_argument);
 }
 
 TEST(OptFlags, PresetsValidateAndNamesCarryVariant) {

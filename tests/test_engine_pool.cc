@@ -5,6 +5,7 @@
 // shutdown semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -14,6 +15,16 @@
 #include "core/model.h"
 #include "serving/pool.h"
 #include "tensor/tensor.h"
+
+// mallinfo2 (glibc >= 2.33) sees the real heap; sanitizers replace the
+// allocator, so the heap-growth regression test skips under them.
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#if __GLIBC_PREREQ(2, 33)
+#include <malloc.h>
+#define BT_HEAP_PROBE 1
+#endif
+#endif
 
 namespace bt::serving {
 namespace {
@@ -151,20 +162,20 @@ TEST(EnginePool, BitMatchesSingleAsyncEnginePerPolicyUnderConcurrentSubmitters) 
             Rng rng(1000 + t * 100 + j);
             auto hidden = Tensor<fp16_t>::random_normal({len, h}, rng);
             inputs[slot] = hidden.clone();
-            futures[slot] = pool.submit(Request{-1, std::move(hidden)});
+            futures[slot] = pool.submit(Request{std::move(hidden)});
           }
         });
       }
       for (auto& s : submitters) s.join();
 
-      // Reference: the identical request contents served by one AsyncEngine
-      // (caller ids = slots so responses map back).
+      // Reference: the identical request contents served by one AsyncEngine,
+      // its futures indexed by slot.
       AsyncEngineOptions single = pool.options().engine;
       AsyncEngine reference(shared_model(), single);
       std::vector<std::future<Response>> want(kTotal);
       for (int slot = 0; slot < kTotal; ++slot) {
-        want[static_cast<std::size_t>(slot)] = reference.submit(
-            Request{slot, inputs[static_cast<std::size_t>(slot)].clone()});
+        want[static_cast<std::size_t>(slot)] =
+            reference.submit(inputs[static_cast<std::size_t>(slot)].clone());
       }
 
       for (int slot = 0; slot < kTotal; ++slot) {
@@ -264,32 +275,99 @@ TEST(EnginePool, LeastOutstandingRoutingBalancesLoad) {
 
 // ---- pool-wide id contract --------------------------------------------------
 
-TEST(EnginePool, IdsAreUniqueAcrossReplicasAndDuplicatesRejected) {
+// The pool assigns every id and hands it down, so ids are unique across
+// replicas and follow submission order even though round-robin spreads
+// consecutive requests over all four replicas.
+TEST(EnginePool, IdsAreUniqueAndFollowSubmissionOrderAcrossReplicas) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 16;
+  constexpr int kTotal = kThreads * kPerThread;
   EnginePool pool(shared_model(),
-                  pool_options(all_policies()[2], 2, RoutePolicy::kRoundRobin,
-                               8, /*max_wait=*/30.0));
+                  pool_options(all_policies()[2], /*replicas=*/4,
+                               RoutePolicy::kRoundRobin, 8,
+                               /*max_wait=*/0.0005));
   const std::int64_t h = pool.hidden();
-  Rng rng(8);
 
-  // Auto ids count up pool-wide even though round-robin alternates replicas.
-  auto f0 = pool.submit(Tensor<fp16_t>::random_normal({2, h}, rng));
-  auto f1 = pool.submit(Tensor<fp16_t>::random_normal({2, h}, rng));
-  // A caller-supplied id collides pool-wide, even when the router would have
-  // sent it to the other replica.
-  auto f7 = pool.submit(Request{7, Tensor<fp16_t>::random_normal({2, h}, rng)});
-  EXPECT_THROW(
-      pool.submit(Request{7, Tensor<fp16_t>::random_normal({2, h}, rng)}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      pool.submit(Request{0, Tensor<fp16_t>::random_normal({2, h}, rng)}),
-      std::invalid_argument);
-  // Malformed tensors throw the Engine contract's error.
+  // Malformed tensors throw the Engine contract's error and take no id.
   EXPECT_THROW(pool.submit(Tensor<fp16_t>::zeros({4})), std::invalid_argument);
 
+  // One submitter: ids count up from 0 in submission order.
+  Rng rng(8);
+  std::vector<std::future<Response>> sequential;
+  for (int i = 0; i < 8; ++i) {
+    sequential.push_back(
+        pool.submit(Tensor<fp16_t>::random_normal({2, h}, rng)));
+  }
+  std::vector<bool> replica_used(4, false);
+  for (int i = 0; i < 8; ++i) {
+    const Response r = sequential[static_cast<std::size_t>(i)].get();
+    EXPECT_EQ(r.id, i);
+    replica_used[static_cast<std::size_t>(r.replica)] = true;
+  }
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(replica_used[i]) << "replica " << i;
+
+  // Concurrent submitters: every id is issued exactly once, and each
+  // thread's ids increase in its own submission order.
+  std::vector<std::vector<RequestId>> ids(kThreads);
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      Rng trng(100 + t);
+      std::vector<std::future<Response>> futures;
+      for (int j = 0; j < kPerThread; ++j) {
+        futures.push_back(
+            pool.submit(Tensor<fp16_t>::random_normal({1 + j % 3, h}, trng)));
+      }
+      for (auto& f : futures) ids[static_cast<std::size_t>(t)].push_back(f.get().id);
+    });
+  }
+  for (auto& s : submitters) s.join();
   pool.stop();
-  EXPECT_EQ(f0.get().id, 0);
-  EXPECT_EQ(f1.get().id, 1);
-  EXPECT_EQ(f7.get().id, 7);
+
+  std::vector<RequestId> all;
+  for (const auto& per_thread : ids) {
+    EXPECT_TRUE(std::is_sorted(per_thread.begin(), per_thread.end()));
+    all.insert(all.end(), per_thread.begin(), per_thread.end());
+  }
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(all.size(), static_cast<std::size_t>(kTotal));
+  for (int i = 0; i < kTotal; ++i) {
+    EXPECT_EQ(all[static_cast<std::size_t>(i)], 8 + i);  // dense, no repeats
+  }
+}
+
+// A long-running pool must hold its heap flat: once warm, no tier may keep
+// per-request state after the request resolved. Round-robin over four
+// replicas is the case where a per-replica record of issued ids would gain
+// an entry for every request routed to another replica.
+TEST(EnginePool, SteadyStateServingKeepsTheHeapFlat) {
+#ifndef BT_HEAP_PROBE
+  GTEST_SKIP() << "needs glibc's own allocator for mallinfo2";
+#else
+  EnginePool pool(shared_model(),
+                  pool_options(all_policies()[2], /*replicas=*/4,
+                               RoutePolicy::kRoundRobin, 8,
+                               /*max_wait=*/0.0));
+  const std::int64_t h = pool.hidden();
+  Rng rng(12);
+  const Tensor<fp16_t> row = Tensor<fp16_t>::random_normal({1, h}, rng);
+  const auto serve = [&](int n) {
+    std::vector<std::future<Response>> inflight;
+    inflight.reserve(64);
+    for (int done = 0; done < n; done += 64) {
+      for (int i = 0; i < 64; ++i) inflight.push_back(pool.submit(row.clone()));
+      for (auto& f : inflight) f.get();
+      inflight.clear();
+    }
+  };
+  serve(2000);  // warm-up: workspaces, metrics, trace ring reach full size
+  const std::size_t before = mallinfo2().uordblks;
+  serve(8000);
+  const std::size_t after = mallinfo2().uordblks;
+  pool.stop();
+  EXPECT_LT(after, before + 256 * 1024)
+      << "heap grew " << (after - before) << " B over 8000 requests";
+#endif
 }
 
 // ---- lifecycle --------------------------------------------------------------
@@ -320,11 +398,11 @@ TEST(EnginePool, StopDrainsEveryReplicaAndRejectsLateSubmits) {
   EXPECT_THROW(pool.submit(Tensor<fp16_t>::random_normal({3, h}, rng)),
                std::runtime_error);
   EXPECT_FALSE(
-      pool.try_submit(Request{-1, Tensor<fp16_t>::random_normal({3, h}, rng)})
+      pool.try_submit(Request{Tensor<fp16_t>::random_normal({3, h}, rng)})
           .has_value());
 }
 
-TEST(EnginePool, TrySubmitDeclineDoesNotBurnTheCallerSuppliedId) {
+TEST(EnginePool, TrySubmitDeclineLeavesNoTraceInRouting) {
   // One replica, one queue slot: occupy the scheduler with a long round and
   // fill the slot so the decline path is exercised deterministically.
   EnginePoolOptions opts =
@@ -338,17 +416,17 @@ TEST(EnginePool, TrySubmitDeclineDoesNotBurnTheCallerSuppliedId) {
   auto first = pool.submit(Tensor<fp16_t>::random_normal({512, h}, rng));
   auto second = pool.submit(Tensor<fp16_t>::random_normal({512, h}, rng));
   auto declined =
-      pool.try_submit(Request{99, Tensor<fp16_t>::random_normal({4, h}, rng)});
+      pool.try_submit(Request{Tensor<fp16_t>::random_normal({4, h}, rng)});
   EXPECT_FALSE(declined.has_value());
 
   EXPECT_EQ(first.get().output.dim(0), 512);
-  EXPECT_EQ(second.get().output.dim(0), 512);
-  // The declined id was not reserved: resubmitting it succeeds.
-  auto retry =
-      pool.submit(Request{99, Tensor<fp16_t>::random_normal({4, h}, rng)});
-  EXPECT_EQ(retry.get().id, 99);
+  const RequestId second_id = second.get().id;
+  // The retry gets a fresh id after every earlier one (the declined attempt
+  // may have burned one).
+  auto retry = pool.submit(Tensor<fp16_t>::random_normal({4, h}, rng));
+  EXPECT_GT(retry.get().id, second_id);
   pool.stop();
-  // Declined attempts also left no trace in the routing accounting.
+  // Declined attempts left no trace in the routing accounting.
   const auto rs = pool.replica_stats();
   EXPECT_EQ(rs[0].routed_requests, 3);
 }

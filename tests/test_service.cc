@@ -220,12 +220,12 @@ TEST(Service, SingleModelBitMatchesBareEnginePoolPerPolicyUnderConcurrentSubmitt
     for (auto& s : submitters) s.join();
 
     // Reference: identical request contents on a bare EnginePool with the
-    // same options (caller ids = slots so responses map back).
+    // same options, its futures indexed by slot.
     EnginePool reference(model_a(), opts);
     std::vector<std::future<Response>> want(kTotal);
     for (int slot = 0; slot < kTotal; ++slot) {
-      want[static_cast<std::size_t>(slot)] = reference.submit(
-          Request{slot, inputs[static_cast<std::size_t>(slot)].clone()});
+      want[static_cast<std::size_t>(slot)] =
+          reference.submit(inputs[static_cast<std::size_t>(slot)].clone());
     }
 
     for (int slot = 0; slot < kTotal; ++slot) {
@@ -289,9 +289,9 @@ TEST(Service, DispatchesByModelKeyWithPerModelAccounting) {
 // ---- error paths ------------------------------------------------------------
 
 // An unknown model is a routing error: submit() must not throw (and must
-// not burn the caller-supplied id) — the returned future is already
-// resolved with UnknownModelError, the same async path every other
-// per-request failure travels.
+// not burn a request id) — the returned future is already resolved with
+// UnknownModelError, the same async path every other per-request failure
+// travels.
 TEST(Service, UnknownModelResolvesTheFutureWithErrorInsteadOfThrowing) {
   ModelRegistry registry;
   registry.add("a", model_a(),
@@ -302,38 +302,32 @@ TEST(Service, UnknownModelResolvesTheFutureWithErrorInsteadOfThrowing) {
   Rng rng(12);
 
   Request req;
-  req.id = 5;
   req.hidden = Tensor<fp16_t>::random_normal({4, h}, rng);
   req.model = "nope";
   std::future<Response> fut = service.submit(std::move(req));  // no throw
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   EXPECT_THROW(fut.get(), UnknownModelError);
 
-  // The rejected submit burned nothing: id 5 is still free.
+  // The rejected submit burned nothing: the next request gets id 0.
   Request retry;
-  retry.id = 5;
   retry.hidden = Tensor<fp16_t>::random_normal({4, h}, rng);
   retry.model = "a";
-  EXPECT_EQ(service.submit(std::move(retry)).get().id, 5);
+  EXPECT_EQ(service.submit(std::move(retry)).get().id, 0);
   EXPECT_EQ(service.stats().requests, 1);
 
   // Programming errors are not masked by an unknown model name: the
-  // model-independent checks (shape, duplicate id) still throw.
+  // model-independent shape check still throws.
   Request bad_shape;
   bad_shape.hidden = Tensor<fp16_t>::zeros({4});  // rank 1
   bad_shape.model = "nope";
   EXPECT_THROW(service.submit(std::move(bad_shape)), std::invalid_argument);
-  Request dup_id;
-  dup_id.id = 5;  // issued above
-  dup_id.hidden = Tensor<fp16_t>::random_normal({4, h}, rng);
-  dup_id.model = "nope";
-  EXPECT_THROW(service.submit(std::move(dup_id)), std::invalid_argument);
   service.stop();
 }
 
-// Ids are service-wide: a caller-supplied id used for one model cannot be
-// reused for a different model, exactly as within one pool.
-TEST(Service, DuplicateRequestIdAcrossModelsIsRejected) {
+// Ids are service-wide: requests to different models draw from one counter,
+// so two models' responses never carry the same id, and ids follow
+// submission order across models.
+TEST(Service, IdsAreUniqueAcrossModels) {
   const EnginePoolOptions opts =
       pool_options(all_policies()[2], 1, RoutePolicy::kRoundRobin, 8, 0.0);
   ModelRegistry registry;
@@ -343,25 +337,20 @@ TEST(Service, DuplicateRequestIdAcrossModelsIsRejected) {
   const std::int64_t h = service.pool("a").hidden();
   Rng rng(13);
 
-  Request first;
-  first.id = 7;
-  first.hidden = Tensor<fp16_t>::random_normal({3, h}, rng);
-  first.model = "a";
-  auto f = service.submit(std::move(first));
-
-  Request dup;
-  dup.id = 7;
-  dup.hidden = Tensor<fp16_t>::random_normal({3, h}, rng);
-  dup.model = "b";  // different model, same id: still rejected
-  EXPECT_THROW(service.submit(std::move(dup)), std::invalid_argument);
-
-  // Auto ids stay disjoint from caller-supplied ones service-wide, so two
-  // models' responses can never carry the same id.
-  Request to_b;
-  to_b.hidden = Tensor<fp16_t>::random_normal({3, h}, rng);
-  to_b.model = "b";
-  EXPECT_EQ(service.submit(std::move(to_b)).get().id, 8);
-  EXPECT_EQ(f.get().id, 7);
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 8; ++i) {
+    Request req;
+    req.hidden = Tensor<fp16_t>::random_normal({3, h}, rng);
+    req.model = i % 3 == 0 ? "a" : "b";
+    futures.push_back(service.submit(std::move(req)));
+  }
+  for (int i = 0; i < 8; ++i) {
+    const Response r = futures[static_cast<std::size_t>(i)].get();
+    EXPECT_EQ(r.id, i);
+    EXPECT_EQ(r.model, i % 3 == 0 ? "a" : "b");
+  }
+  EXPECT_EQ(service.stats("a").requests, 3);
+  EXPECT_EQ(service.stats("b").requests, 5);
 
   // Malformed tensors throw the Engine contract's error.
   EXPECT_THROW(service.submit(Tensor<fp16_t>::zeros({4})),

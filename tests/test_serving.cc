@@ -3,9 +3,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
-#include "serving/batching.h"
 #include "serving/request_gen.h"
 #include "serving/scheduler.h"
 
@@ -50,9 +50,15 @@ TEST(RequestGen, ArrivalsAreMonotone) {
   EXPECT_NEAR(t.back() / 500.0, 0.01, 0.004);
 }
 
+// kSortGroup geometry: plan_batch sorts by descending length and chunks
+// into micro-batches of at most group_size, each padded to its own max.
+BatchPlan sort_group(std::span<const int> lens, int group_size) {
+  return plan_batch(BatchPolicy::kSortGroup, lens, group_size);
+}
+
 TEST(Batching, GroupsRespectSizeAndOrder) {
   const std::vector<int> lens{5, 30, 12, 64, 8, 40, 22, 3};
-  const auto groups = group_by_length(lens, 3);
+  const auto groups = sort_group(lens, 3).micro;
   EXPECT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[0].indices.size(), 3u);
   EXPECT_EQ(groups[2].indices.size(), 2u);
@@ -72,44 +78,44 @@ TEST(Batching, GroupsRespectSizeAndOrder) {
 
 TEST(Batching, GroupSizeZeroMeansPadToMax) {
   const std::vector<int> lens{5, 30, 12};
-  const auto groups = group_by_length(lens, 0);
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0].max_len, 30);
-  EXPECT_EQ(padded_tokens(groups, lens), 3 * 30);
+  const auto plan = sort_group(lens, 0);
+  ASSERT_EQ(plan.micro.size(), 1u);
+  EXPECT_EQ(plan.micro[0].max_len, 30);
+  EXPECT_EQ(plan.processed_tokens, 3 * 30);
 }
 
 TEST(Batching, GroupingReducesPaddedTokens) {
   Rng rng(205);
   const auto lens = gen_lengths(64, 512, 0.5, rng);
-  const auto one = group_by_length(lens, 0);
-  const auto grouped = group_by_length(lens, 8);
+  const auto one = sort_group(lens, 0);
+  const auto grouped = sort_group(lens, 8);
   long long valid = 0;
   for (int l : lens) valid += l;
-  EXPECT_LT(padded_tokens(grouped, lens), padded_tokens(one, lens));
+  EXPECT_LT(grouped.processed_tokens, one.processed_tokens);
   // But grouping never reaches the packed (zero-waste) level for non-uniform
   // lengths.
-  EXPECT_GT(padded_tokens(grouped, lens), valid);
+  EXPECT_GT(grouped.processed_tokens, valid);
 }
 
 TEST(Batching, SingleRequestGroup) {
   const std::vector<int> lens{17};
-  const auto groups = group_by_length(lens, 4);
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0].max_len, 17);
-  EXPECT_EQ(padded_tokens(groups, lens), 17);
+  const auto plan = sort_group(lens, 4);
+  ASSERT_EQ(plan.micro.size(), 1u);
+  EXPECT_EQ(plan.micro[0].max_len, 17);
+  EXPECT_EQ(plan.processed_tokens, 17);
 }
 
 TEST(Batching, EmptyLengthsYieldNoGroups) {
   const std::vector<int> lens;
-  EXPECT_TRUE(group_by_length(lens, 4).empty());
-  EXPECT_TRUE(group_by_length(lens, 0).empty());
-  EXPECT_EQ(padded_tokens(group_by_length(lens, 4), lens), 0);
+  EXPECT_TRUE(sort_group(lens, 4).micro.empty());
+  EXPECT_TRUE(sort_group(lens, 0).micro.empty());
+  EXPECT_EQ(sort_group(lens, 4).processed_tokens, 0);
 }
 
 TEST(Batching, NonPositiveGroupSizeMeansOneGroup) {
   const std::vector<int> lens{9, 2, 5, 7};
   for (int gs : {0, -1, -100}) {
-    const auto groups = group_by_length(lens, gs);
+    const auto groups = sort_group(lens, gs).micro;
     ASSERT_EQ(groups.size(), 1u) << "group_size=" << gs;
     EXPECT_EQ(groups[0].indices.size(), lens.size());
     EXPECT_EQ(groups[0].max_len, 9);
@@ -118,13 +124,13 @@ TEST(Batching, NonPositiveGroupSizeMeansOneGroup) {
 
 TEST(Batching, AllEqualLengthsGroupWithoutPadding) {
   const std::vector<int> lens(8, 7);
-  const auto groups = group_by_length(lens, 3);
-  ASSERT_EQ(groups.size(), 3u);  // 3 + 3 + 2
+  const auto plan = sort_group(lens, 3);
+  ASSERT_EQ(plan.micro.size(), 3u);  // 3 + 3 + 2
   long long valid = 0;
   for (int l : lens) valid += l;
-  for (const auto& g : groups) EXPECT_EQ(g.max_len, 7);
+  for (const auto& g : plan.micro) EXPECT_EQ(g.max_len, 7);
   // Uniform lengths are the one case where grouping reaches zero waste.
-  EXPECT_EQ(padded_tokens(groups, lens), valid);
+  EXPECT_EQ(plan.processed_tokens, valid);
 }
 
 TEST(RequestGen, ArrivalsMeanInterArrivalMatchesRate) {
@@ -147,12 +153,12 @@ TEST(RequestGen, ArrivalsMeanInterArrivalMatchesRate) {
 }
 
 TEST(Batching, EqualLengthTiesKeepSubmissionOrder) {
-  // Regression: group_by_length used std::sort with a length-only
+  // Regression: the kSortGroup grouping used std::sort with a length-only
   // comparator, leaving equal-length requests in implementation-defined
   // order — micro-batch composition was not reproducible across platforms.
   // stable_sort ties break by ascending index.
   const std::vector<int> lens{8, 16, 8, 4, 16, 8, 4, 16};
-  const auto groups = group_by_length(lens, 3);
+  const auto groups = sort_group(lens, 3).micro;
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[0].indices, (std::vector<int>{1, 4, 7}));  // the 16s
   EXPECT_EQ(groups[1].indices, (std::vector<int>{0, 2, 5}));  // the 8s
@@ -166,21 +172,16 @@ TEST(Batching, GroupingIsDeterministicAcrossCalls) {
   for (std::size_t i = 0; i < lens.size(); ++i) {
     lens[i] = 1 + lens[i] % 7;
   }
-  const auto first = group_by_length(lens, 5);
+  const auto first = sort_group(lens, 5);
   for (int repeat = 0; repeat < 4; ++repeat) {
-    const auto again = group_by_length(lens, 5);
-    ASSERT_EQ(again.size(), first.size());
-    for (std::size_t g = 0; g < first.size(); ++g) {
-      EXPECT_EQ(again[g].indices, first[g].indices) << "group " << g;
-      EXPECT_EQ(again[g].max_len, first[g].max_len);
+    const auto again = sort_group(lens, 5);
+    ASSERT_EQ(again.micro.size(), first.micro.size());
+    for (std::size_t g = 0; g < first.micro.size(); ++g) {
+      EXPECT_EQ(again.micro[g].indices, first.micro[g].indices)
+          << "group " << g;
+      EXPECT_EQ(again.micro[g].max_len, first.micro[g].max_len);
     }
-  }
-  // And the scheduler plan built on top inherits the determinism.
-  const auto plan = plan_batch(BatchPolicy::kSortGroup, lens, 5);
-  const auto plan2 = plan_batch(BatchPolicy::kSortGroup, lens, 5);
-  ASSERT_EQ(plan.micro.size(), plan2.micro.size());
-  for (std::size_t m = 0; m < plan.micro.size(); ++m) {
-    EXPECT_EQ(plan.micro[m].indices, plan2.micro[m].indices);
+    EXPECT_EQ(again.processed_tokens, first.processed_tokens);
   }
 }
 
@@ -211,8 +212,9 @@ TEST(Scheduler, SortGroupPlanMatchesGrouping) {
   EXPECT_EQ(plan.micro[0].max_len, 16);
   EXPECT_GE(plan.micro[0].max_len, plan.micro[1].max_len);
   EXPECT_GE(plan.micro[1].max_len, plan.micro[2].max_len);
-  EXPECT_EQ(plan.padding_tokens(),
-            padded_tokens(group_by_length(lens, 2), lens) - 44);
+  // Padded total: each micro-batch's size times its pad target, minus the
+  // 44 valid tokens — {16, 12} -> 2*16, {8, 5} -> 2*8, {3} -> 1*3.
+  EXPECT_EQ(plan.padding_tokens(), 2 * 16 + 2 * 8 + 1 * 3 - 44);
   // Every request appears exactly once across micro-batches.
   std::vector<int> all;
   for (const auto& mb : plan.micro) {
