@@ -105,7 +105,7 @@ void BM_AblationPacking_EngineRoundtrip(benchmark::State& state) {
   }
 }
 
-#define PACKING_ARGS ->Arg(128)->Arg(512)->Unit(benchmark::kMicrosecond)->MinTime(0.05)
+#define PACKING_ARGS ->Arg(128)->Arg(512)->Unit(benchmark::kMicrosecond)
 BENCHMARK(BM_AblationPacking_BuildOffsets) PACKING_ARGS;
 BENCHMARK(BM_AblationPacking_BuildOffsetsFromMask) PACKING_ARGS;
 BENCHMARK(BM_AblationPacking_PackUnpack) PACKING_ARGS;

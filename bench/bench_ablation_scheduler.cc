@@ -53,7 +53,7 @@ void BM_AblationScheduler_SmallProblems(benchmark::State& state) {
 
 BENCHMARK(BM_AblationScheduler_SmallProblems)
     ->Arg(1)->Arg(4)->Arg(32)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.05);
+    ->Unit(benchmark::kMillisecond);
 
 // MHA-shaped workload through the long fused kernel at both widths.
 void BM_AblationScheduler_FusedLongMha(benchmark::State& state) {
@@ -78,7 +78,7 @@ void BM_AblationScheduler_FusedLongMha(benchmark::State& state) {
 
 BENCHMARK(BM_AblationScheduler_FusedLongMha)
     ->Arg(1)->Arg(32)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.05);
+    ->Unit(benchmark::kMillisecond);
 
 // ---- serving executor: synchronous vs asynchronous pipelined ---------------
 //
@@ -188,7 +188,7 @@ void BM_AblationServingExecutor_Sync(benchmark::State& state) {
 
 BENCHMARK(BM_AblationServingExecutor_Sync)
     ->Arg(500)->Arg(2000)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.05);
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AblationServingExecutor_Async(benchmark::State& state) {
   using clock = std::chrono::steady_clock;
@@ -231,7 +231,7 @@ void BM_AblationServingExecutor_Async(benchmark::State& state) {
 
 BENCHMARK(BM_AblationServingExecutor_Async)
     ->Arg(500)->Arg(2000)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.05);
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bt::bench

@@ -46,8 +46,7 @@ void BM_Fig03_Breakdown(benchmark::State& state) {
 BENCHMARK(BM_Fig03_Breakdown)
     ->Arg(256)
     ->Arg(512)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.1);
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bt::bench

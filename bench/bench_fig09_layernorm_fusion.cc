@@ -61,10 +61,10 @@ void BM_Fig09_Fused(benchmark::State& state) {
 
 BENCHMARK(BM_Fig09_Unfused)
     ->Arg(128)->Arg(256)->Arg(384)->Arg(512)->Arg(640)->Arg(768)->Arg(896)->Arg(1024)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.05);
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Fig09_Fused)
     ->Arg(128)->Arg(256)->Arg(384)->Arg(512)->Arg(640)->Arg(768)->Arg(896)->Arg(1024)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.05);
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bt::bench

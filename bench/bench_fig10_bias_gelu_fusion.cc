@@ -59,10 +59,10 @@ void BM_Fig10_Fused(benchmark::State& state) {
 
 BENCHMARK(BM_Fig10_Unfused)
     ->Arg(64)->Arg(128)->Arg(192)->Arg(256)->Arg(384)->Arg(512)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.05);
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Fig10_Fused)
     ->Arg(64)->Arg(128)->Arg(192)->Arg(256)->Arg(384)->Arg(512)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.05);
+    ->Unit(benchmark::kMillisecond);
 
 // Bandwidth-ratio-matched variant: on the A100, GEMM throughput is ~100x
 // larger relative to memory bandwidth than on this CPU, so at BERT shapes
@@ -110,10 +110,10 @@ void BM_Fig10_Fused_ThinK(benchmark::State& state) {
 
 BENCHMARK(BM_Fig10_Unfused_ThinK)
     ->Arg(128)->Arg(256)->Arg(512)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.05);
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Fig10_Fused_ThinK)
     ->Arg(128)->Arg(256)->Arg(512)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.05);
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bt::bench

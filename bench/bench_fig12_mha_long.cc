@@ -86,7 +86,7 @@ void BM_Fig12_FusedMHA(benchmark::State& state) {
 }
 
 #define FIG12_ARGS ->Arg(448)->Arg(512)->Arg(576)->Arg(640) \
-    ->Unit(benchmark::kMillisecond)->MinTime(0.05)
+    ->Unit(benchmark::kMillisecond)
 
 BENCHMARK(BM_Fig12_PyTorchMHA) FIG12_ARGS;
 BENCHMARK(BM_Fig12_Batched) FIG12_ARGS;

@@ -80,7 +80,7 @@ void BM_Fig13_OurFMHA(benchmark::State& state) {
   ->Args({1, 128})->Args({1, 256})->Args({1, 384})->Args({1, 512})  \
   ->Args({1, 640})->Args({8, 128})->Args({8, 256})->Args({8, 384})  \
   ->Args({8, 512})->Args({8, 640})                                  \
-  ->Unit(benchmark::kMillisecond)->MinTime(0.05)
+  ->Unit(benchmark::kMillisecond)
 
 BENCHMARK(BM_Fig13_Flash) FIG13_ARGS;
 BENCHMARK(BM_Fig13_OurFMHA) FIG13_ARGS;

@@ -71,7 +71,7 @@ void BM_Fig14_FusedMHA(benchmark::State& state) {
 }
 
 #define FIG14_ARGS ->Arg(128)->Arg(256)->Arg(384)->Arg(512) \
-    ->Unit(benchmark::kMillisecond)->MinTime(0.05)
+    ->Unit(benchmark::kMillisecond)
 
 BENCHMARK(BM_Fig14_Baseline) FIG14_ARGS;
 BENCHMARK(BM_Fig14_LayernormFusion) FIG14_ARGS;

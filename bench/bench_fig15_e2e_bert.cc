@@ -83,7 +83,7 @@ void BM_Fig15_ByteTransformer(benchmark::State& state) {
   ->Args({1, 64})->Args({1, 128})->Args({1, 256})->Args({1, 384})    \
   ->Args({1, 512})->Args({8, 64})->Args({8, 128})->Args({8, 256})    \
   ->Args({8, 384})->Args({8, 512})                                   \
-  ->Unit(benchmark::kMillisecond)->MinTime(0.02)
+  ->Unit(benchmark::kMillisecond)
 
 BENCHMARK(BM_Fig15_PyTorchJIT) FIG15_ARGS;
 BENCHMARK(BM_Fig15_TensorFlowXLA) FIG15_ARGS;
@@ -114,7 +114,7 @@ void BM_Fig15c_RatioSweep(benchmark::State& state) {
 
 BENCHMARK(BM_Fig15c_RatioSweep)
     ->Arg(10)->Arg(25)->Arg(50)->Arg(75)->Arg(100)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.02);
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bt::bench

@@ -136,7 +136,7 @@ void BM_Fig16_Deberta_ByteTransformer(benchmark::State& s) {
 }
 
 #define FIG16_ARGS ->Arg(128)->Arg(256)->Arg(384) \
-    ->Unit(benchmark::kMillisecond)->MinTime(0.02)
+    ->Unit(benchmark::kMillisecond)
 
 BENCHMARK(BM_Fig16_Albert_PyTorch) FIG16_ARGS;
 BENCHMARK(BM_Fig16_Albert_TensorFlow) FIG16_ARGS;

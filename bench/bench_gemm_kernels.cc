@@ -79,7 +79,7 @@ void BM_GemmPackFresh(benchmark::State& state) {
 #define GEMM_SHAPES                                                   \
   ->Args({256, 384, 128})->Args({256, 128, 128})->Args({256, 512, 128}) \
   ->Args({256, 128, 512})->Args({512, 512, 512})                       \
-  ->Unit(benchmark::kMillisecond)->MinTime(0.05)
+  ->Unit(benchmark::kMillisecond)
 
 BENCHMARK(BM_GemmDynamic) GEMM_SHAPES;
 BENCHMARK(BM_GemmPrepacked) GEMM_SHAPES;

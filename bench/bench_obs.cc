@@ -6,9 +6,9 @@
 // BT_OBS_DISABLED build pays at the same call sites: the compiled-out body
 // is empty, so it can only be cheaper than the measured branch.
 //
-// BM_ServingServiceObs — the macro check the acceptance bar reads: the
-// BM_ServingService multi-model sticky-session replay (bench_serving_pool.cc)
-// with recording enabled vs disabled. The two arms alternate replay-by-replay
+// BM_ServingServiceObs — the macro check the acceptance bar reads: a
+// two-model sticky-session Service replay with recording enabled vs
+// disabled. The two arms alternate replay-by-replay
 // inside one benchmark run (a paired design): on a shared host, throughput
 // drifts several percent over seconds, which would swamp a sequential A/B —
 // alternating cancels the drift out of the comparison. req_s_obs1 must stay
@@ -79,14 +79,13 @@ void BM_ObsHllAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsHllAdd)->Arg(0)->Arg(1);
 
-// ---- macro arm: BM_ServingService with telemetry on vs off ------------------
-// Mirrors bench_serving_pool.cc's BM_ServingService at 1 replica per model:
-// same models, same sessionful Poisson trace, same replay — the only knob
-// is the obs kill switch.
+// ---- macro arm: a Service replay with telemetry on vs off -------------------
+// Two models at 1 replica each, one sessionful Poisson trace replayed the
+// same way every time — the only knob is the obs kill switch.
 
 constexpr int kObsRequests = 64;
 constexpr int kObsMaxSeq = 128;
-constexpr double kObsRps = 4000.0;  // saturating, like BM_ServingService
+constexpr double kObsRps = 4000.0;  // saturating
 
 std::shared_ptr<const core::BertModel> obs_model_a() {
   static std::shared_ptr<const core::BertModel> model = [] {

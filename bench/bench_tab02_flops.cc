@@ -71,7 +71,7 @@ void BM_Tab02_ZeroPaddingFusedMha(benchmark::State& state) {
   run_mode(state, costmodel::PaddingMode::kZeroPaddingFusedMha);
 }
 
-#define TAB02_ARGS ->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond)->MinTime(0.05)
+#define TAB02_ARGS ->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond)
 BENCHMARK(BM_Tab02_Baseline) TAB02_ARGS;
 BENCHMARK(BM_Tab02_ZeroPadding) TAB02_ARGS;
 BENCHMARK(BM_Tab02_ZeroPaddingFusedMha) TAB02_ARGS;

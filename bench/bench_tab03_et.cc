@@ -99,7 +99,7 @@ void BM_Tab03_ByteTransformer(benchmark::State& state) {
   }
 }
 
-#define TAB03_ARGS ->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond)->MinTime(0.05)
+#define TAB03_ARGS ->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond)
 BENCHMARK(BM_Tab03_EtLike) TAB03_ARGS;
 BENCHMARK(BM_Tab03_ByteTransformer) TAB03_ARGS;
 

@@ -1,44 +1,31 @@
 #!/usr/bin/env bash
 # Perf trajectory runner: benches every BT_GEMM_KERNEL variant and merges the
-# google-benchmark JSON into two trajectory files future PRs diff against:
+# google-benchmark JSON into three trajectory files future PRs diff against:
 #
 #   BENCH_gemm.json    — GFLOP/s per kernel x shape x operand regime
 #   BENCH_fig15.json   — end-to-end BERT (BM_Fig15_ByteTransformer) ms and
 #                        tokens/s per kernel variant
-#   BENCH_serving.json — EnginePool requests/s and p50/p99 end-to-end
-#                        latency at 1/2/4 replicas (BM_ServingPool, default
-#                        GEMM kernel dispatch)
-#   BENCH_serving_multimodel.json — multi-model + sticky-session Service
-#                        scenario (BM_ServingService): req/s, p50/p99, and
-#                        the session sticky-hit rate at 1/2 replicas per
-#                        model
-#   BENCH_serving_wire.json — socket front-end overhead (BM_ServingWire):
-#                        the same trace via in-process futures (wire=0) vs
-#                        loopback TCP through net::Server (wire=1)
-#   BENCH_serving_faults.json — resilience cost (BM_ServingFaults): req/s
-#                        and p50/p99 at 0%/1%/5% injected fault rate with
-#                        retrying clients, plus frames re-sent per run
-#   BENCH_serving_cache.json — prefix-activation-cache multiplier
-#                        (BM_ServingCache cache:0 vs cache:1): submitted
-#                        tokens/s, hit rate, saved-token %, per-round
-#                        computed-suffix percentiles, and the
-#                        budget-pressure arm (BM_ServingCachePressure) whose
-#                        evictions/bytes_peak_pct prove the byte ceiling
-#                        held under displacement
 #   BENCH_obs.json     — telemetry overhead (bench_obs): recording-primitive
-#                        ns/op with the obs kill switch off/on, and the paired
-#                        BM_ServingService replay (req_s_obs0 vs req_s_obs1,
+#                        cost with the obs kill switch off/on, and the paired
+#                        two-model Service replay (req_s_obs0 vs req_s_obs1,
 #                        alternating arms); overhead_pct must stay under 2%
 #                        (docs/OBSERVABILITY.md)
+#
+# Serving throughput and latency are measured by the end-to-end benchmark
+# (bench/e2e), not here.
 #
 # Usage:  bench/run_perf.sh [build_dir] [out_dir]
 #   build_dir  cmake build tree holding the bench binaries  (default: build)
 #   out_dir    where BENCH_*.json land                      (default: repo root)
 #
 # Environment:
-#   BT_PERF_SMOKE=1        fast CI mode: fewer shapes, shorter min time
+#   BT_PERF_SMOKE=1        fast CI mode: fewer shapes, a short min time, one
+#                          repetition
 #   BT_PERF_BASELINE=file  google-benchmark JSON of a pre-change run to embed
 #                          under "baseline" in BENCH_fig15.json
+#
+# A full run repeats every benchmark 5 times and keeps each repetition as
+# its own record ("repetition"), so the spread is in the file.
 #
 # Kernels that are unsupported on the host (e.g. avx2 in a portable build)
 # fall back at dispatch; each record's "kernel" field is the variant that
@@ -53,76 +40,45 @@ SMOKE=${BT_PERF_SMOKE:-0}
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-if [[ ! -x "$BUILD/bench_gemm_kernels" || ! -x "$BUILD/bench_fig15_e2e_bert" \
-      || ! -x "$BUILD/bench_serving_pool" ]]; then
-  echo "error: bench binaries not found under '$BUILD' (build with the" >&2
-  echo "       google-benchmark package installed)" >&2
-  exit 1
-fi
+for bin in bench_gemm_kernels bench_fig15_e2e_bert bench_obs; do
+  if [[ ! -x "$BUILD/$bin" ]]; then
+    echo "error: $bin not found under '$BUILD' (build with the" >&2
+    echo "       google-benchmark package installed)" >&2
+    exit 1
+  fi
+done
 
-GEMM_ARGS=(--benchmark_format=json)
-FIG15_ARGS=(--benchmark_format=json
-            --benchmark_filter='BM_Fig15_ByteTransformer')
+COMMON_ARGS=(--benchmark_format=json)
 if [[ "$SMOKE" == "1" ]]; then
-  GEMM_ARGS+=(--benchmark_filter='/256/384/128|/512/512/512')
-  FIG15_ARGS=(--benchmark_format=json
-              --benchmark_filter='BM_Fig15_ByteTransformer/(1/128|8/256)')
+  COMMON_ARGS+=(--benchmark_min_time=0.02)
+  GEMM_FILTER='/256/384/128|/512/512/512'
+  FIG15_FILTER='BM_Fig15_ByteTransformer/(1/128|8/256)'
 else
-  GEMM_ARGS+=(--benchmark_min_time=0.1)
-  FIG15_ARGS+=(--benchmark_min_time=0.1)
+  COMMON_ARGS+=(--benchmark_min_time=0.1 --benchmark_repetitions=5)
+  GEMM_FILTER='.'
+  FIG15_FILTER='BM_Fig15_ByteTransformer'
 fi
 
 for kernel in scalar vec avx2; do
   echo "== BT_GEMM_KERNEL=$kernel bench_gemm_kernels" >&2
-  BT_GEMM_KERNEL=$kernel "$BUILD/bench_gemm_kernels" "${GEMM_ARGS[@]}" \
-      > "$TMP/gemm_$kernel.json"
+  BT_GEMM_KERNEL=$kernel "$BUILD/bench_gemm_kernels" "${COMMON_ARGS[@]}" \
+      --benchmark_filter="$GEMM_FILTER" > "$TMP/gemm_$kernel.json"
   echo "== BT_GEMM_KERNEL=$kernel bench_fig15_e2e_bert" >&2
-  BT_GEMM_KERNEL=$kernel "$BUILD/bench_fig15_e2e_bert" "${FIG15_ARGS[@]}" \
-      > "$TMP/fig15_$kernel.json"
+  BT_GEMM_KERNEL=$kernel "$BUILD/bench_fig15_e2e_bert" "${COMMON_ARGS[@]}" \
+      --benchmark_filter="$FIG15_FILTER" > "$TMP/fig15_$kernel.json"
 done
 
-# Serving pool: replica scaling under the default (best) kernel dispatch.
-echo "== bench_serving_pool" >&2
-"$BUILD/bench_serving_pool" --benchmark_format=json \
-    --benchmark_filter='BM_ServingPool' > "$TMP/serving_default.json"
-
-# Serving service: multi-model + sticky-session front-end scenario.
-echo "== bench_serving_pool (BM_ServingService)" >&2
-"$BUILD/bench_serving_pool" --benchmark_format=json \
-    --benchmark_filter='BM_ServingService' > "$TMP/multimodel_default.json"
-
-# Serving wire: loopback-socket front-end vs in-process submission.
-if [[ -x "$BUILD/bench_serving_wire" ]]; then
-  echo "== bench_serving_wire" >&2
-  "$BUILD/bench_serving_wire" --benchmark_format=json \
-      --benchmark_filter='BM_ServingWire' > "$TMP/wire_default.json"
-fi
-
-# Serving faults: throughput/latency at increasing injected fault rates.
-if [[ -x "$BUILD/bench_serving_faults" ]]; then
-  echo "== bench_serving_faults" >&2
-  "$BUILD/bench_serving_faults" --benchmark_format=json \
-      --benchmark_filter='BM_ServingFaults' > "$TMP/faults_default.json"
-fi
-
-# Serving cache: conversation replay with the prefix cache off/on, plus the
-# budget-pressure arm.
-if [[ -x "$BUILD/bench_serving_cache" ]]; then
-  echo "== bench_serving_cache" >&2
-  "$BUILD/bench_serving_cache" --benchmark_format=json \
-      --benchmark_filter='BM_ServingCache' > "$TMP/cache_default.json"
-fi
-
 # Telemetry overhead: recording primitives + the service replay, obs off/on.
-if [[ -x "$BUILD/bench_obs" ]]; then
-  echo "== bench_obs" >&2
-  "$BUILD/bench_obs" --benchmark_format=json > "$TMP/obs_default.json"
-fi
+# BM_ServingServiceObs pins its own min time (bench_obs.cc says why).
+echo "== bench_obs" >&2
+"$BUILD/bench_obs" "${COMMON_ARGS[@]}" > "$TMP/obs_default.json"
 
 python3 - "$TMP" "$OUT" "${BT_PERF_BASELINE:-}" <<'PY'
 import json, sys, os
 
 tmp, out, baseline_path = sys.argv[1], sys.argv[2], sys.argv[3]
+# google-benchmark reports times in each benchmark's own Unit().
+TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
 def records(path, requested):
     with open(path) as f:
@@ -134,21 +90,20 @@ def records(path, requested):
     for b in doc.get("benchmarks", []):
         if b.get("run_type") not in (None, "iteration"):
             continue
+        to_ms = TO_MS[b.get("time_unit", "ns")]
         rec = {
             "benchmark": b["run_name"],
             "kernel_requested": requested,
             # label == the kernel the dispatcher actually ran
             "kernel": b.get("label", requested),
-            "real_time_ms": b["real_time"],
-            "cpu_time_ms": b["cpu_time"],
+            "real_time_ms": b["real_time"] * to_ms,
+            "cpu_time_ms": b["cpu_time"] * to_ms,
         }
-        for key in ("gflops", "tokens_s", "alpha", "pad_waste",
-                    "req_s", "p50_ms", "p99_ms", "replicas", "models",
-                    "session_hit", "wire", "fault_pct", "retries", "obs",
+        if b.get("repetitions", 1) > 1:
+            rec["repetition"] = b["repetition_index"]
+        for key in ("gflops", "tokens_s", "alpha", "pad_waste", "obs",
                     "req_s_obs0", "req_s_obs1", "overhead_pct",
-                    "cache", "rounds", "sessions", "hit_rate", "saved_pct",
-                    "suffix_p50", "suffix_p99", "evictions",
-                    "bytes_peak_pct"):
+                    "p50_ms", "p99_ms"):
             if key in b:
                 rec[key] = b[key]
         yield ctx, rec
@@ -156,10 +111,8 @@ def records(path, requested):
 def merge(stem, out_name, extra=None, kernels=("scalar", "vec", "avx2")):
     context, results = {}, []
     for kernel in kernels:
-        path = os.path.join(tmp, f"{stem}_{kernel}.json")
-        if not os.path.exists(path):
-            continue
-        for ctx, rec in records(path, kernel):
+        for ctx, rec in records(os.path.join(tmp, f"{stem}_{kernel}.json"),
+                                kernel):
             context = {
                 "date": ctx.get("date"),
                 "host_name": ctx.get("host_name"),
@@ -190,16 +143,7 @@ if baseline_path:
 
 merge("gemm", "BENCH_gemm.json")
 merge("fig15", "BENCH_fig15.json", extra)
-# The pool/service benches run once under the default dispatch ("kernel"
-# still records which microkernel actually served the GEMMs).
-merge("serving", "BENCH_serving.json", kernels=("default",))
-merge("multimodel", "BENCH_serving_multimodel.json", kernels=("default",))
-if os.path.exists(os.path.join(tmp, "wire_default.json")):
-    merge("wire", "BENCH_serving_wire.json", kernels=("default",))
-if os.path.exists(os.path.join(tmp, "faults_default.json")):
-    merge("faults", "BENCH_serving_faults.json", kernels=("default",))
-if os.path.exists(os.path.join(tmp, "cache_default.json")):
-    merge("cache", "BENCH_serving_cache.json", kernels=("default",))
-if os.path.exists(os.path.join(tmp, "obs_default.json")):
-    merge("obs", "BENCH_obs.json", kernels=("default",))
+# bench_obs runs once under the default dispatch ("kernel" still records
+# which microkernel actually served the GEMMs).
+merge("obs", "BENCH_obs.json", kernels=("default",))
 PY

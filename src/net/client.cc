@@ -87,7 +87,7 @@ double retry_backoff_ms(const RetryPolicy& policy, std::uint64_t correlation,
   if (attempt < 1) attempt = 1;
   double backoff = policy.initial_backoff_ms;
   for (int k = 1; k < attempt && backoff < policy.max_backoff_ms; ++k) {
-    backoff *= policy.backoff_multiplier;
+    backoff *= 2.0;
   }
   backoff = std::min(backoff, policy.max_backoff_ms);
   if (policy.jitter > 0.0) {
@@ -101,7 +101,7 @@ double retry_backoff_ms(const RetryPolicy& policy, std::uint64_t correlation,
 }
 
 Client::Client(std::uint16_t port, ClientOptions opts)
-    : port_(port), opts_(opts), decoder_(opts.max_frame_bytes) {
+    : port_(port), opts_(std::move(opts)) {
   if (opts_.retry.max_attempts < 1) {
     throw std::invalid_argument("RetryPolicy: max_attempts must be >= 1");
   }
@@ -116,9 +116,6 @@ Client::Client(std::uint16_t port, ClientOptions opts)
     retry_worker_ = std::thread([this] { retry_loop(); });
   }
 }
-
-Client::Client(std::uint16_t port, std::size_t max_frame_bytes)
-    : Client(port, ClientOptions{max_frame_bytes, {}}) {}
 
 Client::~Client() { close(); }
 
@@ -301,10 +298,8 @@ Client::ConnEnd Client::run_connection(std::string* why) {
 
       if (rf.error != serving::ErrorCode::kOk) {
         const RetryPolicy& p = opts_.retry;
-        const bool retryable =
-            (rf.error == serving::ErrorCode::kBackpressure &&
-             p.retry_backpressure) ||
-            (rf.error == serving::ErrorCode::kInternal && p.retry_internal);
+        const bool retryable = rf.error == serving::ErrorCode::kBackpressure ||
+                               rf.error == serving::ErrorCode::kInternal;
         if (retryable && op.attempts < p.max_attempts && !closed_.load()) {
           const double backoff =
               retry_backoff_ms(p, op.first_correlation, op.attempts);
@@ -373,9 +368,9 @@ void Client::receive_loop() {
       return;  // user close() owns the teardown and the final sweep
     }
     const RetryPolicy& p = opts_.retry;
-    if (end == ConnEnd::kProtocol || !p.reconnect || p.max_attempts <= 1) {
+    if (end == ConnEnd::kProtocol || p.max_attempts <= 1) {
       // A garbage stream is a server bug a new connection won't fix;
-      // without reconnect a lost connection is terminal, like before.
+      // without retries a lost connection is terminal.
       shutdown_from_receiver(why);
       return;
     }
@@ -434,7 +429,7 @@ bool Client::reconnect_and_resend() {
     pending_stats_.clear();
   }
   // Mid-frame bytes from the old connection die with it.
-  decoder_ = Decoder(opts_.max_frame_bytes);
+  decoder_ = Decoder();
   reconnects_.fetch_add(1);
   for (auto& prom : swept_stats) {
     prom.set_exception(serving::make_serving_error(

@@ -91,9 +91,11 @@ struct WireStats {
 };
 
 // When and how the client retries. max_attempts counts sends of one
-// request (1 = retries off entirely); the backoff before attempt k+1 is
+// request (1 = retries off entirely). With retries on, kBackpressure and
+// kInternal replies are re-sent and a lost connection is reconnected; the
+// backoff before attempt k+1 is
 //
-//   min(initial * multiplier^(k-1), max) * (1 + jitter * u)
+//   min(initial * 2^(k-1), max) * (1 + jitter * u)
 //
 // with u a deterministic hash of (seed, the request's first correlation
 // id, k) in [-1, 1) — so a fixed seed replays the exact same schedule,
@@ -101,13 +103,9 @@ struct WireStats {
 struct RetryPolicy {
   int max_attempts = 1;            // total sends per request; 1 = off
   double initial_backoff_ms = 5.0;
-  double backoff_multiplier = 2.0;
   double max_backoff_ms = 200.0;
   double jitter = 0.25;            // +/- fraction of the backoff
   std::uint64_t seed = 1;
-  bool retry_backpressure = true;  // retry kBackpressure replies
-  bool retry_internal = true;      // retry kInternal replies
-  bool reconnect = true;           // reconnect + re-send on connection loss
 };
 
 // The deterministic backoff (milliseconds) before send attempt
@@ -117,12 +115,10 @@ struct RetryPolicy {
 double retry_backoff_ms(const RetryPolicy& policy, std::uint64_t correlation,
                         int attempt);
 
+// Response frames above kDefaultMaxFrameBytes are a protocol error.
 struct ClientOptions {
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   RetryPolicy retry;
-  // IPv4 dotted-quad of the server (bt_stats --bind). Appended after the
-  // existing fields so ClientOptions{bytes, policy} aggregate call sites
-  // keep compiling.
+  // IPv4 dotted-quad of the server (bt_stats --bind).
   std::string host = "127.0.0.1";
 };
 
@@ -144,7 +140,6 @@ class Client {
   // (plus a retry timer thread when retry.max_attempts > 1). Throws
   // std::runtime_error when the connection is refused.
   explicit Client(std::uint16_t port, ClientOptions opts = {});
-  Client(std::uint16_t port, std::size_t max_frame_bytes);
   ~Client();  // close()
 
   Client(const Client&) = delete;

@@ -59,10 +59,9 @@ namespace bt::net {
 
 inline constexpr std::uint8_t kWireVersion = 1;
 inline constexpr std::size_t kLengthPrefixBytes = 4;
-// Frames above this are rejected by default (ServerOptions/Decoder can
-// lower it): large enough for any plausible [rows, hidden] fp16 payload,
-// small enough that a garbage length prefix cannot make a connection
-// buffer gigabytes.
+// Frames above this are rejected (a Decoder can lower it): large enough
+// for any plausible [rows, hidden] fp16 payload, small enough that a
+// garbage length prefix cannot make a connection buffer gigabytes.
 inline constexpr std::size_t kDefaultMaxFrameBytes = std::size_t{16} << 20;
 
 enum class FrameType : std::uint8_t {

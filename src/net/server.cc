@@ -34,6 +34,10 @@ namespace bt::net {
 namespace {
 
 constexpr std::size_t kRecvChunk = 16384;
+constexpr int kListenBacklog = 64;
+// Past this many open connections the listener leaves the poll set and
+// new peers wait in the kernel backlog.
+constexpr std::size_t kMaxConnections = 256;
 
 [[noreturn]] void throw_errno(const char* what) {
   throw std::runtime_error(std::string("net::Server: ") + what + ": " +
@@ -119,8 +123,7 @@ struct Server::Impl {
     std::chrono::steady_clock::time_point last_read =
         std::chrono::steady_clock::now();
 
-    Connection(int fd, std::uint64_t id, std::size_t max_frame_bytes)
-        : fd(fd), id(id), decoder(max_frame_bytes) {}
+    Connection(int fd, std::uint64_t id) : fd(fd), id(id) {}
   };
   std::unordered_map<std::uint64_t, Connection> conns
       BT_GUARDED_BY(loop_thread);
@@ -168,7 +171,7 @@ struct Server::Impl {
                sizeof addr) != 0) {
       throw_errno("bind");
     }
-    if (::listen(listen_fd, opts.listen_backlog) != 0) throw_errno("listen");
+    if (::listen(listen_fd, kListenBacklog) != 0) throw_errno("listen");
     socklen_t len = sizeof addr;
     if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) !=
         0) {
@@ -250,7 +253,7 @@ struct Server::Impl {
       fd_conn.clear();
       // Slot 0: listener — left out of the set at the connection cap, so a
       // flood parks in the backlog instead of busy-waking the loop.
-      const bool accepting = conns.size() < opts.max_connections;
+      const bool accepting = conns.size() < kMaxConnections;
       fds.push_back({accepting ? listen_fd : -1, POLLIN, 0});
       fds.push_back({wake_read_fd, POLLIN, 0});
       for (auto& [id, conn] : conns) {
@@ -339,7 +342,7 @@ struct Server::Impl {
   }
 
   void accept_new() BT_REQUIRES(loop_thread) {
-    while (conns.size() < opts.max_connections) {
+    while (conns.size() < kMaxConnections) {
       const int fd =
           ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) {
@@ -350,7 +353,7 @@ struct Server::Impl {
       // Response frames are small and latency-bound; never Nagle them.
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
       const std::uint64_t id = next_conn_id++;
-      conns.emplace(id, Connection(fd, id, opts.max_frame_bytes));
+      conns.emplace(id, Connection(fd, id));
       MutexLock lock(stats_mutex);
       ++stats.accepted_connections;
       stats.active_connections = static_cast<long long>(conns.size());
@@ -446,7 +449,7 @@ struct Server::Impl {
     // the peer's size limit is dropped (the metrics JSON — a few KB — is
     // the part a monitoring client cannot do without).
     const std::size_t fixed = 2 /*version+type*/ + 8 + 4 + 4;
-    if (fixed + metrics.size() + traces.size() > opts.max_frame_bytes) {
+    if (fixed + metrics.size() + traces.size() > kDefaultMaxFrameBytes) {
       traces.clear();
     }
     reply.metrics_json = metrics;
@@ -643,12 +646,6 @@ struct Server::Impl {
 
 Server::Server(serving::Service& service, ServerOptions opts)
     : service_(service), opts_(opts) {
-  if (opts_.max_connections < 1) {
-    throw std::invalid_argument("ServerOptions: max_connections must be >= 1");
-  }
-  if (opts_.max_frame_bytes < 2 + kLengthPrefixBytes) {
-    throw std::invalid_argument("ServerOptions: max_frame_bytes too small");
-  }
   if (opts_.poll_timeout_ms < 1) {
     throw std::invalid_argument("ServerOptions: poll_timeout_ms must be >= 1");
   }

@@ -69,6 +69,8 @@
 
 namespace bt::net {
 
+// Fixed limits, not options: a listen backlog of 64, at most 256 open
+// connections, and frames capped at kDefaultMaxFrameBytes.
 struct ServerOptions {
   std::uint16_t port = 0;    // 0 = kernel-assigned; see Server::port()
   // IPv4 dotted-quad the listen socket binds to. The loopback default keeps
@@ -76,9 +78,6 @@ struct ServerOptions {
   // (the simulator/bt_stats --bind flag). Rejected at start() when it does
   // not parse.
   std::string bind_addr = "127.0.0.1";
-  int listen_backlog = 64;
-  std::size_t max_connections = 256;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   // Idle poll() tick. Liveness never depends on it — socket events and the
   // completion self-pipe both interrupt the wait — it only bounds how fast
   // a stop() issued from outside is noticed at worst.

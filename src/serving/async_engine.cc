@@ -18,12 +18,7 @@ namespace {
 // and distributions; per-replica splits live in the stats structs.
 struct Instruments {
   obs::Counter& submitted;
-  obs::Counter& completed;
   obs::Counter& failed;
-  obs::Counter& shed;
-  obs::Counter& rounds;
-  obs::Counter& valid_tokens;
-  obs::Counter& processed_tokens;
   obs::Gauge& queue_depth;
   obs::Gauge& in_flight;
   obs::LatencyHistogram& queue_seconds;
@@ -36,12 +31,7 @@ Instruments& instruments() {
   auto& reg = obs::MetricRegistry::global();
   static Instruments ins{
       reg.counter("serving.requests.submitted"),
-      reg.counter("serving.requests.completed"),
       reg.counter("serving.requests.failed"),
-      reg.counter("serving.requests.shed"),
-      reg.counter("serving.rounds"),
-      reg.counter("serving.tokens.valid"),
-      reg.counter("serving.tokens.processed"),
       reg.gauge("serving.queue.depth"),
       reg.gauge("serving.inflight"),
       reg.histogram("serving.latency.queue_seconds"),
@@ -374,7 +364,6 @@ void AsyncEngine::scheduler_loop() {
       for (Queued& q : shed) q.promise.set_exception(shed_error);
       lock.unlock();
       ins.in_flight.add(-static_cast<double>(shed.size()));
-      ins.shed.inc(static_cast<long long>(shed.size()));
       failure_counter(ErrorCode::kDeadlineExceeded)
           .inc(static_cast<long long>(shed.size()));
     }
@@ -509,10 +498,6 @@ void AsyncEngine::scheduler_loop() {
         live[i].promise.set_value(std::move(responses[i]));
       }
       if (!live.empty()) {
-        ins.completed.inc(static_cast<long long>(live.size()));
-        ins.rounds.inc();
-        ins.valid_tokens.inc(live_tokens);
-        ins.processed_tokens.inc(round_processed);
         ins.compute_seconds.record_seconds(
             std::chrono::duration<double>(t_compute_end - t_compute_start)
                 .count());

@@ -76,7 +76,6 @@ EnginePool::EnginePool(core::BertModel model, EnginePoolOptions opts)
 EnginePool::~EnginePool() { stop(); }
 
 void EnginePool::refresh_breakers_locked() const {
-  if (!opts_.breaker.enabled) return;
   const auto now = Clock::now();
   const auto cooldown = std::chrono::duration<double>(
       opts_.breaker.quarantine_seconds);
@@ -126,7 +125,6 @@ void EnginePool::refresh_breakers_locked() const {
 
 bool EnginePool::replica_available_locked(std::size_t i) const {
   if (engines_[i]->stopped()) return false;
-  if (!opts_.breaker.enabled) return true;
   const Breaker& b = breakers_[i];
   switch (b.state) {
     case Breaker::State::kHealthy: return true;
@@ -181,19 +179,17 @@ EnginePool::RouteDecision EnginePool::route_and_account(const Request& req) {
         decision.target);
   }
   decision.seen_outstanding = loads[decision.target].outstanding_requests;
-  if (opts_.breaker.enabled) {
-    Breaker& b = breakers_[decision.target];
-    if (b.state == Breaker::State::kHalfOpen && !b.probe_in_flight) {
-      // This request is the half-open probe; the replica stays unavailable
-      // to everyone else until its outcome shows in the health counters.
-      const ReplicaHealth h = engines_[decision.target]->health();
-      b.probe_in_flight = true;
-      b.since = Clock::now();
-      b.probe_completed = h.completed;
-      b.probe_failed = h.failed;
-      decision.probe = true;
-      breaker_stats_.probes += 1;
-    }
+  Breaker& b = breakers_[decision.target];
+  if (b.state == Breaker::State::kHalfOpen && !b.probe_in_flight) {
+    // This request is the half-open probe; the replica stays unavailable
+    // to everyone else until its outcome shows in the health counters.
+    const ReplicaHealth h = engines_[decision.target]->health();
+    b.probe_in_flight = true;
+    b.since = Clock::now();
+    b.probe_completed = h.completed;
+    b.probe_failed = h.failed;
+    decision.probe = true;
+    breaker_stats_.probes += 1;
   }
   Routed& acct = routed_[decision.target];
   acct.requests += 1;

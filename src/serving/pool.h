@@ -75,11 +75,11 @@ class Hll;  // obs/hll.h — per-model unique-session cardinality
 namespace bt::serving {
 
 // Per-replica circuit breaker knobs (see "Replica health and circuit
-// breaking" above). quarantine_seconds doubles as the probe patience: a
-// half-open probe that neither completes nor fails within it (e.g. it was
-// shed) releases the probe slot so the next routed request probes again.
+// breaking" above); the breaker is always on. quarantine_seconds doubles
+// as the probe patience: a half-open probe that neither completes nor
+// fails within it (e.g. it was shed) releases the probe slot so the next
+// routed request probes again.
 struct CircuitBreakerOptions {
-  bool enabled = true;
   int failure_threshold = 3;       // consecutive failures that trip it
   double quarantine_seconds = 1.0; // cooldown before the half-open probe
 };

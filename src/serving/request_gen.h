@@ -8,13 +8,12 @@
 // alpha * max_seq: U[1, 2*alpha*max] for alpha <= 0.5 and
 // U[(2*alpha-1)*max, max] for alpha > 0.5.
 //
-// replay_trace is the real-time driver both bench_serving_pool and
-// serving_simulator used to copy-paste: submit each request when its
-// Poisson timestamp comes due, and stamp completions by polling readiness
-// across every outstanding future — with several replicas futures resolve
-// out of submission order, so an in-order get() loop would credit an early
-// completion with a lower-index straggler's finish time and inflate the
-// multi-replica percentiles.
+// replay_trace is the real-time driver of serving_simulator and bench_obs:
+// submit each request when its Poisson timestamp comes due, and stamp
+// completions by polling readiness across every outstanding future — with
+// several replicas futures resolve out of submission order, so an in-order
+// get() loop would credit an early completion with a lower-index
+// straggler's finish time and inflate the multi-replica percentiles.
 #pragma once
 
 #include <atomic>

@@ -90,7 +90,6 @@ void expect_bits_equal(const Tensor<fp16_t>& got, const Tensor<fp16_t>& want) {
 TEST(Chaos, RetryBackoffIsDeterministicAndBounded) {
   net::RetryPolicy p;
   p.initial_backoff_ms = 5.0;
-  p.backoff_multiplier = 2.0;
   p.max_backoff_ms = 40.0;
   p.jitter = 0.25;
   p.seed = 9;
@@ -351,26 +350,32 @@ TEST(Chaos, InflightCapAnswersBackpressureNotQueueing) {
   sopts.max_inflight_per_connection = 1;
   net::Server server(service, sopts);
   server.start();
+
+  // Parks the replica on one big request, then exceeds the connection's
+  // in-flight budget while it computes. Returns the blocker's future
+  // first, then the four extras'.
+  auto burst = [](net::Client& client) {
+    std::vector<std::future<net::WireResponse>> futs;
+    net::WireRequest big;
+    big.hidden = make_hidden(2048, 0);
+    futs.push_back(client.submit(std::move(big)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    for (int i = 0; i < 4; ++i) {
+      net::WireRequest req;
+      req.hidden = make_hidden(2, 1 + i);
+      futs.push_back(client.submit(std::move(req)));
+    }
+    return futs;
+  };
+
   net::Client client(server.port());
-
-  // Park the replica on one big request, then exceed the connection's
-  // in-flight budget while it computes.
-  net::WireRequest big;
-  big.hidden = make_hidden(2048, 0);
-  auto blocker = client.submit(std::move(big));
-  std::this_thread::sleep_for(std::chrono::milliseconds(3));
-
-  std::vector<std::future<net::WireResponse>> extra;
-  for (int i = 0; i < 4; ++i) {
-    net::WireRequest req;
-    req.hidden = make_hidden(2, 1 + i);
-    extra.push_back(client.submit(std::move(req)));
-  }
-  EXPECT_EQ(blocker.get().error, serving::ErrorCode::kOk);
+  auto futs = burst(client);
+  EXPECT_EQ(futs[0].get().error, serving::ErrorCode::kOk);
   int backpressure = 0;
-  for (auto& f : extra) {
-    const net::WireResponse r = f.get();
-    if (r.error == serving::ErrorCode::kBackpressure) ++backpressure;
+  for (std::size_t i = 1; i < futs.size(); ++i) {
+    if (futs[i].get().error == serving::ErrorCode::kBackpressure) {
+      ++backpressure;
+    }
   }
   EXPECT_GE(backpressure, 1);
   EXPECT_GE(server.stats().inflight_capped, 1);
@@ -379,8 +384,25 @@ TEST(Chaos, InflightCapAnswersBackpressureNotQueueing) {
   last.hidden = make_hidden(2, 99);
   EXPECT_EQ(client.submit(std::move(last)).get().error,
             serving::ErrorCode::kOk);
-
   client.close();
+
+  // A retrying client re-sends each kBackpressure reply until the cap
+  // admits it. Its attempt budget (at least 37 s of 10 ms backoffs) dwarfs
+  // the blocker's compute time even under TSan (~3 s), so every request
+  // comes back kOk.
+  const long long capped_before = server.stats().inflight_capped;
+  net::ClientOptions copts;
+  copts.retry.max_attempts = 5000;
+  copts.retry.initial_backoff_ms = 1.0;
+  copts.retry.max_backoff_ms = 10.0;
+  net::Client retrying(server.port(), copts);
+  for (auto& f : burst(retrying)) {
+    EXPECT_EQ(f.get().error, serving::ErrorCode::kOk);
+  }
+  EXPECT_GT(server.stats().inflight_capped, capped_before);
+  EXPECT_GE(retrying.stats().retries, 1);
+
+  retrying.close();
   server.stop();
   service.stop();
 }

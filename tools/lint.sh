@@ -131,8 +131,8 @@ fi
 # ---- rule 5: every registered metric name is in the observability catalog ---
 # Metric names are dotted `serving.*` / `net.*` / `obs.*` / `cache.*`
 # string literals handed to obs::MetricRegistry — directly
-# (reg.counter("serving.rounds")) or as the literal prefix of a composed
-# name ("serving.model." + name). Every such literal in src/ is either a
+# (reg.counter("serving.requests.submitted")) or as the literal prefix of
+# a composed name ("serving.model." + name). Every such literal in src/ is either a
 # metric name/prefix or a fault point, and rule 4 already extracted the
 # fault points — subtract them. The registry's own sources (src/obs/)
 # define the API, they don't place product metrics, so their doc-comment
