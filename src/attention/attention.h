@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/half.h"
 #include "core/padding.h"
@@ -77,17 +78,35 @@ struct PackedMhaArgs {
   // would need per-tile masking — the decoder extension the paper lists as
   // future work).
   bool causal = false;
-  // Prefix-resume compute skip (cache/prefix_cache.h): query rows below
-  // q_start already have cached context and are not recomputed. The kernels
-  // skip exactly the query tiles/blocks that end at or before q_start —
-  // tile geometry is unchanged (tiling still starts from row 0), so every
-  // computed row is bitwise identical to the same row in a q_start=0 run.
-  // Keys are NOT restricted: rows >= q_start still attend over the full
-  // (causally masked) key range, reading prefix K/V from the qkv buffer.
-  // Only meaningful with causal masking — a bidirectional row's context
-  // could never be skipped consistently. 0 computes everything.
-  int q_start = 0;
+  // Suffix-only computation for a packed prefix resume
+  // (cache/prefix_cache.h). q_start[b] is the first query row computed for
+  // sequence b; rows below it already have cached context and are neither
+  // computed nor stored. Empty means 0 for every sequence. `ctx` holds only
+  // the computed rows, packed in sequence order: row t >= q_start[b] of
+  // sequence b lands at ctx row
+  //     batch_offset[b] - (q_start[0] + ... + q_start[b]) + t
+  // (ctx_row_base below), so with no q_start the layout is the usual one.
+  // Query tiles/blocks are anchored at q_start[b], not at row 0, so no
+  // cached row is recomputed. Exactness rests on row independence: every
+  // computed value of a query row is a fixed-order chain over that row's
+  // own keys, whichever tile the row falls in, so each computed row is
+  // bitwise identical to the same row of a q_start = 0 run. Keys are NOT
+  // restricted: rows >= q_start still attend over the full (causally
+  // masked) key range, reading prefix K/V from the qkv buffer. Only
+  // meaningful with causal masking — a bidirectional row's context could
+  // never be skipped consistently.
+  std::span<const int> q_start = {};
 };
+
+// First query row computed for sequence b (0 without q_start).
+inline int first_query_row(const PackedMhaArgs& args, int b) {
+  return args.q_start.empty() ? 0
+                              : args.q_start[static_cast<std::size_t>(b)];
+}
+
+// Per sequence, the ctx row that query row 0 would occupy under the packing
+// rule above; row t of sequence b is stored at ctx + (base[b] + t) * hidden.
+std::vector<std::int64_t> ctx_row_base(const PackedMhaArgs& args);
 
 // --- padded-variant baselines -------------------------------------------
 void mha_pytorch_like(par::Device& dev, const PaddedMhaArgs& args,
@@ -127,8 +146,13 @@ void mha_flash_like(par::Device& dev, const PackedMhaArgs& args,
 // capacity argument that fixes the paper's 384 cutoff on the A100).
 std::size_t fused_short_scratch_bytes(int max_seq, int head_size);
 
-// Dispatcher: short kernel for max_seq <= kShortSeqCutoff (and while its
-// scratch demand fits the device arena), grouped-GEMM kernel beyond.
+// Whether mha_fused runs a batch whose longest sequence has `max_seq`
+// tokens on the short kernel: max_seq <= kShortSeqCutoff and the kernel's
+// scratch demand fits the device arena.
+bool fused_short_regime(const par::Device& dev, int max_seq, int head_size);
+
+// Dispatcher: short kernel in the fused_short_regime, grouped-GEMM kernel
+// beyond (flash kernel when causal).
 void mha_fused(par::Device& dev, const PackedMhaArgs& args,
                core::Workspace& ws);
 

@@ -9,6 +9,7 @@
 // costmodel/makespan.h for the A100-width projection).
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 #include "attention/attention.h"
 #include "common/numeric.h"
@@ -28,6 +29,7 @@ void mha_flash_like(par::Device& dev, const PackedMhaArgs& args,
   const int d = args.head_size;
   const std::int64_t hidden = static_cast<std::int64_t>(heads) * d;
   const float scale = softmax_scale(d);
+  const std::vector<std::int64_t> out_base = ctx_row_base(args);
 
   par::Dim3 grid;
   grid.x = heads;
@@ -53,14 +55,13 @@ void mha_flash_like(par::Device& dev, const PackedMhaArgs& args,
     const fp16_t* k_bias = args.qkv_bias + 1 * hidden + h * d;
     const fp16_t* v_bias = args.qkv_bias + 2 * hidden + h * d;
 
-    for (int q0 = 0; q0 < len; q0 += kQBlock) {
+    // Query blocks are anchored at q_start: rows below it have cached
+    // context. Each block's online-softmax state is independent (m/l reset
+    // per block) and a row's fully masked trailing key blocks contribute
+    // exact no-ops (correction fast_exp(0) == 1, p == 0), so every computed
+    // row is bitwise identical to the same row of a q_start = 0 run.
+    for (int q0 = first_query_row(args, b); q0 < len; q0 += kQBlock) {
       const int qr = std::min(kQBlock, len - q0);
-      // Prefix-resume skip: query blocks entirely below q_start are served
-      // from cached context. Each block's online-softmax state is
-      // independent (m/l reset per block), so skipping whole blocks leaves
-      // the remaining blocks bitwise identical to a q_start=0 run; a
-      // straddling block recomputes its cached rows.
-      if (q0 + qr <= args.q_start) continue;
       // Load the query block with bias fused.
       for (int i = 0; i < qr; ++i) {
         const fp16_t* src =
@@ -139,7 +140,9 @@ void mha_flash_like(par::Device& dev, const PackedMhaArgs& args,
         const float inv = 1.0f / l_run[static_cast<std::size_t>(i)];
         float* orow = o_acc.data() + static_cast<std::int64_t>(i) * d;
         for (int e = 0; e < d; ++e) orow[e] *= inv;
-        fp16_t* dst = args.ctx + (seq_base + q0 + i) * hidden + h * d;
+        fp16_t* dst =
+            args.ctx + (out_base[static_cast<std::size_t>(b)] + q0 + i) * hidden +
+            h * d;
         convert_row_from_f32(orow, dst, d);
       }
     }

@@ -24,6 +24,7 @@
 // whole-row fp16 store. The tile visitor walks each Q K^T problem
 // column-major, so a CTA packs each K^T stripe once per column rather than
 // once per tile. docs/PERF.md ("Softmax exp") has the measurements.
+#include <cassert>
 #include <vector>
 
 #include "attention/attention.h"
@@ -42,6 +43,7 @@ void mha_fused_long(par::Device& dev, const PackedMhaArgs& args,
     mha_flash_like(dev, args, ws);
     return;
   }
+  assert(args.q_start.empty() && "q_start is only meaningful when causal");
   const core::SeqOffsets& off = *args.offsets;
   const int heads = args.heads;
   const int d = args.head_size;

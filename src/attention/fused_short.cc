@@ -6,19 +6,28 @@
 // never touches global memory. Q/K/V are read *packed* through the offset
 // vector, so no padded token is ever loaded or computed.
 //
-// Q K^T goes through the register-blocked gemm microkernel
-// (gemm/kernels/kernel.h): the query tile is held as an A panel and each
-// 64-key block of K (bias fused at load) is transposed into a B panel, so
-// the quadratic work runs at panel-GEMM speed instead of per-row scalar
-// dots. P V stays a running-vector accumulation (each value row is touched
-// once, already vector-friendly).
+// Both GEMMs of the chain go through the register-blocked gemm microkernel
+// (gemm/kernels/kernel.h). For Q K^T the query tile is held as an A panel
+// and each 64-key block of K (bias fused at load) is transposed into a B
+// panel. For P V the normalized probabilities of each 64-key block are
+// copied into the (by then dead) Q panel as the A operand and the block's
+// V rows (bias fused) fill one B panel per 64 head columns. Each output
+// element is a key-ascending FMA chain seeded at 0 and a masked
+// probability enters it as an exact 0 term, so a row's context does not
+// depend on which tile it falls in or where that tile's key loop stops.
 //
-// Capacity note (why the 384 cutoff is real here too): at max_seq = 384,
-// head_size = 64 the arena holds ~137 KiB of the 164 KiB budget — past the
-// cutoff it no longer fits and the grouped-GEMM kernel takes over.
+// Under causal masking a tile's key loop stops at the tile's last row:
+// no query row of the tile attends further.
+//
+// Capacity note: at max_seq = 384, head_size = 64 the arena holds ~125 KiB
+// of the 164 KiB budget (the logits tile dominates and grows with the
+// sequence). The 384 cutoff itself is the paper's A100 value; the
+// dispatcher applies it on top of the capacity check.
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "attention/attention.h"
 #include "common/numeric.h"
@@ -37,14 +46,15 @@ std::size_t fused_short_scratch_bytes(int max_seq, int head_size) {
   const std::size_t len = static_cast<std::size_t>(max_seq);
   const std::size_t hd = static_cast<std::size_t>(head_size);
   const std::size_t split = static_cast<std::size_t>(kSplitSeqLen);
-  // q panel + logits tile + ctx accumulator + K-block B panel + gemm
-  // accumulator + row/bias buffers, plus headroom for the arena's 16-byte
-  // allocation alignment.
-  return split * gemm::TileShape::kK * sizeof(float) +  // q panel
+  const std::size_t dpad = static_cast<std::size_t>(
+      round_up(head_size, gemm::TileShape::kN));
+  // Q/P A panel + logits tile + accumulator (Q K^T block, then the P V
+  // context in dpad/kN column panels) + K/V B panels + row/bias buffers,
+  // plus headroom for the arena's 16-byte alignment of its 8 allocations.
+  return split * gemm::TileShape::kK * sizeof(float) +  // Q / P panel
          split * len * sizeof(float) +                  // logits
-         split * hd * sizeof(float) +                   // ctx accumulator
-         hd * gemm::TileShape::kN * sizeof(float) +     // K-block B panel
-         split * gemm::TileShape::kN * sizeof(float) +  // gemm accumulator
+         split * dpad * sizeof(float) +                 // accumulator
+         dpad * gemm::TileShape::kN * sizeof(float) +   // K / V B panels
          4 * hd * sizeof(float) +                       // row + bias buffers
          8 * 16;
 }
@@ -66,40 +76,45 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
   assert(d <= gemm::TileShape::kK && "head_size exceeds the K panel depth");
   const std::int64_t hidden = static_cast<std::int64_t>(heads) * d;
   const float scale = softmax_scale(d);
+  constexpr int kPK = gemm::TileShape::kK;
+  constexpr int kPN = gemm::TileShape::kN;
+  const int col_panels = static_cast<int>(ceil_div(d, kPN));
+  const std::vector<std::int64_t> out_base = ctx_row_base(args);
 
+  // Query tiles are anchored at each sequence's q_start.
+  int max_rows = 0;
+  for (int b = 0; b < off.batch; ++b) {
+    max_rows = std::max(max_rows, off.seq_lens[static_cast<std::size_t>(b)] -
+                                      first_query_row(args, b));
+  }
   par::Dim3 grid;
   grid.x = heads;
-  grid.y = static_cast<int>(ceil_div(off.max_seq, kSplitSeqLen));
+  grid.y = static_cast<int>(ceil_div(max_rows, kSplitSeqLen));
   grid.z = off.batch;
   dev.launch(grid, [&](par::CtaContext& ctx) {
     const int h = ctx.block_x;
     const int tile = ctx.block_y;
     const int b = ctx.block_z;
     const int len = off.seq_lens[static_cast<std::size_t>(b)];
-    const int q_begin = tile * kSplitSeqLen;
+    const int q_begin = first_query_row(args, b) + tile * kSplitSeqLen;
     if (q_begin >= len) return;  // tile entirely past this sequence's end
     const int rows = std::min(kSplitSeqLen, len - q_begin);
-    // Prefix-resume skip: a tile whose every query row is below q_start is
-    // already served from cached context. Whole tiles only — a straddling
-    // tile recomputes its cached rows (they are simply not stored), keeping
-    // the computed rows bitwise identical to a q_start=0 run.
-    if (q_begin + rows <= args.q_start) return;
+    // Causal rows of this tile attend no key past its last row.
+    const int kv = args.causal ? q_begin + rows : len;
     const std::int64_t seq_base = off.batch_offset[static_cast<std::size_t>(b)];
-    constexpr int kPK = gemm::TileShape::kK;
-    constexpr int kPN = gemm::TileShape::kN;
 
     // Dispatch only routes here when the tile set fits on-chip; a shortfall
     // is a dispatch bug, so the allocations fail loudly.
-    auto q_panel = ctx.scratch->alloc_or_abort<float>(
-        static_cast<std::size_t>(rows) * kPK, "short MHA Q panel");
+    auto a_panel = ctx.scratch->alloc_or_abort<float>(
+        static_cast<std::size_t>(rows) * kPK, "short MHA Q/P panel");
     auto logits = ctx.scratch->alloc_or_abort<float>(
-        static_cast<std::size_t>(rows) * len, "short MHA logits tile");
-    auto ctx_acc = ctx.scratch->alloc_or_abort<float>(
-        static_cast<std::size_t>(rows) * d, "short MHA context tile");
-    auto k_panel = ctx.scratch->alloc_or_abort<float>(
-        static_cast<std::size_t>(d) * kPN, "short MHA K panel");
+        static_cast<std::size_t>(rows) * kv, "short MHA logits tile");
     auto acc = ctx.scratch->alloc_or_abort<float>(
-        static_cast<std::size_t>(rows) * kPN, "short MHA gemm accumulator");
+        static_cast<std::size_t>(rows) * col_panels * kPN,
+        "short MHA accumulator");
+    // d x kPN for a K block, col_panels x (kPN x kPN) for a V block.
+    auto b_panel = ctx.scratch->alloc_or_abort<float>(
+        static_cast<std::size_t>(col_panels) * kPN * kPN, "short MHA K/V panel");
     auto row_buf = ctx.scratch->alloc_or_abort<float>(
         static_cast<std::size_t>(d), "short MHA row buffer");
     auto q_bias = ctx.scratch->alloc_or_abort<float>(
@@ -117,7 +132,7 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
     for (int i = 0; i < rows; ++i) {
       const fp16_t* src = args.qkv + (seq_base + q_begin + i) * 3 * hidden +
                           0 * hidden + h * d;
-      float* dst = q_panel.data() + static_cast<std::int64_t>(i) * kPK;
+      float* dst = a_panel.data() + static_cast<std::int64_t>(i) * kPK;
       convert_row_f32(src, dst, d);
       for (int j = 0; j < d; ++j) dst[j] += q_bias[j];
       std::memset(dst + d, 0, sizeof(float) * static_cast<std::size_t>(kPK - d));
@@ -125,32 +140,32 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
 
     // logits = scale * Q K^T, one 64-key block at a time: K rows (bias
     // fused) are transposed into a B panel and the block runs through the
-    // register-blocked microkernel. Under causal masking the extra entries
-    // beyond the diagonal are computed but never read by the softmax.
-    for (int col0 = 0; col0 < len; col0 += kPN) {
-      const int nc = std::min(kPN, len - col0);
+    // register-blocked microkernel. Under causal masking the entries past
+    // the diagonal inside the last block are computed but never read.
+    for (int col0 = 0; col0 < kv; col0 += kPN) {
+      const int nc = std::min(kPN, kv - col0);
       for (int j = 0; j < nc; ++j) {
         const fp16_t* src =
             args.qkv + (seq_base + col0 + j) * 3 * hidden + 1 * hidden + h * d;
         convert_row_f32(src, row_buf.data(), d);
-        float* col = k_panel.data() + j;
+        float* col = b_panel.data() + j;
         for (int p = 0; p < d; ++p) {
           col[static_cast<std::int64_t>(p) * kPN] = row_buf[p] + k_bias[p];
         }
       }
       if (nc < kPN) {
         for (int p = 0; p < d; ++p) {
-          std::memset(k_panel.data() + static_cast<std::int64_t>(p) * kPN + nc,
+          std::memset(b_panel.data() + static_cast<std::int64_t>(p) * kPN + nc,
                       0, sizeof(float) * static_cast<std::size_t>(kPN - nc));
         }
       }
       std::memset(acc.data(), 0,
                   sizeof(float) * static_cast<std::size_t>(rows) * kPN);
-      gemm::kernels::tile_multiply(q_panel.data(), rows, k_panel.data(), d,
+      gemm::kernels::tile_multiply(a_panel.data(), rows, b_panel.data(), d,
                                    acc.data());
       for (int i = 0; i < rows; ++i) {
         const float* acc_row = acc.data() + static_cast<std::int64_t>(i) * kPN;
-        float* lrow = logits.data() + static_cast<std::int64_t>(i) * len + col0;
+        float* lrow = logits.data() + static_cast<std::int64_t>(i) * kv + col0;
         for (int j = 0; j < nc; ++j) lrow[j] = scale * acc_row[j];
       }
     }
@@ -158,9 +173,8 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
     // Softmax per query row: both reductions and the transform on data held
     // locally (the register-file re-use of Algorithm III.1 lines 27-37).
     for (int i = 0; i < rows; ++i) {
-      const int row_len =
-          args.causal ? std::min(len, q_begin + i + 1) : len;
-      float* lrow = logits.data() + static_cast<std::int64_t>(i) * len;
+      const int row_len = args.causal ? q_begin + i + 1 : len;
+      float* lrow = logits.data() + static_cast<std::int64_t>(i) * kv;
       float mx = lrow[0];
       for (int j = 1; j < row_len; ++j) mx = std::max(mx, lrow[j]);
       exp_row(lrow, mx, lrow, row_len);
@@ -170,29 +184,58 @@ void mha_fused_short(par::Device& dev, const PackedMhaArgs& args,
       for (int j = 0; j < row_len; ++j) lrow[j] *= inv;
     }
 
-    // ctx = P V, accumulated in FP32; V rows (bias fused) widened once
-    // apiece straight from the packed QKV rows.
-    for (std::size_t i = 0; i < static_cast<std::size_t>(rows) * d; ++i) {
-      ctx_acc[i] = 0.0f;
-    }
-    for (int j = 0; j < len; ++j) {
-      const fp16_t* src =
-          args.qkv + (seq_base + j) * 3 * hidden + 2 * hidden + h * d;
-      convert_row_f32(src, row_buf.data(), d);
-      for (int e = 0; e < d; ++e) row_buf[e] += v_bias[e];
-      const int i_first = args.causal ? std::max(0, j - q_begin) : 0;
-      for (int i = i_first; i < rows; ++i) {
-        const float p = logits[static_cast<std::size_t>(i) * len + j];
-        float* acc_row = ctx_acc.data() + static_cast<std::int64_t>(i) * d;
-        for (int e = 0; e < d; ++e) acc_row[e] += p * row_buf[e];
+    // ctx = P V through the microkernel, one 64-key block at a time: the
+    // block's probabilities (masked entries as 0) become the A panel and its
+    // V rows (bias fused) one B panel per 64 head columns; the accumulator
+    // holds column panel c at acc + c * rows * kPN.
+    std::memset(acc.data(), 0,
+                sizeof(float) * static_cast<std::size_t>(rows) * col_panels *
+                    kPN);
+    for (int col0 = 0; col0 < kv; col0 += kPN) {
+      const int nc = std::min(kPN, kv - col0);
+      for (int i = 0; i < rows; ++i) {
+        const float* lrow =
+            logits.data() + static_cast<std::int64_t>(i) * kv + col0;
+        float* dst = a_panel.data() + static_cast<std::int64_t>(i) * kPK;
+        const int valid =
+            args.causal ? std::clamp(q_begin + i + 1 - col0, 0, nc) : nc;
+        std::memcpy(dst, lrow, sizeof(float) * static_cast<std::size_t>(valid));
+        std::memset(dst + valid, 0,
+                    sizeof(float) * static_cast<std::size_t>(nc - valid));
+      }
+      for (int j = 0; j < nc; ++j) {
+        const fp16_t* src =
+            args.qkv + (seq_base + col0 + j) * 3 * hidden + 2 * hidden + h * d;
+        convert_row_f32(src, row_buf.data(), d);
+        for (int c = 0; c < col_panels; ++c) {
+          float* dst = b_panel.data() +
+                       (static_cast<std::int64_t>(c) * kPN + j) * kPN;
+          const int e0 = c * kPN;
+          const int ne = std::min(kPN, d - e0);
+          for (int e = 0; e < ne; ++e) dst[e] = row_buf[e0 + e] + v_bias[e0 + e];
+          std::memset(dst + ne, 0, sizeof(float) * static_cast<std::size_t>(kPN - ne));
+        }
+      }
+      for (int c = 0; c < col_panels; ++c) {
+        gemm::kernels::tile_multiply(
+            a_panel.data(), rows,
+            b_panel.data() + static_cast<std::int64_t>(c) * kPN * kPN, nc,
+            acc.data() + static_cast<std::int64_t>(c) * rows * kPN);
       }
     }
 
-    // Stream the tile to the packed output rows.
+    // Stream the tile to its packed output rows.
     for (int i = 0; i < rows; ++i) {
-      fp16_t* dst = args.ctx + (seq_base + q_begin + i) * hidden + h * d;
-      convert_row_from_f32(ctx_acc.data() + static_cast<std::int64_t>(i) * d,
-                           dst, d);
+      fp16_t* dst = args.ctx +
+                    (out_base[static_cast<std::size_t>(b)] + q_begin + i) *
+                        hidden +
+                    h * d;
+      for (int c = 0; c < col_panels; ++c) {
+        const int e0 = c * kPN;
+        convert_row_from_f32(acc.data() +
+                                 (static_cast<std::int64_t>(c) * rows + i) * kPN,
+                             dst + e0, std::min(kPN, d - e0));
+      }
     }
   });
 }

@@ -49,27 +49,31 @@ std::uint64_t PrefixCache::hash_rows(const fp16_t* rows, std::int64_t count,
 std::shared_ptr<const PrefixEntry> PrefixCache::probe(const std::string& key,
                                                       const fp16_t* input_rows,
                                                       std::int64_t len) {
+  std::shared_ptr<const PrefixEntry> entry;
+  {
+    MutexLock lock(mutex_);
+    entry = std::static_pointer_cast<const PrefixEntry>(lru_.get(key));
+  }
+  // A usable entry covers a STRICT prefix (there must be suffix work left)
+  // and the conversation's actual history must match what was cached —
+  // replayed or edited history falls through to a full encode. The entry
+  // is immutable, so the hash over the whole prefix runs without the lock
+  // every replica shares.
+  const bool hit = entry != nullptr && entry->length < len &&
+                   hash_rows(input_rows, entry->length, entry->hidden) ==
+                       entry->hash;
   MutexLock lock(mutex_);
   stats_.probes += 1;
-  auto raw = lru_.get(key);
-  if (raw != nullptr) {
-    auto entry = std::static_pointer_cast<const PrefixEntry>(raw);
-    // A usable entry covers a STRICT prefix (there must be suffix work
-    // left) and the conversation's actual history must match what was
-    // cached — replayed or edited history falls through to a full encode.
-    if (entry->length < len &&
-        hash_rows(input_rows, entry->length, entry->hidden) == entry->hash) {
-      const std::int64_t suffix = len - entry->length;
-      stats_.hits += 1;
-      stats_.hit_suffix_tokens += suffix;
-      stats_.hit_prefix_tokens += entry->length;
-      m_suffix_ratio_.record(
-          static_cast<std::uint64_t>(suffix * 100 / len));
-      return entry;
-    }
+  if (!hit) {
+    stats_.misses += 1;
+    return nullptr;
   }
-  stats_.misses += 1;
-  return nullptr;
+  const std::int64_t suffix = len - entry->length;
+  stats_.hits += 1;
+  stats_.hit_suffix_tokens += suffix;
+  stats_.hit_prefix_tokens += entry->length;
+  m_suffix_ratio_.record(static_cast<std::uint64_t>(suffix * 100 / len));
+  return entry;
 }
 
 void PrefixCache::insert(const std::string& key, const fp16_t* input_rows,
@@ -107,6 +111,7 @@ void PrefixCache::extend(const std::string& key,
                          const std::shared_ptr<const PrefixEntry>& base,
                          const fp16_t* suffix_input, std::int64_t new_len,
                          const fp16_t* suffix_qkv,
+                         std::int64_t qkv_layer_stride_rows,
                          const fp16_t* suffix_output) {
   const std::int64_t hidden = base->hidden;
   const int layers = base->layers;
@@ -127,7 +132,7 @@ void PrefixCache::extend(const std::string& key,
                 static_cast<std::size_t>(base->length * 3 * hidden) *
                     sizeof(fp16_t));
     std::memcpy(dst + base->length * 3 * hidden,
-                suffix_qkv + static_cast<std::int64_t>(l) * suffix * 3 * hidden,
+                suffix_qkv + l * qkv_layer_stride_rows * 3 * hidden,
                 static_cast<std::size_t>(suffix * 3 * hidden) *
                     sizeof(fp16_t));
   }

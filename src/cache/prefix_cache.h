@@ -28,7 +28,8 @@
 // Concurrency: one mutex serializes the map + stats; entries themselves are
 // immutable (shared_ptr<const PrefixEntry>), so a reader holds its snapshot
 // lock-free while eviction or extension races ahead — an evicted entry
-// stays alive until the last in-flight resume drops it. extend() never
+// stays alive until the last in-flight resume drops it. probe() therefore
+// revalidates (hashes the whole prefix) outside the lock. extend() never
 // mutates the base entry; it builds a longer sibling and replaces the key.
 #pragma once
 
@@ -146,7 +147,9 @@ class PrefixCache {
               const fp16_t* output_rows);
 
   // Grow `base` (a probe() result for this key) by the suffix just encoded:
-  // suffix_qkv is [layers, suffix, 3*hidden] contiguous, suffix_output
+  // suffix_qkv points at this sequence's layer-0 suffix rows, layer l's at
+  // suffix_qkv + l * qkv_layer_stride_rows * 3 * hidden (a packed resume
+  // pass's [layers, suffix_rows, 3*hidden] buffer); suffix_output is
   // [suffix, hidden], suffix_input the rows hashed into the new entry's
   // hash (continuing from base->hash). Builds a new immutable entry of
   // length new_len and replaces the key; `base` itself is never mutated.
@@ -155,7 +158,8 @@ class PrefixCache {
   void extend(const std::string& key,
               const std::shared_ptr<const PrefixEntry>& base,
               const fp16_t* suffix_input, std::int64_t new_len,
-              const fp16_t* suffix_qkv, const fp16_t* suffix_output);
+              const fp16_t* suffix_qkv, std::int64_t qkv_layer_stride_rows,
+              const fp16_t* suffix_output);
 
   // Drop a session's entry (correctness action, counted as invalidation).
   void invalidate(const std::string& key);

@@ -1,5 +1,6 @@
 #include "core/encoder_layer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -158,7 +159,8 @@ namespace {
 void fused_attention(par::Device& dev, const BertConfig& cfg,
                      const LayerWeights& w, const OptFlags& flags,
                      const fp16_t* qkv, fp16_t* ctx_rows,
-                     const SeqOffsets& off, int q_start, Workspace& ws) {
+                     const SeqOffsets& off, std::span<const int> q_start,
+                     Workspace& ws) {
   attn::PackedMhaArgs args;
   args.qkv = qkv;
   args.qkv_bias = w.b_qkv.data();
@@ -215,7 +217,7 @@ void encoder_layer_forward(par::Device& dev, const BertConfig& cfg,
     StageScope scope(times, "attention");
     if (flags.zero_padding && flags.fused_mha) {
       fused_attention(dev, cfg, w, flags, qkv.data(), ctx_rows.data(), off,
-                      /*q_start=*/0, ws);
+                      /*q_start=*/{}, ws);
     } else {
       assert(!flags.fused_mha || flags.zero_padding);
       assert(!flags.causal && "causal requires the fused packed kernels");
@@ -228,51 +230,96 @@ void encoder_layer_forward(par::Device& dev, const BertConfig& cfg,
                      ws, times);
 }
 
+ResumeLayout make_resume_layout(par::Device& dev, int head_size,
+                                std::span<const int> prefix_rows,
+                                std::span<const int> total_rows) {
+  assert(prefix_rows.size() == total_rows.size() && !total_rows.empty());
+  const int k = static_cast<int>(total_rows.size());
+  ResumeLayout layout;
+  layout.prefix_rows.assign(prefix_rows.begin(), prefix_rows.end());
+  layout.full_offset.assign(static_cast<std::size_t>(k) + 1, 0);
+  layout.suffix_offset.assign(static_cast<std::size_t>(k) + 1, 0);
+  for (std::size_t b = 0; b < static_cast<std::size_t>(k); ++b) {
+    assert(prefix_rows[b] > 0 && prefix_rows[b] < total_rows[b]);
+    layout.full_offset[b + 1] = layout.full_offset[b] + total_rows[b];
+    layout.suffix_offset[b + 1] =
+        layout.suffix_offset[b] + (total_rows[b] - prefix_rows[b]);
+  }
+  for (int first = 0; first < k;) {
+    const auto short_regime = [&](int b) {
+      return attn::fused_short_regime(
+          dev, total_rows[static_cast<std::size_t>(b)], head_size);
+    };
+    int end = first + 1;
+    while (end < k && short_regime(end) == short_regime(first)) ++end;
+    const std::span<const int> lens =
+        total_rows.subspan(static_cast<std::size_t>(first),
+                           static_cast<std::size_t>(end - first));
+    layout.runs.push_back(ResumeLayout::Run{
+        first,
+        build_seq_offsets(dev, lens, *std::max_element(lens.begin(), lens.end()))});
+    first = end;
+  }
+  return layout;
+}
+
 void encoder_layer_resume(par::Device& dev, const BertConfig& cfg,
                           const LayerWeights& w, const OptFlags& flags,
-                          const fp16_t* prefix_qkv, const fp16_t* suffix_input,
-                          fp16_t* suffix_output, fp16_t* suffix_qkv,
-                          const SeqOffsets& off, std::int64_t prefix_rows,
-                          Workspace& ws, StageTimes* times) {
-  assert(off.batch == 1 && "resume operates on one sequence");
+                          const ResumeLayout& layout,
+                          std::span<const fp16_t* const> prefix_qkv,
+                          const fp16_t* suffix_input, fp16_t* suffix_output,
+                          fp16_t* suffix_qkv, Workspace& ws,
+                          StageTimes* times) {
   assert(flags.causal && flags.fused_mha && flags.zero_padding);
+  assert(prefix_qkv.size() == layout.prefix_rows.size());
   const std::int64_t h = cfg.hidden();
-  const std::int64_t total = off.valid_count;
-  const std::int64_t suffix = total - prefix_rows;
-  assert(prefix_rows > 0 && suffix > 0);
+  const std::int64_t suffix_rows = layout.suffix_rows();
 
   // Same workspace keys as the full path: the buffers are shared (grow-only)
   // and a resumed round reuses whatever the full rounds already sized.
-  auto qkv = ws.get<fp16_t>("layer.qkv", total * 3 * h);
-  auto ctx_rows = ws.get<fp16_t>("layer.ctx_rows", total * h);
+  auto qkv = ws.get<fp16_t>("layer.qkv", layout.full_offset.back() * 3 * h);
+  auto ctx_rows = ws.get<fp16_t>("layer.ctx_rows", suffix_rows * h);
   const bool prepacked = flags.prepacked_weights && w.packed.ready;
 
-  // GEMM #0 over the suffix rows only, written in place at their sequence
-  // position. Each output row depends only on its own input row (fixed
-  // k-accumulation order), so these rows are bitwise identical to rows
-  // [prefix_rows, total) of the full-sequence GEMM.
+  // GEMM #0 once over the whole suffix block. Each output row depends only
+  // on its own input row (fixed k-accumulation order), so every row is
+  // bitwise identical to the same row of its sequence's full forward.
   {
     StageScope scope(times, "gemm0");
-    weight_gemm(dev, prepacked, suffix, 3 * h, h, suffix_input, w.packed.qkv,
-                w.w_qkv, qkv.data() + prefix_rows * 3 * h);
+    weight_gemm(dev, prepacked, suffix_rows, 3 * h, h, suffix_input,
+                w.packed.qkv, w.w_qkv, suffix_qkv);
   }
-  // Reassemble the full QKV buffer: cached prefix rows + fresh suffix rows.
-  std::memcpy(qkv.data(), prefix_qkv,
-              static_cast<std::size_t>(prefix_rows * 3 * h) * sizeof(fp16_t));
-  // Stream the suffix QKV out so the caller can extend the cache entry.
-  std::memcpy(suffix_qkv, qkv.data() + prefix_rows * 3 * h,
-              static_cast<std::size_t>(suffix * 3 * h) * sizeof(fp16_t));
+  // Place each sequence at its full-length offset: cached prefix rows, then
+  // its fresh suffix rows.
+  for (std::size_t b = 0; b < prefix_qkv.size(); ++b) {
+    const std::int64_t prefix = layout.prefix_rows[b];
+    const std::int64_t suffix =
+        layout.suffix_offset[b + 1] - layout.suffix_offset[b];
+    fp16_t* dst = qkv.data() + layout.full_offset[b] * 3 * h;
+    std::memcpy(dst, prefix_qkv[b],
+                static_cast<std::size_t>(prefix * 3 * h) * sizeof(fp16_t));
+    std::memcpy(dst + prefix * 3 * h,
+                suffix_qkv + layout.suffix_offset[b] * 3 * h,
+                static_cast<std::size_t>(suffix * 3 * h) * sizeof(fp16_t));
+  }
 
-  // Attention over the full sequence, computing only suffix query rows.
-  // Prefix ctx rows are never written (and never read by the tail below).
+  // Attention computes only suffix query rows, each written straight to its
+  // suffix-block row: one launch per regime run.
   {
     StageScope scope(times, "attention");
-    fused_attention(dev, cfg, w, flags, qkv.data(), ctx_rows.data(), off,
-                    static_cast<int>(prefix_rows), ws);
+    for (const ResumeLayout::Run& run : layout.runs) {
+      const auto first = static_cast<std::size_t>(run.first);
+      fused_attention(
+          dev, cfg, w, flags, qkv.data() + layout.full_offset[first] * 3 * h,
+          ctx_rows.data() + layout.suffix_offset[first] * h, run.off,
+          std::span<const int>(layout.prefix_rows)
+              .subspan(first, static_cast<std::size_t>(run.off.batch)),
+          ws);
+    }
   }
 
-  encoder_layer_tail(dev, cfg, w, flags, ctx_rows.data() + prefix_rows * h,
-                     suffix_input, suffix_output, suffix, ws, times);
+  encoder_layer_tail(dev, cfg, w, flags, ctx_rows.data(), suffix_input,
+                     suffix_output, suffix_rows, ws, times);
 }
 
 }  // namespace bt::core

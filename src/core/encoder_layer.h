@@ -10,6 +10,10 @@
 //     [valid_count, hidden] indexed through SeqOffsets.
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "common/half.h"
 #include "common/timer.h"
 #include "core/config.h"
@@ -41,29 +45,62 @@ void encoder_layer_tail(par::Device& dev, const BertConfig& cfg,
                         fp16_t* output, std::int64_t rows, Workspace& ws,
                         StageTimes* times = nullptr);
 
-// Prefix-resume layer step for one sequence (cache/prefix_cache.h). Given
-// the layer's cached raw QKV rows for the first `prefix_rows` tokens
-// (`prefix_qkv`, [prefix_rows, 3*hidden], bias unapplied — exactly the raw
-// gemm0 output the fused kernels consume) and the layer's input for the
-// suffix tokens, computes the layer's output for the suffix only:
+// Row layout of a packed prefix-resume pass (cache/prefix_cache.h) over k
+// sequences, built once per pass and shared by every layer. Sequence b has
+// prefix_rows[b] cached rows followed by suffix fresh rows; the fresh rows
+// of all k sequences form one contiguous block of suffix_rows() rows, in
+// sequence order, which is the layout of the pass's input, output and
+// suffix QKV. The layer's full QKV buffer holds every sequence at its
+// full-length offset (cached prefix rows, then fresh suffix rows), so
+// attention reads each sequence's K/V exactly as in a full forward.
+struct ResumeLayout {
+  std::vector<int> prefix_rows;             // [k], attention's q_start
+  std::vector<std::int64_t> full_offset;    // [k + 1] full-QKV row of b
+  std::vector<std::int64_t> suffix_offset;  // [k + 1] suffix-block row of b
+  // Maximal runs of consecutive sequences whose OWN full length selects the
+  // same attention regime (attn::fused_short_regime). Each run is one
+  // attention launch over zero-based offsets of its members, so every
+  // sequence runs the kernel its single-sequence forward would run.
+  struct Run {
+    int first = 0;
+    SeqOffsets off;
+  };
+  std::vector<Run> runs;
+
+  std::int64_t suffix_rows() const { return suffix_offset.back(); }
+};
+
+// Builds the layout for sequences of full lengths total_rows[b] whose first
+// prefix_rows[b] rows are cached (0 < prefix_rows[b] < total_rows[b]).
+// Sequences ordered by length give at most two runs.
+ResumeLayout make_resume_layout(par::Device& dev, int head_size,
+                                std::span<const int> prefix_rows,
+                                std::span<const int> total_rows);
+
+// Prefix-resume layer step for a packed batch of sequences. Given, per
+// sequence, the layer's cached raw QKV rows for its prefix (`prefix_qkv[b]`,
+// [prefix_rows[b], 3*hidden], bias unapplied — exactly the raw gemm0 output
+// the fused kernels consume) and the layer's input for the suffix block
+// (`suffix_input`, [suffix_rows, hidden]), computes the layer's output for
+// the suffix block only:
 //
-//   1. gemm0 over the suffix rows -> suffix QKV (also streamed to
-//      `suffix_qkv` so the caller can extend the cache entry),
-//   2. attention over the FULL sequence with causal masking and
-//      q_start = prefix_rows (prefix query tiles are skipped, prefix K/V
-//      rows are read from the reassembled QKV buffer),
-//   3. the shared tail over the suffix rows.
+//   1. gemm0 once over the suffix block -> `suffix_qkv` ([suffix_rows,
+//      3*hidden], what the caller extends the cache entries from), then
+//      cached prefix + fresh suffix rows are placed at full-length offsets,
+//   2. attention with causal masking and q_start = prefix_rows, one launch
+//      per regime run; each computed row lands at its suffix-block row,
+//   3. the shared tail once over the suffix block.
 //
-// `off` must describe exactly one sequence of length prefix_rows + suffix.
 // Requires flags.causal (validated by the caller): under bidirectional
 // attention the suffix context would not match a full re-encode. Every
 // suffix output row is bitwise identical to the same row of
-// encoder_layer_forward over the whole sequence.
+// encoder_layer_forward over that sequence alone.
 void encoder_layer_resume(par::Device& dev, const BertConfig& cfg,
                           const LayerWeights& w, const OptFlags& flags,
-                          const fp16_t* prefix_qkv, const fp16_t* suffix_input,
-                          fp16_t* suffix_output, fp16_t* suffix_qkv,
-                          const SeqOffsets& off, std::int64_t prefix_rows,
-                          Workspace& ws, StageTimes* times = nullptr);
+                          const ResumeLayout& layout,
+                          std::span<const fp16_t* const> prefix_qkv,
+                          const fp16_t* suffix_input, fp16_t* suffix_output,
+                          fp16_t* suffix_qkv, Workspace& ws,
+                          StageTimes* times = nullptr);
 
 }  // namespace bt::core

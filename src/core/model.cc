@@ -1,5 +1,7 @@
 #include "core/model.h"
 
+#include <vector>
+
 #include "models/deberta.h"
 
 namespace bt::core {
@@ -66,12 +68,12 @@ void BertModel::forward(par::Device& dev, const fp16_t* input, fp16_t* output,
   }
 }
 
-void BertModel::forward_resume(par::Device& dev, const fp16_t* prefix_qkv,
-                               std::int64_t prefix_rows,
+void BertModel::forward_resume(par::Device& dev,
+                               std::span<const ResumeSeq> seqs,
                                const fp16_t* suffix_input,
                                fp16_t* suffix_output, fp16_t* suffix_qkv,
-                               const SeqOffsets& off, const OptFlags& flags,
-                               Workspace& ws, StageTimes* times) const {
+                               const OptFlags& flags, Workspace& ws,
+                               StageTimes* times) const {
   const ModelWeights& weights = *weights_;
   const BertConfig& cfg = weights.config;
   if (cfg.kind == ModelKind::kDeberta) {
@@ -83,35 +85,61 @@ void BertModel::forward_resume(par::Device& dev, const fp16_t* prefix_qkv,
         "BertModel::forward_resume: requires causal + fused_mha + "
         "zero_padding (prefix reuse is only exact under causal attention)");
   }
-  if (off.batch != 1) {
+  if (seqs.empty()) {
     throw std::invalid_argument(
-        "BertModel::forward_resume: off must describe exactly one sequence");
+        "BertModel::forward_resume: needs at least one sequence");
   }
-  const std::int64_t total = off.valid_count;
-  if (prefix_rows <= 0 || prefix_rows >= total) {
-    throw std::invalid_argument(
-        "BertModel::forward_resume: prefix_rows must be in (0, valid_count)");
+  std::vector<int> prefix_rows;
+  std::vector<int> total_rows;
+  for (const ResumeSeq& s : seqs) {
+    if (s.prefix_rows <= 0 || s.prefix_rows >= s.total_rows) {
+      throw std::invalid_argument(
+          "BertModel::forward_resume: prefix_rows must be in (0, total_rows)");
+    }
+    prefix_rows.push_back(s.prefix_rows);
+    total_rows.push_back(s.total_rows);
   }
+  const ResumeLayout layout =
+      make_resume_layout(dev, cfg.head_size, prefix_rows, total_rows);
   const std::int64_t h = cfg.hidden();
-  const std::int64_t suffix = total - prefix_rows;
+  const std::int64_t suffix = layout.suffix_rows();
 
   auto buf_a = ws.get<fp16_t>("model.buf_a", suffix * h);
   auto buf_b = ws.get<fp16_t>("model.buf_b", suffix * h);
 
-  // Single sequence => packed rows are exactly the valid rows; no
-  // pack/unpack step, the caller hands packed suffix rows directly.
+  // Suffix rows arrive packed, so there is no pack/unpack step.
+  std::vector<const fp16_t*> layer_qkv(seqs.size());
   const fp16_t* cur = suffix_input;
   for (int layer = 0; layer < cfg.layers; ++layer) {
+    for (std::size_t b = 0; b < seqs.size(); ++b) {
+      layer_qkv[b] = seqs[b].prefix_qkv +
+                     static_cast<std::int64_t>(layer) * seqs[b].prefix_rows * 3 * h;
+    }
     const bool last = layer == cfg.layers - 1;
     fp16_t* dst = last             ? suffix_output
                   : (cur == buf_a.data()) ? buf_b.data()
                                           : buf_a.data();
-    encoder_layer_resume(dev, cfg, weights.layer(layer), flags,
-                         prefix_qkv + layer * prefix_rows * 3 * h, cur, dst,
-                         suffix_qkv + layer * suffix * 3 * h, off,
-                         prefix_rows, ws, times);
+    encoder_layer_resume(dev, cfg, weights.layer(layer), flags, layout,
+                         layer_qkv, cur, dst,
+                         suffix_qkv + layer * suffix * 3 * h, ws, times);
     cur = dst;
   }
+}
+
+void BertModel::forward_resume(par::Device& dev, const fp16_t* prefix_qkv,
+                               std::int64_t prefix_rows,
+                               const fp16_t* suffix_input,
+                               fp16_t* suffix_output, fp16_t* suffix_qkv,
+                               const SeqOffsets& off, const OptFlags& flags,
+                               Workspace& ws, StageTimes* times) const {
+  if (off.batch != 1) {
+    throw std::invalid_argument(
+        "BertModel::forward_resume: off must describe exactly one sequence");
+  }
+  const ResumeSeq seq{prefix_qkv, static_cast<int>(prefix_rows),
+                      static_cast<int>(off.valid_count)};
+  forward_resume(dev, std::span<const ResumeSeq>(&seq, 1), suffix_input,
+                 suffix_output, suffix_qkv, flags, ws, times);
 }
 
 }  // namespace bt::core

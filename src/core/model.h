@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "common/half.h"
@@ -83,20 +84,36 @@ class BertModel {
                StageTimes* times = nullptr,
                QkvCaptureSink* capture = nullptr) const;
 
-  // Prefix-resume forward for ONE sequence (cache/prefix_cache.h). Given the
-  // cached per-layer raw QKV rows of the first `prefix_rows` tokens
-  // (`prefix_qkv`, [layers, prefix_rows, 3*hidden] contiguous) and the
-  // embedding rows of the remaining suffix tokens (`suffix_input`,
-  // [suffix, hidden] packed), computes the final hidden states of the
-  // suffix tokens only (`suffix_output`, [suffix, hidden]) and streams each
-  // layer's suffix QKV rows to `suffix_qkv` ([layers, suffix, 3*hidden]) so
-  // the caller can extend the cache entry. `off` must describe exactly one
-  // sequence; suffix = off.valid_count - prefix_rows must be positive.
+  // Packed prefix-resume forward (cache/prefix_cache.h): k sequences, each
+  // with its own cached prefix, run as ONE model pass — every weight GEMM
+  // and layernorm runs once over the sum of the suffix rows. `seqs[b]`
+  // gives sequence b's cached per-layer raw QKV rows (`prefix_qkv`,
+  // [layers, prefix_rows, 3*hidden] contiguous) and its full length;
+  // `suffix_input` holds the embedding rows of every suffix packed in
+  // sequence order ([suffix_rows, hidden], suffix_rows = sum of
+  // total_rows - prefix_rows). Computes the final hidden states of the
+  // suffix rows only (`suffix_output`, same layout) and streams each
+  // layer's suffix QKV rows to `suffix_qkv` ([layers, suffix_rows,
+  // 3*hidden]) so the caller can extend each cache entry from its slice.
+  // Ordering the sequences by length keeps attention at two launches per
+  // layer at most (encoder_layer.h ResumeLayout).
   //
   // Exactness contract: every suffix output row is bitwise identical to the
-  // same row of forward() over the full sequence with the same flags.
-  // Requires flags.causal + fused_mha + zero_padding and a non-DeBERTa
-  // model; throws std::invalid_argument otherwise.
+  // same row of forward() over that sequence alone with the same flags.
+  // Requires flags.causal + fused_mha + zero_padding, a non-DeBERTa model
+  // and 0 < prefix_rows < total_rows for every sequence; throws
+  // std::invalid_argument otherwise.
+  struct ResumeSeq {
+    const fp16_t* prefix_qkv = nullptr;
+    int prefix_rows = 0;
+    int total_rows = 0;
+  };
+  void forward_resume(par::Device& dev, std::span<const ResumeSeq> seqs,
+                      const fp16_t* suffix_input, fp16_t* suffix_output,
+                      fp16_t* suffix_qkv, const OptFlags& flags, Workspace& ws,
+                      StageTimes* times = nullptr) const;
+
+  // One-sequence form of the above: `off` describes exactly that sequence.
   void forward_resume(par::Device& dev, const fp16_t* prefix_qkv,
                       std::int64_t prefix_rows, const fp16_t* suffix_input,
                       fp16_t* suffix_output, fp16_t* suffix_qkv,

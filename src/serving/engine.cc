@@ -138,8 +138,9 @@ std::vector<Response> Engine::run_batch() {
   std::vector<Response> responses(count);
 
   // Prefix-cache probe: sessioned requests whose input extends a cached
-  // prefix are peeled out of the batch and resumed individually; everything
-  // else (sessionless, cache miss, cache off) runs the batched path below.
+  // prefix are peeled out of the batch and resumed together in one packed
+  // pass; everything else (sessionless, cache miss, cache off) runs the
+  // batched path below.
   struct CacheHit {
     std::size_t pos;  // queue / responses position
     std::string key;
@@ -164,52 +165,84 @@ std::vector<Response> Engine::run_batch() {
     miss.push_back(i);
   }
 
-  // Resumed requests: each is one single-sequence model invocation that
-  // encodes only the suffix. The result is bitwise identical to a full
-  // single-sequence re-encode (core/encoder_layer.h), and the extended
-  // state goes straight back into the cache for the next round.
-  for (CacheHit& hit : hits) {
-    Pending& p = queue_[hit.pos];
-    const std::int64_t total = p.hidden.dim(0);
-    const std::int64_t prefix = hit.entry->length;
-    const std::int64_t suffix = total - prefix;
-    const int len = static_cast<int>(total);
-    const core::SeqOffsets off =
-        core::build_seq_offsets(dev_, std::span<const int>(&len, 1), len);
-    auto suffix_qkv =
-        ws_.get<fp16_t>("engine.cache_suffix_qkv", layers * suffix * 3 * h);
+  // Resumed requests: every hit of the round runs in ONE packed model pass
+  // that encodes only the suffixes (core/model.h forward_resume). Each
+  // result is bitwise identical to a full single-sequence re-encode, and
+  // each extended state goes straight back into the cache for the next
+  // round. Shortest first, so each attention regime is one contiguous run.
+  if (!hits.empty()) {
+    std::stable_sort(hits.begin(), hits.end(),
+                     [&](const CacheHit& a, const CacheHit& b) {
+                       return queue_[a.pos].hidden.dim(0) <
+                              queue_[b.pos].hidden.dim(0);
+                     });
+    std::vector<core::BertModel::ResumeSeq> seqs;
+    std::int64_t suffix_rows = 0;
+    for (const CacheHit& hit : hits) {
+      const std::int64_t total = queue_[hit.pos].hidden.dim(0);
+      seqs.push_back({hit.entry->qkv.data(), static_cast<int>(hit.entry->length),
+                      static_cast<int>(total)});
+      suffix_rows += total - hit.entry->length;
+    }
+    auto in = ws_.get<fp16_t>("engine.resume_in", suffix_rows * h);
+    auto out = ws_.get<fp16_t>("engine.resume_out", suffix_rows * h);
+    auto suffix_qkv = ws_.get<fp16_t>("engine.cache_suffix_qkv",
+                                      layers * suffix_rows * 3 * h);
+    std::int64_t row = 0;
+    for (const CacheHit& hit : hits) {
+      const Tensor<fp16_t>& hidden_rows = queue_[hit.pos].hidden;
+      const std::int64_t prefix = hit.entry->length;
+      const std::int64_t suffix = hidden_rows.dim(0) - prefix;
+      std::memcpy(in.data() + row * h, hidden_rows.data() + prefix * h,
+                  static_cast<std::size_t>(suffix * h) * sizeof(fp16_t));
+      row += suffix;
+    }
 
-    Response& r = responses[hit.pos];
-    r.id = p.id;
-    r.output = Tensor<fp16_t>({total, h});
-    // Prefix output rows come straight from the cache — zero compute.
-    std::memcpy(r.output.data(), hit.entry->output.data(),
-                static_cast<std::size_t>(prefix * h) * sizeof(fp16_t));
     StageTimes stages;
     Timer t;
-    model_->forward_resume(dev_, hit.entry->qkv.data(), prefix,
-                           p.hidden.data() + prefix * h,
-                           r.output.data() + prefix * h, suffix_qkv.data(),
-                           off, opts_.flags, ws_, &stages);
+    model_->forward_resume(dev_, seqs, in.data(), out.data(),
+                           suffix_qkv.data(), opts_.flags, ws_, &stages);
     const double compute = t.seconds();
     stats_.compute_seconds += compute;
-    opts_.prefix_cache->extend(hit.key, hit.entry, p.hidden.data() + prefix * h,
-                               total, suffix_qkv.data(),
-                               r.output.data() + prefix * h);
-
-    r.queue_seconds = queue_secs[hit.pos];
-    r.compute_seconds = compute;
-    r.round = stats_.batches;
-    r.stages = stages;
-    r.session = std::move(p.session);
     stats_.micro_batches += 1;
-    // Token counters count COMPUTED tokens only: the prefix was not
-    // processed this round, which is the whole point.
-    stats_.valid_tokens += suffix;
-    stats_.processed_tokens += suffix;
-    stats_.cache_hits += 1;
-    stats_.cache_hit_suffix_tokens += suffix;
-    stats_.cache_saved_tokens += prefix;
+
+    row = 0;
+    for (CacheHit& hit : hits) {
+      Pending& p = queue_[hit.pos];
+      const std::int64_t total = p.hidden.dim(0);
+      const std::int64_t prefix = hit.entry->length;
+      const std::int64_t suffix = total - prefix;
+      Response& r = responses[hit.pos];
+      r.id = p.id;
+      r.output = Tensor<fp16_t>({total, h});
+      // Prefix output rows come straight from the cache — zero compute.
+      std::memcpy(r.output.data(), hit.entry->output.data(),
+                  static_cast<std::size_t>(prefix * h) * sizeof(fp16_t));
+      std::memcpy(r.output.data() + prefix * h, out.data() + row * h,
+                  static_cast<std::size_t>(suffix * h) * sizeof(fp16_t));
+      opts_.prefix_cache->extend(hit.key, hit.entry,
+                                 p.hidden.data() + prefix * h, total,
+                                 suffix_qkv.data() + row * 3 * h, suffix_rows,
+                                 out.data() + row * h);
+      // The cache now holds the extended sibling: drop the base before the
+      // next hit's extension allocates, so a round never holds both copies
+      // of every hit.
+      hit.entry.reset();
+      row += suffix;
+
+      r.queue_seconds = queue_secs[hit.pos];
+      r.compute_seconds = compute;
+      r.round = stats_.batches;
+      r.stages = stages;
+      r.session = std::move(p.session);
+      // Token counters count COMPUTED tokens only: the prefix was not
+      // processed this round, which is the whole point.
+      stats_.valid_tokens += suffix;
+      stats_.processed_tokens += suffix;
+      stats_.cache_hits += 1;
+      stats_.cache_hit_suffix_tokens += suffix;
+      stats_.cache_saved_tokens += prefix;
+    }
   }
 
   // Batched path over the misses (the entire round when the cache is off).

@@ -151,7 +151,8 @@ struct Response {
 struct EngineStats {
   long long requests = 0;
   long long batches = 0;         // scheduling rounds that did work
-  long long micro_batches = 0;   // model invocations
+  long long micro_batches = 0;   // model invocations; one resume pass
+                                 // serves all of a round's cache hits
   long long valid_tokens = 0;
   long long processed_tokens = 0;  // per-policy padded-token accounting
   double compute_seconds = 0;

@@ -1,5 +1,6 @@
 // Fused MHA specifics: tile boundaries, the short/long dispatch cutoff,
-// scheduler prefetch invariance, and scratch-capacity behaviour.
+// scheduler prefetch invariance, scratch-capacity behaviour, and the
+// per-sequence q_start of a packed prefix resume.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -148,6 +149,86 @@ TEST(FusedShort, ScratchFitsAtCutoffWithBertHeadSize) {
   };
   EXPECT_LE(demand(384, 64), par::CtaScratch::kDefaultBytes);
   EXPECT_GT(demand(448, 64), par::CtaScratch::kDefaultBytes);
+
+  // fused_short_scratch_bytes is what the kernel really allocates: on an
+  // arena of exactly that size every allocation fits (a missed one would
+  // fire alloc_or_abort) and the kernel runs instead of falling back, so it
+  // matches the default-arena short run bitwise. At head_size 128, P V runs
+  // over both 64-column B panels; the grouped-GEMM kernel checks the values.
+  EXPECT_LE(fused_short_scratch_bytes(kShortSeqCutoff, 64),
+            par::CtaScratch::kDefaultBytes);
+  for (const auto& [len, hd] : {std::pair{kShortSeqCutoff, 64}, {200, 128}}) {
+    par::Device tight(2, fused_short_scratch_bytes(len, hd));
+    if (hd == 64) {
+      EXPECT_TRUE(fused_short_regime(tight, len, hd));
+    }
+    for (const bool causal : {false, true}) {
+      MhaSetup s({len, len / 2 + 1, 1}, len, 2, hd);
+      core::Workspace ws;
+      auto a = Tensor<fp16_t>::zeros({s.off.valid_count, s.hidden});
+      auto b = Tensor<fp16_t>::zeros({s.off.valid_count, s.hidden});
+      auto c = Tensor<fp16_t>::zeros({s.off.valid_count, s.hidden});
+      auto args = s.args(a);
+      args.causal = causal;
+      mha_fused_short(tight, args, ws);
+      args.ctx = b.data();
+      mha_fused_short(dev(), args, ws);
+      args.ctx = c.data();
+      mha_flash_like(dev(), args, ws);
+      for (std::int64_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a.data()[i].bits(), b.data()[i].bits())
+            << "len=" << len << " hd=" << hd << " elem " << i;
+      }
+      EXPECT_LT(max_abs_diff(a, c), 3e-2) << "len=" << len << " hd=" << hd;
+    }
+  }
+}
+
+// Per-sequence q_start (prefix resume): every computed row is bitwise the
+// same row of the q_start = 0 run, lands at its packed suffix row, and no
+// other ctx row is written.
+TEST(FusedMha, PerSequenceQStartComputesOnlySuffixRowsBitwise) {
+  const std::vector<int> lens{60, 100, 97, 130, 200};
+  const std::vector<int> q_start{0, 47, 48, 49, 199};  // 199 = len - 1
+  const fp16_t sentinel = fp16_t::from_bits(0x7e01);  // a NaN no kernel writes
+  using Kernel = void (*)(par::Device&, const PackedMhaArgs&, core::Workspace&);
+  const std::pair<const char*, Kernel> kernels[] = {
+      {"short", mha_fused_short}, {"flash", mha_flash_like}, {"fused", mha_fused}};
+  for (const int hd : {16, 64, 128}) {
+    MhaSetup s(lens, 200, 2, hd, /*seed=*/31);
+    std::int64_t suffix_rows = 0;
+    for (std::size_t b = 0; b < lens.size(); ++b) suffix_rows += lens[b] - q_start[b];
+    for (const auto& [name, kernel] : kernels) {
+      core::Workspace ws;
+      auto full = Tensor<fp16_t>::zeros({s.off.valid_count, s.hidden});
+      auto args = s.args(full);
+      args.causal = true;
+      kernel(dev(), args, ws);
+
+      // Rows past the suffix block must stay untouched.
+      Tensor<fp16_t> part({s.off.valid_count, s.hidden});
+      std::fill(part.data(), part.data() + part.size(), sentinel);
+      args.ctx = part.data();
+      args.q_start = q_start;
+      kernel(dev(), args, ws);
+
+      std::int64_t row = 0;
+      for (std::size_t b = 0; b < lens.size(); ++b) {
+        for (int t = q_start[b]; t < lens[b]; ++t, ++row) {
+          const std::int64_t src = s.off.batch_offset[b] + t;
+          for (int j = 0; j < s.hidden; ++j) {
+            ASSERT_EQ(part(row, j).bits(), full(src, j).bits())
+                << name << " hd=" << hd << " seq " << b << " row " << t;
+          }
+        }
+      }
+      ASSERT_EQ(row, suffix_rows);
+      for (std::int64_t i = suffix_rows * s.hidden; i < part.size(); ++i) {
+        ASSERT_EQ(part.data()[i].bits(), sentinel.bits())
+            << name << " hd=" << hd << " wrote past the suffix block";
+      }
+    }
+  }
 }
 
 TEST(FusedLong, ManyHeadsManyBatches) {

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "attention/attention.h"
 #include "cache/budget_lru.h"
 #include "cache/prefix_cache.h"
 #include "common/rng.h"
@@ -161,7 +162,7 @@ TEST(PrefixCache, ExtendBuildsLongerSiblingWithContinuedHash) {
   std::vector<fp16_t> sqkv(static_cast<std::size_t>(2 * 6 * 12), fp16_t(1));
   std::vector<fp16_t> sout(static_cast<std::size_t>(6 * 4), fp16_t(2));
   cache.extend(key, base, conv.input.data() + 10 * 4, 16, sqkv.data(),
-               sout.data());
+               /*qkv_layer_stride_rows=*/6, sout.data());
 
   // The new entry validates as a true prefix of an 18-row follow-up whose
   // first 16 rows are the same history — i.e. its continued hash equals the
@@ -419,6 +420,90 @@ TEST_P(PrefixCacheEngine, EvictionMidConversationStaysExact) {
   EXPECT_EQ(cached.stats().cache_hits, 0);
   EXPECT_EQ(cached.stats().cache_misses, 3);
   EXPECT_LE(cache->stats().bytes, cache->budget());
+}
+
+// Every hit of a round runs in ONE packed resume pass, and each member is
+// still bitwise its own single-request encode: prefix lengths on both sides
+// of a 48-row query tile edge (47, 96, 49), suffixes of 1, 8 and > 48 rows,
+// and one hit past kShortSeqCutoff whose attention must run the long-regime
+// kernel while the short hits beside it run the short one. A sessioned miss
+// and a sessionless request share the round.
+TEST_P(PrefixCacheEngine, OneRoundOfHitsIsOnePackedPassAndStaysExact) {
+  auto cache = std::make_shared<cache::PrefixCache>(std::size_t(64) << 20);
+  serving::EngineOptions cached_opts = engine_options(GetParam());
+  cached_opts.prefix_cache = cache;
+  cached_opts.cache_scope = "tiny";
+  serving::Engine cached(shared_model(), cached_opts);
+  serving::Engine plain(shared_model(), engine_options(GetParam()));
+  const int hidden = static_cast<int>(cached.hidden());
+
+  struct Conv {
+    const char* session;
+    int prefix;
+    int total;
+    Tensor<fp16_t> history;
+  };
+  std::vector<Conv> convs;
+  convs.push_back({"a", 47, 48, make_history(48, hidden, 50)});
+  convs.push_back({"b", 96, 104, make_history(104, hidden, 51)});
+  convs.push_back({"c", 49, 109, make_history(109, hidden, 52)});
+  convs.push_back({"long", 400, 420,
+                   make_history(420, hidden, 53)});
+  ASSERT_GT(convs.back().total, attn::kShortSeqCutoff);
+
+  // Seed the cache: the long prefix alone (its own regime), then the short
+  // ones together.
+  run_one(cached, prefix_of(convs[3].history, convs[3].prefix), "long");
+  for (int i = 0; i < 3; ++i) {
+    serving::Request req;
+    req.hidden = prefix_of(convs[static_cast<std::size_t>(i)].history,
+                           convs[static_cast<std::size_t>(i)].prefix);
+    req.session = convs[static_cast<std::size_t>(i)].session;
+    cached.submit(std::move(req));
+  }
+  cached.run_batch();
+  ASSERT_EQ(cache->stats().inserts, 4);
+
+  // The round under test, in an order that is not sorted by length.
+  Rng rng(54);
+  std::vector<std::pair<Tensor<fp16_t>, const char*>> round;
+  round.emplace_back(prefix_of(convs[2].history, convs[2].total), "c");
+  round.emplace_back(prefix_of(convs[3].history, convs[3].total), "long");
+  round.emplace_back(Tensor<fp16_t>::random_normal({33, hidden}, rng), nullptr);
+  round.emplace_back(prefix_of(convs[0].history, convs[0].total), "a");
+  round.emplace_back(Tensor<fp16_t>::random_normal({70, hidden}, rng), "d");
+  round.emplace_back(prefix_of(convs[1].history, convs[1].total), "b");
+  const serving::EngineStats before = cached.stats();
+  for (const auto& [input, session] : round) {
+    serving::Request req;
+    req.hidden = input.clone();
+    if (session != nullptr) req.session = session;
+    cached.submit(std::move(req));
+  }
+  const std::vector<serving::Response> responses = cached.run_batch();
+  ASSERT_EQ(responses.size(), round.size());
+
+  double hit_compute = -1.0;
+  for (std::size_t i = 0; i < round.size(); ++i) {
+    const auto& [input, session] = round[i];
+    const Tensor<fp16_t> want = run_one(plain, input.clone(), nullptr);
+    expect_bitwise_equal(responses[i].output, want,
+                         session != nullptr ? session : "sessionless");
+    const bool hit = session != nullptr && std::string(session) != "d";
+    if (!hit) continue;
+    // All hits share one pass, hence one compute time.
+    if (hit_compute < 0) hit_compute = responses[i].compute_seconds;
+    EXPECT_EQ(responses[i].compute_seconds, hit_compute) << session;
+  }
+
+  const serving::EngineStats st = cached.stats();
+  EXPECT_EQ(st.cache_hits - before.cache_hits, 4);
+  EXPECT_EQ(st.cache_misses - before.cache_misses, 1);
+  // One resume pass for the four hits plus one micro-batch for the misses.
+  EXPECT_EQ(st.micro_batches - before.micro_batches, 2);
+  EXPECT_EQ(st.cache_hit_suffix_tokens - before.cache_hit_suffix_tokens,
+            1 + 8 + 60 + 20);
+  EXPECT_EQ(cache->stats().extends, 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PrefixCacheEngine,
