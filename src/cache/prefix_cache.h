@@ -137,8 +137,8 @@ class PrefixCache {
 
   // Store the full state of a freshly encoded sequence: per-layer QKV rows
   // (`qkv` points at this request's layer-0 rows; layer l's rows live at
-  // qkv + l * qkv_layer_stride_rows * 3 * hidden, supporting capture
-  // buffers shared by a whole micro-batch) and the final hidden states
+  // qkv + l * qkv_layer_stride_rows * 3 * hidden: a packed pass's
+  // [layers, rows, 3*hidden] QKV stream) and the final hidden states
   // (`output_rows`, contiguous [len, hidden]). Replaces any existing entry
   // for the key — most recent conversation state wins.
   void insert(const std::string& key, const fp16_t* input_rows,
@@ -148,8 +148,8 @@ class PrefixCache {
 
   // Grow `base` (a probe() result for this key) by the suffix just encoded:
   // suffix_qkv points at this sequence's layer-0 suffix rows, layer l's at
-  // suffix_qkv + l * qkv_layer_stride_rows * 3 * hidden (a packed resume
-  // pass's [layers, suffix_rows, 3*hidden] buffer); suffix_output is
+  // suffix_qkv + l * qkv_layer_stride_rows * 3 * hidden (a packed pass's
+  // [layers, rows, 3*hidden] QKV stream); suffix_output is
   // [suffix, hidden], suffix_input the rows hashed into the new entry's
   // hash (continuing from base->hash). Builds a new immutable entry of
   // length new_len and replaces the key; `base` itself is never mutated.

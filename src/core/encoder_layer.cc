@@ -155,7 +155,7 @@ void encoder_layer_tail(par::Device& dev, const BertConfig& cfg,
 
 namespace {
 
-// The fused-MHA switch shared by the forward and resume paths.
+// The fused-MHA kind switch, called once per regime run of a packed pass.
 void fused_attention(par::Device& dev, const BertConfig& cfg,
                      const LayerWeights& w, const OptFlags& flags,
                      const fp16_t* qkv, fp16_t* ctx_rows,
@@ -193,58 +193,60 @@ void encoder_layer_forward(par::Device& dev, const BertConfig& cfg,
                            const fp16_t* input, fp16_t* output,
                            const SeqOffsets& off, Workspace& ws,
                            StageTimes* times) {
+  if (flags.zero_padding) {
+    const std::vector<int> no_prefix(static_cast<std::size_t>(off.batch), 0);
+    encoder_layer_packed(
+        dev, cfg, w, flags,
+        make_packed_layout(dev, cfg.head_size, no_prefix, off.seq_lens),
+        /*prefix_qkv=*/{}, input, output, /*qkv_out=*/nullptr, ws, times);
+    return;
+  }
+  assert(!flags.fused_mha && !flags.causal &&
+         "fused and causal attention require the packed pipeline");
   const std::int64_t h = cfg.hidden();
-  const std::int64_t rows =
-      flags.zero_padding ? off.valid_count
-                         : static_cast<std::int64_t>(off.batch) * off.max_seq;
-
+  const std::int64_t rows = static_cast<std::int64_t>(off.batch) * off.max_seq;
   auto qkv = ws.get<fp16_t>("layer.qkv", rows * 3 * h);
   auto ctx_rows = ws.get<fp16_t>("layer.ctx_rows", rows * h);
-
-  // Weight GEMMs are served from the persistent pre-packed panels when
-  // available — bitwise identical to packing on the fly, minus the packing.
   const bool prepacked = flags.prepacked_weights && w.packed.ready;
 
-  // GEMM #0: packed (Q,K,V) positioning encoding in one GEMM.
+  // GEMM #0: packed (Q,K,V) positioning encoding in one GEMM. Weight GEMMs
+  // are served from the persistent pre-packed panels when available —
+  // bitwise identical to packing on the fly, minus the packing.
   {
     StageScope scope(times, "gemm0");
     weight_gemm(dev, prepacked, rows, 3 * h, h, input, w.packed.qkv, w.w_qkv,
                 qkv.data());
   }
-
   // Multi-head attention (incl. bias-add and layout transforms).
   {
     StageScope scope(times, "attention");
-    if (flags.zero_padding && flags.fused_mha) {
-      fused_attention(dev, cfg, w, flags, qkv.data(), ctx_rows.data(), off,
-                      /*q_start=*/{}, ws);
-    } else {
-      assert(!flags.fused_mha || flags.zero_padding);
-      assert(!flags.causal && "causal requires the fused packed kernels");
-      padded_attention_block(dev, cfg, w, flags, qkv.data(), ctx_rows.data(),
-                             off, ws);
-    }
+    padded_attention_block(dev, cfg, w, flags, qkv.data(), ctx_rows.data(),
+                           off, ws);
   }
-
   encoder_layer_tail(dev, cfg, w, flags, ctx_rows.data(), input, output, rows,
                      ws, times);
 }
 
-ResumeLayout make_resume_layout(par::Device& dev, int head_size,
+PackedLayout make_packed_layout(par::Device& dev, int head_size,
                                 std::span<const int> prefix_rows,
                                 std::span<const int> total_rows) {
   assert(prefix_rows.size() == total_rows.size() && !total_rows.empty());
   const int k = static_cast<int>(total_rows.size());
-  ResumeLayout layout;
+  PackedLayout layout;
   layout.prefix_rows.assign(prefix_rows.begin(), prefix_rows.end());
   layout.full_offset.assign(static_cast<std::size_t>(k) + 1, 0);
-  layout.suffix_offset.assign(static_cast<std::size_t>(k) + 1, 0);
+  layout.row_offset.assign(static_cast<std::size_t>(k) + 1, 0);
   for (std::size_t b = 0; b < static_cast<std::size_t>(k); ++b) {
-    assert(prefix_rows[b] > 0 && prefix_rows[b] < total_rows[b]);
+    assert(prefix_rows[b] >= 0 && prefix_rows[b] < total_rows[b]);
+    layout.has_prefix |= prefix_rows[b] > 0;
     layout.full_offset[b + 1] = layout.full_offset[b] + total_rows[b];
-    layout.suffix_offset[b + 1] =
-        layout.suffix_offset[b] + (total_rows[b] - prefix_rows[b]);
+    layout.row_offset[b + 1] =
+        layout.row_offset[b] + (total_rows[b] - prefix_rows[b]);
   }
+  const auto max_len = [](std::span<const int> lens) {
+    return *std::max_element(lens.begin(), lens.end());
+  };
+  layout.off = build_seq_offsets(dev, total_rows, max_len(total_rows));
   for (int first = 0; first < k;) {
     const auto short_regime = [&](int b) {
       return attn::fused_short_regime(
@@ -255,71 +257,86 @@ ResumeLayout make_resume_layout(par::Device& dev, int head_size,
     const std::span<const int> lens =
         total_rows.subspan(static_cast<std::size_t>(first),
                            static_cast<std::size_t>(end - first));
-    layout.runs.push_back(ResumeLayout::Run{
-        first,
-        build_seq_offsets(dev, lens, *std::max_element(lens.begin(), lens.end()))});
+    layout.runs.push_back(PackedLayout::Run{
+        first, end - first == k ? layout.off
+                                : build_seq_offsets(dev, lens, max_len(lens))});
     first = end;
   }
   return layout;
 }
 
-void encoder_layer_resume(par::Device& dev, const BertConfig& cfg,
+void encoder_layer_packed(par::Device& dev, const BertConfig& cfg,
                           const LayerWeights& w, const OptFlags& flags,
-                          const ResumeLayout& layout,
+                          const PackedLayout& layout,
                           std::span<const fp16_t* const> prefix_qkv,
-                          const fp16_t* suffix_input, fp16_t* suffix_output,
-                          fp16_t* suffix_qkv, Workspace& ws,
-                          StageTimes* times) {
-  assert(flags.causal && flags.fused_mha && flags.zero_padding);
-  assert(prefix_qkv.size() == layout.prefix_rows.size());
+                          const fp16_t* input, fp16_t* output,
+                          fp16_t* qkv_out, Workspace& ws, StageTimes* times) {
+  assert(flags.zero_padding);
+  assert(!layout.has_prefix || (flags.causal && flags.fused_mha &&
+                                prefix_qkv.size() == layout.prefix_rows.size()));
   const std::int64_t h = cfg.hidden();
-  const std::int64_t suffix_rows = layout.suffix_rows();
+  const std::int64_t rows = layout.rows();
 
-  // Same workspace keys as the full path: the buffers are shared (grow-only)
-  // and a resumed round reuses whatever the full rounds already sized.
-  auto qkv = ws.get<fp16_t>("layer.qkv", layout.full_offset.back() * 3 * h);
-  auto ctx_rows = ws.get<fp16_t>("layer.ctx_rows", suffix_rows * h);
+  fp16_t* qkv = qkv_out != nullptr
+                    ? qkv_out
+                    : ws.get<fp16_t>("layer.qkv", rows * 3 * h).data();
+  auto ctx_rows = ws.get<fp16_t>("layer.ctx_rows", rows * h);
   const bool prepacked = flags.prepacked_weights && w.packed.ready;
 
-  // GEMM #0 once over the whole suffix block. Each output row depends only
-  // on its own input row (fixed k-accumulation order), so every row is
-  // bitwise identical to the same row of its sequence's full forward.
+  // GEMM #0 once over the whole block. Each output row depends only on its
+  // own input row (fixed k-accumulation order), so every row is bitwise
+  // identical to the same row of its sequence's full forward.
   {
     StageScope scope(times, "gemm0");
-    weight_gemm(dev, prepacked, suffix_rows, 3 * h, h, suffix_input,
-                w.packed.qkv, w.w_qkv, suffix_qkv);
+    weight_gemm(dev, prepacked, rows, 3 * h, h, input, w.packed.qkv, w.w_qkv,
+                qkv);
   }
-  // Place each sequence at its full-length offset: cached prefix rows, then
-  // its fresh suffix rows.
-  for (std::size_t b = 0; b < prefix_qkv.size(); ++b) {
-    const std::int64_t prefix = layout.prefix_rows[b];
-    const std::int64_t suffix =
-        layout.suffix_offset[b + 1] - layout.suffix_offset[b];
-    fp16_t* dst = qkv.data() + layout.full_offset[b] * 3 * h;
-    std::memcpy(dst, prefix_qkv[b],
-                static_cast<std::size_t>(prefix * 3 * h) * sizeof(fp16_t));
-    std::memcpy(dst + prefix * 3 * h,
-                suffix_qkv + layout.suffix_offset[b] * 3 * h,
-                static_cast<std::size_t>(suffix * 3 * h) * sizeof(fp16_t));
+  // With cached rows in the pass, place each sequence at its full-length
+  // offset: cached prefix rows, then its fresh rows. Without them the two
+  // layouts coincide and attention reads gemm0's output in place.
+  const fp16_t* attn_qkv = qkv;
+  if (layout.has_prefix) {
+    auto full = ws.get<fp16_t>("layer.qkv_full", layout.full_offset.back() * 3 * h);
+    for (std::size_t b = 0; b < prefix_qkv.size(); ++b) {
+      const std::int64_t prefix = layout.prefix_rows[b];
+      const std::int64_t fresh = layout.row_offset[b + 1] - layout.row_offset[b];
+      fp16_t* dst = full.data() + layout.full_offset[b] * 3 * h;
+      if (prefix > 0) {
+        std::memcpy(dst, prefix_qkv[b],
+                    static_cast<std::size_t>(prefix * 3 * h) * sizeof(fp16_t));
+      }
+      std::memcpy(dst + prefix * 3 * h, qkv + layout.row_offset[b] * 3 * h,
+                  static_cast<std::size_t>(fresh * 3 * h) * sizeof(fp16_t));
+    }
+    attn_qkv = full.data();
   }
 
-  // Attention computes only suffix query rows, each written straight to its
-  // suffix-block row: one launch per regime run.
+  // Attention computes only fresh query rows, each written straight to its
+  // fresh-block row.
   {
     StageScope scope(times, "attention");
-    for (const ResumeLayout::Run& run : layout.runs) {
-      const auto first = static_cast<std::size_t>(run.first);
-      fused_attention(
-          dev, cfg, w, flags, qkv.data() + layout.full_offset[first] * 3 * h,
-          ctx_rows.data() + layout.suffix_offset[first] * h, run.off,
-          std::span<const int>(layout.prefix_rows)
-              .subspan(first, static_cast<std::size_t>(run.off.batch)),
-          ws);
+    if (flags.fused_mha) {
+      for (const PackedLayout::Run& run : layout.runs) {
+        const auto first = static_cast<std::size_t>(run.first);
+        const std::span<const int> q_start =
+            layout.has_prefix
+                ? std::span<const int>(layout.prefix_rows)
+                      .subspan(first, static_cast<std::size_t>(run.off.batch))
+                : std::span<const int>();
+        fused_attention(dev, cfg, w, flags,
+                        attn_qkv + layout.full_offset[first] * 3 * h,
+                        ctx_rows.data() + layout.row_offset[first] * h, run.off,
+                        q_start, ws);
+      }
+    } else {
+      assert(!flags.causal && "causal requires the fused packed kernels");
+      padded_attention_block(dev, cfg, w, flags, qkv, ctx_rows.data(),
+                             layout.off, ws);
     }
   }
 
-  encoder_layer_tail(dev, cfg, w, flags, ctx_rows.data(), suffix_input,
-                     suffix_output, suffix_rows, ws, times);
+  encoder_layer_tail(dev, cfg, w, flags, ctx_rows.data(), input, output, rows,
+                     ws, times);
 }
 
 }  // namespace bt::core

@@ -11,9 +11,9 @@
 // BertModels packs each model's weights once, and registering one model
 // under several names shares a single packed copy across all of them.
 //
-// With flags.zero_padding the input is packed once on entry, every layer
-// runs on packed rows, and the final hidden states are rebuilt to the padded
-// layout on exit (paper Fig. 2c), so callers always see padded tensors.
+// With flags.zero_padding every pass is one forward_packed() over packed
+// rows (paper Fig. 2c); forward() packs a padded input once on entry and
+// rebuilds the padded layout on exit, so its callers see padded tensors.
 #pragma once
 
 #include <memory>
@@ -33,12 +33,12 @@ namespace bt::core {
 
 // Observer for the per-layer raw QKV projections (the gemm0 output, bias
 // unapplied — exactly the rows the fused attention kernels consume and the
-// prefix cache stores, see cache/prefix_cache.h). Called once per encoder
-// layer after that layer completes; `qkv` points into a workspace buffer
-// that the NEXT layer overwrites, so implementations must copy what they
-// need before returning. The row count matches the forward pass's row
-// layout (packed rows under zero_padding). Never invoked for DeBERTa
-// models (their disentangled attention has no reusable prefix state).
+// prefix cache stores, see cache/prefix_cache.h) of a forward() pass,
+// replayed from the pass's QKV stream once per encoder layer after the pass
+// completes; `qkv` is that layer's [valid_count, 3*hidden] packed rows and
+// is only valid during the call. It exists only for bench/e2e's layer sweep;
+// the serving engine reads forward_packed()'s stream directly. forward()
+// throws for DeBERTa models or without flags.zero_padding when one is given.
 class QkvCaptureSink {
  public:
   virtual ~QkvCaptureSink() = default;
@@ -75,45 +75,51 @@ class BertModel {
   }
 
   // input/output: padded token rows [batch * max_seq, hidden]; padding rows
-  // of `input` must be zero-filled. `off` describes the valid tokens.
-  // Pack/unpack time is attributed to the "padding" stage of `times`.
-  // `capture`, if given, observes each layer's raw QKV rows (packed layout;
-  // requires flags.zero_padding and a non-DeBERTa model).
+  // of `input` must be zero-filled. `off` describes the valid tokens. With
+  // flags.zero_padding this is pack -> forward_packed (no cached prefix) ->
+  // unpack, the pack/unpack time attributed to the "padding" stage of
+  // `times`; otherwise every layer runs on the padded rows. `capture`, if
+  // given, observes each layer's raw QKV rows (packed layout; requires
+  // flags.zero_padding and a non-DeBERTa model).
   void forward(par::Device& dev, const fp16_t* input, fp16_t* output,
                const SeqOffsets& off, const OptFlags& flags, Workspace& ws,
                StageTimes* times = nullptr,
                QkvCaptureSink* capture = nullptr) const;
 
-  // Packed prefix-resume forward (cache/prefix_cache.h): k sequences, each
-  // with its own cached prefix, run as ONE model pass — every weight GEMM
-  // and layernorm runs once over the sum of the suffix rows. `seqs[b]`
-  // gives sequence b's cached per-layer raw QKV rows (`prefix_qkv`,
-  // [layers, prefix_rows, 3*hidden] contiguous) and its full length;
-  // `suffix_input` holds the embedding rows of every suffix packed in
-  // sequence order ([suffix_rows, hidden], suffix_rows = sum of
-  // total_rows - prefix_rows). Computes the final hidden states of the
-  // suffix rows only (`suffix_output`, same layout) and streams each
-  // layer's suffix QKV rows to `suffix_qkv` ([layers, suffix_rows,
-  // 3*hidden]) so the caller can extend each cache entry from its slice.
-  // Ordering the sequences by length keeps attention at two launches per
-  // layer at most (encoder_layer.h ResumeLayout).
+  // The packed forward (paper Fig. 2c): k sequences run as ONE model pass —
+  // every weight GEMM and layernorm runs once over the sum of their fresh
+  // rows. Sequence b's first `prefix_rows` rows may come from the prefix
+  // cache (cache/prefix_cache.h): `prefix_qkv` then holds its cached
+  // per-layer raw QKV rows ([layers, prefix_rows, 3*hidden] contiguous) and
+  // only its remaining total_rows - prefix_rows rows are computed; a cache
+  // miss, or any uncached sequence, has prefix_rows = 0. `input` holds the
+  // fresh rows of every sequence packed in sequence order ([rows, hidden],
+  // rows = sum of total_rows - prefix_rows); `output` receives their final
+  // hidden states in the same layout. If `qkv_stream` is non-null, each
+  // layer's fresh QKV rows are streamed to it ([layers, rows, 3*hidden]) so
+  // the caller can fill or extend each cache entry from its slice. Ordering
+  // the sequences by length keeps attention at two launches per layer at
+  // most (encoder_layer.h PackedLayout).
   //
-  // Exactness contract: every suffix output row is bitwise identical to the
-  // same row of forward() over that sequence alone with the same flags.
-  // Requires flags.causal + fused_mha + zero_padding, a non-DeBERTa model
-  // and 0 < prefix_rows < total_rows for every sequence; throws
-  // std::invalid_argument otherwise.
-  struct ResumeSeq {
+  // Exactness contract: every output row is bitwise identical to the same
+  // row of forward() over that sequence alone with the same flags, whatever
+  // the pass's other sequences. Requires flags.zero_padding, 0 <= prefix_rows
+  // < total_rows for every sequence, and, when some prefix_rows > 0,
+  // flags.causal + fused_mha and a non-DeBERTa model; a DeBERTa model runs
+  // its own layer and streams no QKV. Throws std::invalid_argument
+  // otherwise.
+  struct PackedSeq {
     const fp16_t* prefix_qkv = nullptr;
     int prefix_rows = 0;
     int total_rows = 0;
   };
-  void forward_resume(par::Device& dev, std::span<const ResumeSeq> seqs,
-                      const fp16_t* suffix_input, fp16_t* suffix_output,
-                      fp16_t* suffix_qkv, const OptFlags& flags, Workspace& ws,
+  void forward_packed(par::Device& dev, std::span<const PackedSeq> seqs,
+                      const fp16_t* input, fp16_t* output, fp16_t* qkv_stream,
+                      const OptFlags& flags, Workspace& ws,
                       StageTimes* times = nullptr) const;
 
-  // One-sequence form of the above: `off` describes exactly that sequence.
+  // One-sequence resume: `off` describes exactly that sequence, of which the
+  // first prefix_rows rows are cached; computes its remaining rows.
   void forward_resume(par::Device& dev, const fp16_t* prefix_qkv,
                       std::int64_t prefix_rows, const fp16_t* suffix_input,
                       fp16_t* suffix_output, fp16_t* suffix_qkv,

@@ -96,31 +96,6 @@ RequestId Engine::submit(Tensor<fp16_t> hidden) {
   return submit(Request{std::move(hidden)});
 }
 
-namespace {
-
-// Stages each layer's packed QKV rows into one [layers, rows, 3*hidden]
-// buffer during a forward pass, so the engine can slice per-request row
-// ranges out afterwards and insert them into the prefix cache.
-class StagingCaptureSink final : public core::QkvCaptureSink {
- public:
-  StagingCaptureSink(fp16_t* buf, std::int64_t rows, std::int64_t hidden)
-      : buf_(buf), rows_(rows), hidden_(hidden) {}
-
-  void on_layer_qkv(int layer, const fp16_t* qkv) override {
-    std::memcpy(buf_ + static_cast<std::int64_t>(layer) * rows_ * 3 * hidden_,
-                qkv,
-                static_cast<std::size_t>(rows_ * 3 * hidden_) *
-                    sizeof(fp16_t));
-  }
-
- private:
-  fp16_t* buf_;
-  std::int64_t rows_;
-  std::int64_t hidden_;
-};
-
-}  // namespace
-
 std::vector<Response> Engine::run_batch() {
   if (queue_.empty()) return {};
 
@@ -137,189 +112,152 @@ std::vector<Response> Engine::run_batch() {
   const int layers = model_->config().layers;
   std::vector<Response> responses(count);
 
-  // Prefix-cache probe: sessioned requests whose input extends a cached
-  // prefix are peeled out of the batch and resumed together in one packed
-  // pass; everything else (sessionless, cache miss, cache off) runs the
-  // batched path below.
-  struct CacheHit {
-    std::size_t pos;  // queue / responses position
-    std::string key;
-    std::shared_ptr<const cache::PrefixEntry> entry;
+  // Prefix-cache probe. A sessioned request whose input extends a cached
+  // prefix is a hit: it computes only its suffix, resuming from the cached
+  // per-layer state. Hits and misses are planned together, at their full
+  // lengths, and share the micro-batches of the plan.
+  struct Cached {
+    std::string key;  // empty: not cache-tracked (sessionless, cache off)
+    std::shared_ptr<const cache::PrefixEntry> entry;  // null: miss
+    std::int64_t prefix() const { return entry ? entry->length : 0; }
   };
-  std::vector<CacheHit> hits;
-  std::vector<std::size_t> miss;  // miss-local index -> queue position
-  miss.reserve(count);
+  std::vector<Cached> cached(count);
+  std::vector<int> lengths(count);
+  long long saved_tokens = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const Pending& p = queue_[i];
-    if (opts_.prefix_cache != nullptr && p.session.has_value()) {
-      std::string key =
-          cache::PrefixCache::session_key(opts_.cache_scope, *p.session);
-      auto entry =
-          opts_.prefix_cache->probe(key, p.hidden.data(), p.hidden.dim(0));
-      if (entry != nullptr) {
-        hits.push_back(CacheHit{i, std::move(key), std::move(entry)});
-        continue;
-      }
+    lengths[i] = static_cast<int>(p.hidden.dim(0));
+    if (opts_.prefix_cache == nullptr || !p.session.has_value()) continue;
+    Cached& c = cached[i];
+    c.key = cache::PrefixCache::session_key(opts_.cache_scope, *p.session);
+    c.entry = opts_.prefix_cache->probe(c.key, p.hidden.data(), lengths[i]);
+    if (c.entry == nullptr) {
       stats_.cache_misses += 1;
+      continue;
     }
-    miss.push_back(i);
+    stats_.cache_hits += 1;
+    stats_.cache_hit_suffix_tokens += lengths[i] - c.prefix();
+    stats_.cache_saved_tokens += c.prefix();
+    saved_tokens += c.prefix();
   }
+  const BatchPlan plan = plan_batch(opts_.policy, lengths, opts_.group_size);
 
-  // Resumed requests: every hit of the round runs in ONE packed model pass
-  // that encodes only the suffixes (core/model.h forward_resume). Each
-  // result is bitwise identical to a full single-sequence re-encode, and
-  // each extended state goes straight back into the cache for the next
-  // round. Shortest first, so each attention regime is one contiguous run.
-  if (!hits.empty()) {
-    std::stable_sort(hits.begin(), hits.end(),
-                     [&](const CacheHit& a, const CacheHit& b) {
-                       return queue_[a.pos].hidden.dim(0) <
-                              queue_[b.pos].hidden.dim(0);
-                     });
-    std::vector<core::BertModel::ResumeSeq> seqs;
-    std::int64_t suffix_rows = 0;
-    for (const CacheHit& hit : hits) {
-      const std::int64_t total = queue_[hit.pos].hidden.dim(0);
-      seqs.push_back({hit.entry->qkv.data(), static_cast<int>(hit.entry->length),
-                      static_cast<int>(total)});
-      suffix_rows += total - hit.entry->length;
-    }
-    auto in = ws_.get<fp16_t>("engine.resume_in", suffix_rows * h);
-    auto out = ws_.get<fp16_t>("engine.resume_out", suffix_rows * h);
-    auto suffix_qkv = ws_.get<fp16_t>("engine.cache_suffix_qkv",
-                                      layers * suffix_rows * 3 * h);
-    std::int64_t row = 0;
-    for (const CacheHit& hit : hits) {
-      const Tensor<fp16_t>& hidden_rows = queue_[hit.pos].hidden;
-      const std::int64_t prefix = hit.entry->length;
-      const std::int64_t suffix = hidden_rows.dim(0) - prefix;
-      std::memcpy(in.data() + row * h, hidden_rows.data() + prefix * h,
-                  static_cast<std::size_t>(suffix * h) * sizeof(fp16_t));
-      row += suffix;
-    }
-
+  for (const MicroBatch& mb : plan.micro) {
     StageTimes stages;
     Timer t;
-    model_->forward_resume(dev_, seqs, in.data(), out.data(),
-                           suffix_qkv.data(), opts_.flags, ws_, &stages);
-    const double compute = t.seconds();
-    stats_.compute_seconds += compute;
-    stats_.micro_batches += 1;
-
-    row = 0;
-    for (CacheHit& hit : hits) {
-      Pending& p = queue_[hit.pos];
-      const std::int64_t total = p.hidden.dim(0);
-      const std::int64_t prefix = hit.entry->length;
-      const std::int64_t suffix = total - prefix;
-      Response& r = responses[hit.pos];
-      r.id = p.id;
-      r.output = Tensor<fp16_t>({total, h});
-      // Prefix output rows come straight from the cache — zero compute.
-      std::memcpy(r.output.data(), hit.entry->output.data(),
-                  static_cast<std::size_t>(prefix * h) * sizeof(fp16_t));
-      std::memcpy(r.output.data() + prefix * h, out.data() + row * h,
-                  static_cast<std::size_t>(suffix * h) * sizeof(fp16_t));
-      opts_.prefix_cache->extend(hit.key, hit.entry,
-                                 p.hidden.data() + prefix * h, total,
-                                 suffix_qkv.data() + row * 3 * h, suffix_rows,
-                                 out.data() + row * h);
-      // The cache now holds the extended sibling: drop the base before the
-      // next hit's extension allocates, so a round never holds both copies
-      // of every hit.
-      hit.entry.reset();
-      row += suffix;
-
-      r.queue_seconds = queue_secs[hit.pos];
-      r.compute_seconds = compute;
-      r.round = stats_.batches;
-      r.stages = stages;
-      r.session = std::move(p.session);
-      // Token counters count COMPUTED tokens only: the prefix was not
-      // processed this round, which is the whole point.
-      stats_.valid_tokens += suffix;
-      stats_.processed_tokens += suffix;
-      stats_.cache_hits += 1;
-      stats_.cache_hit_suffix_tokens += suffix;
-      stats_.cache_saved_tokens += prefix;
-    }
-  }
-
-  // Batched path over the misses (the entire round when the cache is off).
-  BatchPlan plan;
-  if (!miss.empty()) {
-    std::vector<int> lengths(miss.size());
-    for (std::size_t i = 0; i < miss.size(); ++i) {
-      lengths[i] = static_cast<int>(queue_[miss[i]].hidden.dim(0));
-    }
-    plan = plan_batch(opts_.policy, lengths, opts_.group_size);
-
-    for (const MicroBatch& mb : plan.micro) {
-      const std::int64_t gb = static_cast<std::int64_t>(mb.indices.size());
-      const std::int64_t rows = gb * mb.max_len;
+    if (opts_.flags.zero_padding) {
+      // One packed pass (core/model.h forward_packed): members sorted by
+      // length, so each attention regime is one contiguous run; hits add
+      // their suffix rows, misses their whole input.
+      std::vector<int> order(mb.indices);
+      std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+        return lengths[static_cast<std::size_t>(a)] <
+               lengths[static_cast<std::size_t>(b)];
+      });
+      std::vector<core::BertModel::PackedSeq> seqs;
+      std::int64_t rows = 0;
+      bool cache_tracked = false;
+      for (int i : order) {
+        const Cached& c = cached[static_cast<std::size_t>(i)];
+        seqs.push_back({c.entry ? c.entry->qkv.data() : nullptr,
+                        static_cast<int>(c.prefix()),
+                        lengths[static_cast<std::size_t>(i)]});
+        rows += lengths[static_cast<std::size_t>(i)] - c.prefix();
+        cache_tracked |= !c.key.empty();
+      }
       auto in = ws_.get<fp16_t>("engine.in", rows * h);
       auto out = ws_.get<fp16_t>("engine.out", rows * h);
+      // Every cache insert and extend reads this pass's QKV stream.
+      fp16_t* stream = nullptr;
+      if (cache_tracked) {
+        stream = ws_.get<fp16_t>("engine.qkv_stream", layers * rows * 3 * h).data();
+      }
+      std::int64_t row = 0;
+      for (int i : order) {
+        const Tensor<fp16_t>& src = queue_[static_cast<std::size_t>(i)].hidden;
+        const std::int64_t prefix = cached[static_cast<std::size_t>(i)].prefix();
+        std::memcpy(in.data() + row * h, src.data() + prefix * h,
+                    static_cast<std::size_t>((src.dim(0) - prefix) * h) *
+                        sizeof(fp16_t));
+        row += src.dim(0) - prefix;
+      }
 
-      // Zero-padded gather: request i's valid rows form the prefix of padded
-      // row-block i, matching build_seq_offsets' prefix-mask convention.
+      model_->forward_packed(dev_, seqs, in.data(), out.data(), stream,
+                             opts_.flags, ws_, &stages);
+
+      row = 0;
+      for (int i : order) {
+        const auto pos = static_cast<std::size_t>(i);
+        const Pending& p = queue_[pos];
+        Cached& c = cached[pos];
+        const std::int64_t total = p.hidden.dim(0);
+        const std::int64_t prefix = c.prefix();
+        const fp16_t* fresh_out = out.data() + row * h;
+        Tensor<fp16_t>& output = responses[pos].output;
+        output = Tensor<fp16_t>({total, h});
+        // A hit's prefix output rows come straight from the cache.
+        if (prefix > 0) {
+          std::memcpy(output.data(), c.entry->output.data(),
+                      static_cast<std::size_t>(prefix * h) * sizeof(fp16_t));
+        }
+        std::memcpy(output.data() + prefix * h, fresh_out,
+                    static_cast<std::size_t>((total - prefix) * h) *
+                        sizeof(fp16_t));
+        if (c.entry != nullptr) {
+          opts_.prefix_cache->extend(c.key, c.entry, p.hidden.data() + prefix * h,
+                                     total, stream + row * 3 * h, rows,
+                                     fresh_out);
+          // The cache now holds the extended sibling: drop the base before
+          // the next hit's extension allocates, so a round never holds both
+          // copies of every hit.
+          c.entry.reset();
+        } else if (!c.key.empty()) {
+          opts_.prefix_cache->insert(c.key, p.hidden.data(), total, layers, h,
+                                     stream + row * 3 * h, rows, fresh_out);
+        }
+        row += total - prefix;
+      }
+    } else {
+      // Padded baseline: zero-padded gather, where request i's valid rows
+      // form the prefix of padded row-block i (build_seq_offsets' prefix-mask
+      // convention), then a scatter back to valid-rows-only tensors. No
+      // cache is possible here (the constructor requires zero_padding).
+      const std::int64_t rows =
+          static_cast<std::int64_t>(mb.indices.size()) * mb.max_len;
+      auto in = ws_.get<fp16_t>("engine.in", rows * h);
+      auto out = ws_.get<fp16_t>("engine.out", rows * h);
       std::memset(in.data(), 0, static_cast<std::size_t>(rows * h) * sizeof(fp16_t));
-      std::vector<int> mb_lens(mb.indices.size());
-      bool capture_wanted = false;
-      for (std::size_t i = 0; i < mb.indices.size(); ++i) {
-        const Pending& p =
-            queue_[miss[static_cast<std::size_t>(mb.indices[i])]];
-        mb_lens[i] = static_cast<int>(p.hidden.dim(0));
-        std::memcpy(in.data() + static_cast<std::int64_t>(i) * mb.max_len * h,
-                    p.hidden.data(),
-                    static_cast<std::size_t>(p.hidden.size()) * sizeof(fp16_t));
-        capture_wanted |=
-            opts_.prefix_cache != nullptr && p.session.has_value();
+      std::vector<int> mb_lens;
+      for (std::size_t j = 0; j < mb.indices.size(); ++j) {
+        const Tensor<fp16_t>& src =
+            queue_[static_cast<std::size_t>(mb.indices[j])].hidden;
+        mb_lens.push_back(static_cast<int>(src.dim(0)));
+        std::memcpy(in.data() + static_cast<std::int64_t>(j) * mb.max_len * h,
+                    src.data(), static_cast<std::size_t>(src.size()) * sizeof(fp16_t));
       }
       const core::SeqOffsets off = core::build_seq_offsets(dev_, mb_lens, mb.max_len);
-
-      // Sessioned misses populate the cache from this very forward pass:
-      // the sink stages every layer's packed QKV rows, and the insert loop
-      // below slices each request's row range out by its packed offset.
-      std::optional<StagingCaptureSink> sink;
-      std::span<fp16_t> capture;
-      if (capture_wanted) {
-        capture = ws_.get<fp16_t>("engine.cache_capture",
-                                  layers * off.valid_count * 3 * h);
-        sink.emplace(capture.data(), off.valid_count, h);
+      model_->forward(dev_, in.data(), out.data(), off, opts_.flags, ws_, &stages);
+      for (std::size_t j = 0; j < mb.indices.size(); ++j) {
+        Tensor<fp16_t>& output =
+            responses[static_cast<std::size_t>(mb.indices[j])].output;
+        output = Tensor<fp16_t>({mb_lens[j], h});
+        std::memcpy(output.data(),
+                    out.data() + static_cast<std::int64_t>(j) * mb.max_len * h,
+                    static_cast<std::size_t>(output.size()) * sizeof(fp16_t));
       }
+    }
+    const double compute = t.seconds();
+    stats_.compute_seconds += compute;
 
-      StageTimes stages;
-      Timer t;
-      model_->forward(dev_, in.data(), out.data(), off, opts_.flags, ws_,
-                      &stages, capture_wanted ? &*sink : nullptr);
-      const double compute = t.seconds();
-      stats_.compute_seconds += compute;
-
-      // Per-request scatter back to valid-rows-only tensors.
-      for (std::size_t i = 0; i < mb.indices.size(); ++i) {
-        const std::size_t pos =
-            miss[static_cast<std::size_t>(mb.indices[i])];
-        Response& r = responses[pos];
-        r.id = queue_[pos].id;
-        r.output = Tensor<fp16_t>({mb_lens[i], h});
-        std::memcpy(r.output.data(),
-                    out.data() + static_cast<std::int64_t>(i) * mb.max_len * h,
-                    static_cast<std::size_t>(r.output.size()) * sizeof(fp16_t));
-        if (capture_wanted && queue_[pos].session.has_value()) {
-          const Pending& p = queue_[pos];
-          opts_.prefix_cache->insert(
-              cache::PrefixCache::session_key(opts_.cache_scope, *p.session),
-              p.hidden.data(), mb_lens[i], layers, h,
-              capture.data() +
-                  off.batch_offset[static_cast<std::size_t>(i)] * 3 * h,
-              off.valid_count, r.output.data());
-        }
-        r.queue_seconds = queue_secs[pos];
-        r.compute_seconds = compute;
-        r.round = stats_.batches;  // 0-based: incremented after the round
-        r.stages = stages;
-        r.session = std::move(queue_[pos].session);  // each pos scatters once
-      }
+    for (int i : mb.indices) {
+      const auto pos = static_cast<std::size_t>(i);
+      Response& r = responses[pos];
+      r.id = queue_[pos].id;
+      r.queue_seconds = queue_secs[pos];
+      r.compute_seconds = compute;
+      r.round = stats_.batches;  // 0-based: incremented after the round
+      r.stages = stages;
+      r.session = std::move(queue_[pos].session);
     }
   }
 
@@ -328,8 +266,10 @@ std::vector<Response> Engine::run_batch() {
   stats_.requests += static_cast<long long>(count);
   stats_.batches += 1;
   stats_.micro_batches += static_cast<long long>(plan.micro.size());
-  stats_.valid_tokens += plan.valid_tokens;
-  stats_.processed_tokens += plan.processed_tokens;
+  // Token counters count COMPUTED tokens only: a hit's cached prefix was
+  // not processed this round, which is the whole point.
+  stats_.valid_tokens += plan.valid_tokens - saved_tokens;
+  stats_.processed_tokens += plan.processed_tokens - saved_tokens;
   stats_.workspace_allocations = static_cast<long long>(ws_.allocations());
   return responses;
 }

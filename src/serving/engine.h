@@ -5,8 +5,9 @@
 // call site used to re-wire that plumbing by hand. Engine is the serving
 // facade in front of it: callers submit per-request hidden states and get
 // per-request outputs back, while batch formation (via the pluggable
-// scheduler BatchPolicy), offset construction, pad-row zeroing, workspace
-// reuse, and padded-token accounting all live behind this API.
+// scheduler BatchPolicy), gathering each micro-batch into one packed pass
+// (cache hits included), workspace reuse, and padded-token accounting all
+// live behind this API.
 //
 //   auto engine = serving::Engine(std::move(model), opts);
 //   auto id = engine.submit(std::move(hidden));   // [len, hidden] rows
@@ -151,8 +152,8 @@ struct Response {
 struct EngineStats {
   long long requests = 0;
   long long batches = 0;         // scheduling rounds that did work
-  long long micro_batches = 0;   // model invocations; one resume pass
-                                 // serves all of a round's cache hits
+  long long micro_batches = 0;   // one per packed pass (a micro-batch of
+                                 // the plan, hits included)
   long long valid_tokens = 0;
   long long processed_tokens = 0;  // per-policy padded-token accounting
   double compute_seconds = 0;

@@ -1,12 +1,14 @@
 // Engine facade: bitwise equivalence with hand-wired BertModel::forward for
-// every batching policy, padded-token accounting, option validation, and
-// queue-edge behaviour.
+// every batching policy, outputs independent of batch mates, padded-token
+// accounting, option validation, and queue-edge behaviour.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "attention/attention.h"
 #include "core/model.h"
 #include "parallel/device.h"
 #include "serving/engine.h"
@@ -195,6 +197,58 @@ TEST(Engine, PaddedTokenAccountingPerPolicy) {
   // Grouping reduces but does not eliminate padding on non-uniform lengths.
   EXPECT_GT(grouped.stats().padding_tokens(), 0);
   EXPECT_LT(grouped.stats().padding_tokens(), pad.stats().padding_tokens());
+}
+
+// The paper's 384-token short/long MHA cutoff is a per-sequence choice: a
+// short request batched with a long one must run the kernel it runs alone,
+// so its bits do not depend on its batch mates. Every fused kernel kind the
+// flags accept (causal only for the kinds with a causal long path), under
+// every batch policy.
+TEST(Engine, ShortRequestBitwiseIndependentOfLongBatchMate) {
+  struct Case {
+    core::FusedMhaKind kind;
+    bool causal;
+  };
+  const std::vector<Case> cases{
+      {core::FusedMhaKind::kDispatch, false},
+      {core::FusedMhaKind::kShort, false},
+      {core::FusedMhaKind::kLong, false},
+      {core::FusedMhaKind::kFlashLike, false},
+      {core::FusedMhaKind::kDispatch, true},
+      {core::FusedMhaKind::kFlashLike, true},
+  };
+  const std::int64_t h = shared_model()->config().hidden();
+  Rng rng(21);
+  const auto short_req = Tensor<fp16_t>::random_normal({100, h}, rng);
+  const auto long_req = Tensor<fp16_t>::random_normal({400, h}, rng);
+  ASSERT_LE(short_req.dim(0), attn::kShortSeqCutoff);
+  ASSERT_GT(long_req.dim(0), attn::kShortSeqCutoff);
+
+  for (const Case& c : cases) {
+    core::OptFlags flags = core::OptFlags::byte_transformer();
+    flags.fused_kind = c.kind;
+    flags.causal = c.causal;
+    ASSERT_TRUE(flags.validate().empty());
+    for (BatchPolicy policy : {BatchPolicy::kPadToMax, BatchPolicy::kSortGroup,
+                               BatchPolicy::kPacked}) {
+      SCOPED_TRACE(flags.name() + " " + batch_policy_name(policy));
+      Engine alone(shared_model(), options_for(policy, flags));
+      alone.submit(short_req.clone());
+      const Tensor<fp16_t> want = alone.drain().front().output.clone();
+
+      Engine mixed(shared_model(), options_for(policy, flags));
+      mixed.submit(long_req.clone());
+      mixed.submit(short_req.clone());
+      const std::vector<Response> got = mixed.run_batch();
+      ASSERT_EQ(got.size(), 2u);
+      ASSERT_EQ(mixed.stats().micro_batches, 1);  // one pass, both members
+      ASSERT_EQ(got[1].output.size(), want.size());
+      EXPECT_EQ(std::memcmp(got[1].output.data(), want.data(),
+                            static_cast<std::size_t>(want.size()) *
+                                sizeof(fp16_t)),
+                0);
+    }
+  }
 }
 
 TEST(Engine, EmptyQueueIsANoOp) {
