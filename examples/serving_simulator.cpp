@@ -9,8 +9,9 @@
 // (`--replicas` AsyncEngines each, sharing that model's weights), every
 // request carries a model key and optionally a session id (`--sessions`),
 // and the per-model router spreads requests over replicas — sticky-session
-// routing (`--sticky` or `--route sticky`) pins each session to the replica
-// that served its first request. With `--slo-ms X` every request carries a
+// routing (`--sticky`) pins each session to the replica that served its
+// first request; without it every request routes to the replica with the
+// fewest outstanding tokens. With `--slo-ms X` every request carries a
 // deadline X ms after submission; requests whose deadline passes before
 // compute are shed with a distinct error instead of burning batch capacity.
 // Three batching policies are compared:
@@ -60,9 +61,8 @@
 // straight from the in-process registry). `--wire-port P` pins the
 // server's port so an external bt_stats can poll the same run.
 //
-// Usage: serving_simulator [--replicas N] [--route rr|lor|lot|sticky]
-//                          [--requests N] [--rps X] [--models N]
-//                          [--sessions N] [--sticky] [--slo-ms X]
+// Usage: serving_simulator [--replicas N] [--requests N] [--rps X]
+//                          [--models N] [--sessions N] [--sticky] [--slo-ms X]
 //                          [--conversation R] [--cache-mb X]
 //                          [--wire] [--wire-conns N] [--wire-port P]
 //                          [--bind A] [--stats-interval S]
@@ -125,8 +125,7 @@ struct Args {
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--replicas N] [--route rr|lor|lot|sticky] "
-               "[--requests N] [--rps X]\n"
+               "usage: %s [--replicas N] [--requests N] [--rps X]\n"
                "          [--models N] [--sessions N] [--sticky] [--slo-ms X]\n"
                "          [--conversation R] [--cache-mb X]\n"
                "          [--wire] [--wire-conns N] [--wire-port P] "
@@ -146,7 +145,7 @@ Args parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const char* flag = argv[i];
-    if (std::strcmp(flag, "--sticky") == 0) {  // value-less convenience alias
+    if (std::strcmp(flag, "--sticky") == 0) {  // value-less
       args.route = serving::RoutePolicy::kStickySession;
       continue;
     }
@@ -159,10 +158,6 @@ Args parse_args(int argc, char** argv) {
     if (std::strcmp(flag, "--replicas") == 0) {
       args.replicas = std::atoi(value);
       if (args.replicas < 1) usage(argv[0]);
-    } else if (std::strcmp(flag, "--route") == 0) {
-      const auto parsed = serving::parse_route_policy(value);
-      if (!parsed.has_value()) usage(argv[0]);
-      args.route = *parsed;
     } else if (std::strcmp(flag, "--requests") == 0) {
       args.num_requests = std::atoi(value);
       if (args.num_requests < 1) usage(argv[0]);

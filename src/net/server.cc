@@ -139,8 +139,10 @@ struct Server::Impl {
     std::uint64_t conn_id = 0;
     std::uint64_t correlation = 0;
     serving::ErrorCode error = serving::ErrorCode::kOk;
-    std::string message;        // error detail when error != kOk
-    serving::Response response; // valid when error == kOk
+    std::string message;  // error detail when error != kOk
+    // Ready; holds the Response when error == kOk. Shared so the pump can
+    // read a failure while still holding the state (pump_loop).
+    std::shared_future<serving::Response> outcome;
   };
   Mutex pump_mutex;
   CondVar pump_cv;
@@ -214,8 +216,14 @@ struct Server::Impl {
         Completion c;
         c.conn_id = it->conn_id;
         c.correlation = it->correlation;
+        // std::future::get drops the shared state while a failure is still
+        // in flight, so the replica's promise could free the exception
+        // while the catch below reads it, ordered only by libsupc++'s
+        // exception refcount, which ThreadSanitizer does not see. Holding
+        // the state through a shared_future orders the read before that.
+        c.outcome = it->fut.share();
         try {
-          c.response = it->fut.get();
+          c.outcome.get();
           c.error = serving::ErrorCode::kOk;
         } catch (...) {
           // Typed serving errors keep their stable code on the wire; an
@@ -591,15 +599,16 @@ struct Server::Impl {
       Connection& conn = it->second;
       conn.inflight.erase(c.correlation);
       if (c.error == serving::ErrorCode::kOk) {
+        const serving::Response& r = c.outcome.get();
         ResponseFrame f;
         f.correlation = c.correlation;
         f.error = serving::ErrorCode::kOk;
-        f.replica = c.response.replica;
-        f.model = c.response.model;
-        if (c.response.session.has_value()) f.session = *c.response.session;
-        f.rows = static_cast<std::uint32_t>(c.response.output.dim(0));
-        f.cols = static_cast<std::uint32_t>(c.response.output.dim(1));
-        f.tokens = reinterpret_cast<const std::byte*>(c.response.output.data());
+        f.replica = r.replica;
+        f.model = r.model;
+        if (r.session.has_value()) f.session = *r.session;
+        f.rows = static_cast<std::uint32_t>(r.output.dim(0));
+        f.cols = static_cast<std::uint32_t>(r.output.dim(1));
+        f.tokens = reinterpret_cast<const std::byte*>(r.output.data());
         encode_response(conn.out, f);
         enforce_write_cap(conn);
         {

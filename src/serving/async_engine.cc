@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/fault.h"
@@ -65,6 +66,18 @@ obs::Counter& failure_counter(ErrorCode code) {
       return shutdown;
     default:
       return internal;
+  }
+}
+
+// Resolves every request's promise with its own exception object. Callers
+// inspect their error on their own threads (the net pump through
+// error_code_of) while the scheduler drops its references; libsupc++'s
+// exception refcount is invisible to ThreadSanitizer, so one object shared
+// by many promises reads as a data race on its vptr.
+template <typename Requests>
+void fail_each(Requests& requests, ErrorCode code, const std::string& message) {
+  for (auto& q : requests) {
+    q.promise.set_exception(make_serving_error(code, message));
   }
 }
 
@@ -352,8 +365,6 @@ void AsyncEngine::scheduler_loop() {
       // should not learn about it a full round late.
       long long shed_tokens = 0;
       for (const Queued& q : shed) shed_tokens += q.hidden.dim(0);
-      auto shed_error = std::make_exception_ptr(DeadlineExceeded(
-          "AsyncEngine: request deadline passed before compute (shed)"));
       lock.lock();
       count -= shed.size();
       round_tokens -= shed_tokens;
@@ -361,7 +372,8 @@ void AsyncEngine::scheduler_loop() {
       in_flight_tokens_ -= shed_tokens;
       deadline_shed_ += static_cast<long long>(shed.size());
       stats_.deadline_shed = deadline_shed_;
-      for (Queued& q : shed) q.promise.set_exception(shed_error);
+      fail_each(shed, ErrorCode::kDeadlineExceeded,
+                "AsyncEngine: request deadline passed before compute (shed)");
       lock.unlock();
       ins.in_flight.add(-static_cast<double>(shed.size()));
       failure_counter(ErrorCode::kDeadlineExceeded)
@@ -417,28 +429,26 @@ void AsyncEngine::scheduler_loop() {
     const long long prev_processed = stats_.processed_tokens;
     stats_ = engine_.stats();
     if (failed || responses.size() != live.size()) {
-      if (!error) {
-        error = std::make_exception_ptr(InternalError(
-            "AsyncEngine: inner engine lost responses for a round"));
-      } else {
+      ErrorCode code = ErrorCode::kInternal;
+      std::string message =
+          "AsyncEngine: inner engine lost responses for a round";
+      if (error) {
         // Keep typed serving errors (their code is the contract); wrap
         // anything untyped — an engine exception, an injected fault — as
         // InternalError so the failure carries kInternal end-to-end: the
         // wire frames it, and a retrying client can tell "this request
         // broke" (retryable) from "the server is going away" (not).
         std::string detail;
-        if (error_code_of(error, ErrorCode::kInternal, &detail) ==
-            ErrorCode::kInternal) {
-          error = std::make_exception_ptr(
-              InternalError("AsyncEngine: round failed: " + detail));
-        }
+        code = error_code_of(error, ErrorCode::kInternal, &detail);
+        message = code == ErrorCode::kInternal
+                      ? "AsyncEngine: round failed: " + detail
+                      : detail;
       }
       health_.failed += static_cast<long long>(live.size());
       health_.consecutive_failures += static_cast<long long>(live.size());
       ins.failed.inc(static_cast<long long>(live.size()));
-      failure_counter(error_code_of(error, ErrorCode::kInternal))
-          .inc(static_cast<long long>(live.size()));
-      for (Queued& q : live) q.promise.set_exception(error);
+      failure_counter(code).inc(static_cast<long long>(live.size()));
+      fail_each(live, code, message);
       // A mid-compute failure leaves the round's unprocessed requests
       // queued inside the inner engine; drop them so they cannot bleed into
       // the next round's drain() and fail healthy requests.
@@ -522,14 +532,13 @@ void AsyncEngine::scheduler_loop() {
   // promises would surface as std::future_error(broken_promise) at random
   // callers — fail each one loudly instead.
   if (!queue_.empty()) {
-    auto error = std::make_exception_ptr(ShutdownError(
-        "AsyncEngine: scheduler exited with undispatched requests"));
     Instruments& ins = instruments();
     ins.queue_depth.add(-static_cast<double>(queue_.size()));
     ins.failed.inc(static_cast<long long>(queue_.size()));
     failure_counter(ErrorCode::kShutdown)
         .inc(static_cast<long long>(queue_.size()));
-    for (Queued& q : queue_) q.promise.set_exception(error);
+    fail_each(queue_, ErrorCode::kShutdown,
+              "AsyncEngine: scheduler exited with undispatched requests");
     queue_.clear();
     queued_tokens_ = 0;
     deadline_count_ = 0;

@@ -29,7 +29,7 @@ int resolve_threads_per_replica(const EnginePoolOptions& opts) {
 
 EnginePool::EnginePool(std::shared_ptr<const core::BertModel> model,
                        EnginePoolOptions opts)
-    : opts_(opts) {
+    : opts_(opts), router_(opts.route) {
   if (model == nullptr) {
     throw std::invalid_argument("EnginePool: model must not be null");
   }
@@ -56,7 +56,6 @@ EnginePool::EnginePool(std::shared_ptr<const core::BertModel> model,
   sessions_hll_ = &obs::MetricRegistry::global().hll_prefixed(
       "serving.sessions.unique",
       opts_.model_name.empty() ? "default" : opts_.model_name);
-  router_ = make_router(opts_.route);
   routed_.resize(static_cast<std::size_t>(opts_.replicas));
   breakers_.resize(static_cast<std::size_t>(opts_.replicas));
   engines_.reserve(static_cast<std::size_t>(opts_.replicas));
@@ -152,7 +151,7 @@ EnginePool::RouteDecision EnginePool::route_and_account(const Request& req) {
   }
   if (!any_available) {
     // Every replica quarantined (or probing): routing somewhere beats
-    // dropping, and the routers' own fallbacks must see consistent flags.
+    // dropping. This is the only fallback: Router::pick relies on it.
     for (auto& load : loads) load.available = true;
   }
   RouteRequest route_req(req.hidden.dim(0));
@@ -167,7 +166,7 @@ EnginePool::RouteDecision EnginePool::route_and_account(const Request& req) {
   }
   // sticky_hit: an existing pin decided the pick (reported by the router so
   // the hot path pays exactly one pin lookup).
-  decision.target = router_->pick(loads, route_req, &decision.sticky_hit);
+  decision.target = router_.pick(loads, route_req, &decision.sticky_hit);
   if (decision.sessioned && opts_.engine.engine.prefix_cache != nullptr) {
     // Tell the prefix cache where this session landed. When the pin MOVED
     // (breaker quarantine re-routed the session) the cache drops the
@@ -350,7 +349,7 @@ double EnginePool::unique_sessions() const { return sessions_hll_->estimate(); }
 std::optional<std::size_t> EnginePool::pinned_replica(
     std::string_view session) const {
   MutexLock lock(mutex_);
-  return router_->pinned(session);
+  return router_.pinned(session);
 }
 
 std::vector<EnginePool::ReplicaStats> EnginePool::replica_stats() const {

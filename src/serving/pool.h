@@ -6,9 +6,9 @@
 // (TurboTransformers-style serving, ROADMAP "multi-model sharding"): it owns
 // N replicas — each with its own Device whose workers partition the
 // machine's cores (threads_per_replica) — and routes every submitted request
-// to one of them through a pluggable RoutePolicy (router.h). The submit()
-// surface is identical to AsyncEngine, so call sites migrate by swapping the
-// type:
+// to one of them by outstanding tokens, pinning sessions under
+// RoutePolicy::kStickySession (router.h). The submit() surface is identical
+// to AsyncEngine, so call sites migrate by swapping the type:
 //
 //   serving::EnginePoolOptions opts;
 //   opts.replicas = 4;
@@ -36,16 +36,16 @@
 //
 // Threading
 //   submit()/try_submit() are thread-safe. Routing decisions are serialized
-//   under the pool lock (so round-robin assignment order equals submission
-//   order), but the hand-off to the chosen replica happens outside it —
-//   a submit() blocking on one replica's full queue never stalls routing
-//   to the others.
+//   under the pool lock (so each pick sees the loads and pins left by every
+//   earlier one), but the hand-off to the chosen replica happens outside
+//   it — a submit() blocking on one replica's full queue never stalls
+//   routing to the others.
 //
 // Replica health and circuit breaking
 //   At routing time the pool polls every replica's ReplicaHealth
 //   (async_engine.h). A replica whose consecutive_failures reaches
-//   CircuitBreakerOptions::failure_threshold is quarantined: routers see
-//   it unavailable, and sticky pins on it migrate. After
+//   CircuitBreakerOptions::failure_threshold is quarantined: the router
+//   sees it unavailable, and sticky pins on it migrate. After
 //   quarantine_seconds it turns half-open — the next routed request
 //   becomes the single probe while everyone else still avoids the replica;
 //   a completed probe re-admits it, a failed probe re-quarantines it. If
@@ -265,8 +265,7 @@ class EnginePool {
   // try_submit()'s whole chain under it is non-blocking (replica locks
   // order strictly after the pool's).
   mutable Mutex mutex_;
-  std::unique_ptr<Router> router_ BT_GUARDED_BY(mutex_)
-      BT_PT_GUARDED_BY(mutex_);
+  Router router_ BT_GUARDED_BY(mutex_);
   RequestId next_id_ BT_GUARDED_BY(mutex_) = 0;
   struct Routed {
     long long requests = 0;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <future>
 #include <map>
 #include <memory>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.h"
 #include "core/model.h"
 #include "serving/async_engine.h"
 #include "serving/engine.h"
@@ -420,6 +422,50 @@ TEST(AsyncEngine, ShedsRequestsWhoseDeadlinePassedBeforeCompute) {
   // The shed request never reached the inner engine: no compute, no request
   // accounting beyond the shed counter.
   EXPECT_EQ(st.requests, 1);
+
+  // Several requests shed in one round: each future carries its own
+  // DeadlineExceeded, never one exception object shared across callers.
+  // A scripted stall holds the scheduler inside a compute round while the
+  // expired requests queue, so the next round sheds them together.
+  fault::Injector inj(1);
+  fault::PointConfig stall;
+  stall.fire_at = {0};
+  stall.max_fires = 1;
+  stall.param = 100000;  // us
+  inj.arm("serving.compute.delay", stall);
+  fault::ScopedInjector scope(inj);
+  AsyncEngine held(shared_model(), opts);
+  auto blocker = held.submit(Tensor<fp16_t>::random_normal({5, h}, rng));
+  while (inj.stats("serving.compute.delay").hits == 0) {
+    std::this_thread::yield();
+  }
+  constexpr int kShed = 4;
+  std::vector<std::future<Response>> expired;
+  for (int i = 0; i < kShed; ++i) {
+    expired.push_back(held.submit(Request{
+        Tensor<fp16_t>::random_normal({5, h}, rng), deadline_in(-0.001)}));
+  }
+  // exception_ptrs compare equal exactly when they hold the same object.
+  std::vector<std::exception_ptr> caught;
+  for (auto& f : expired) {
+    try {
+      f.get();
+      ADD_FAILURE() << "an expired request computed";
+    } catch (const DeadlineExceeded& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
+      caught.push_back(std::current_exception());
+    }
+  }
+  EXPECT_EQ(blocker.get().output.dim(0), 5);
+  held.stop();
+  EXPECT_EQ(held.stats().deadline_shed, kShed);
+  ASSERT_EQ(caught.size(), static_cast<std::size_t>(kShed));
+  for (std::size_t i = 0; i < caught.size(); ++i) {
+    for (std::size_t j = i + 1; j < caught.size(); ++j) {
+      EXPECT_NE(caught[i], caught[j]) << "futures " << i << " and " << j
+                                      << " share one exception object";
+    }
+  }
 }
 
 // deadline_missed: the deadline passes while the request computes. Self-

@@ -213,31 +213,31 @@ TEST(Chaos, BreakerReQuarantinesWhenTheProbeFails) {
 // ---- sticky-pin migration ---------------------------------------------------
 
 TEST(Chaos, StickyPinMigratesOffUnavailableReplica) {
-  auto router = serving::make_router(serving::RoutePolicy::kStickySession);
+  serving::Router router(serving::RoutePolicy::kStickySession);
   std::vector<serving::ReplicaLoad> loads(3);
   bool pinned = false;
 
   // Session pins by load to replica 0; the follow-up is a pin hit.
-  EXPECT_EQ(router->pick(loads, {10, "s"}, &pinned), 0u);
+  EXPECT_EQ(router.pick(loads, {10, "s"}, &pinned), 0u);
   EXPECT_FALSE(pinned);
-  EXPECT_EQ(router->pick(loads, {10, "s"}, &pinned), 0u);
+  EXPECT_EQ(router.pick(loads, {10, "s"}, &pinned), 0u);
   EXPECT_TRUE(pinned);
 
   // Replica 0 quarantined: the pin is dropped and the session re-pins by
   // load among the available replicas (replica 2 is the least loaded).
   loads[0].available = false;
   loads[1].outstanding_tokens = 5;
-  EXPECT_EQ(router->pick(loads, {10, "s"}, &pinned), 2u);
+  EXPECT_EQ(router.pick(loads, {10, "s"}, &pinned), 2u);
   EXPECT_FALSE(pinned);  // a migration is a fresh pin, not a hit
 
   // The new pin sticks — including after replica 0 is readmitted (no
   // flap-back; the session's prefix-cache state now builds on replica 2).
-  EXPECT_EQ(router->pick(loads, {10, "s"}, &pinned), 2u);
+  EXPECT_EQ(router.pick(loads, {10, "s"}, &pinned), 2u);
   EXPECT_TRUE(pinned);
   loads[0].available = true;
-  EXPECT_EQ(router->pick(loads, {10, "s"}, &pinned), 2u);
+  EXPECT_EQ(router.pick(loads, {10, "s"}, &pinned), 2u);
   EXPECT_TRUE(pinned);
-  EXPECT_EQ(router->pinned("s"), std::optional<std::size_t>(2));
+  EXPECT_EQ(router.pinned("s"), std::optional<std::size_t>(2));
 }
 
 // ---- server connection defenses ---------------------------------------------

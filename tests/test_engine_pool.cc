@@ -92,7 +92,7 @@ void expect_bits_equal(const Tensor<fp16_t>& got, const Tensor<fp16_t>& want) {
 TEST(EnginePool, ReplicasShareOneWeightsAndPackedPanelsCopy) {
   EnginePoolOptions opts =
       pool_options(all_policies()[2], /*replicas=*/3,
-                   RoutePolicy::kRoundRobin, 8, 0.0);
+                   RoutePolicy::kLeastOutstandingTokens, 8, 0.0);
   EnginePool pool(shared_model(), opts);
   ASSERT_EQ(pool.replicas(), 3u);
 
@@ -143,91 +143,53 @@ TEST(EnginePool, BitMatchesSingleAsyncEnginePerPolicyUnderConcurrentSubmitters) 
   const std::int64_t h = shared_model()->config().hidden();
 
   for (const PolicyCase& pc : all_policies()) {
-    for (RoutePolicy route :
-         {RoutePolicy::kRoundRobin, RoutePolicy::kLeastOutstandingTokens}) {
-      EnginePool pool(shared_model(),
-                      pool_options(pc, /*replicas=*/2, route,
-                                   /*max_batch_requests=*/4,
-                                   /*max_wait=*/0.0005));
+    EnginePool pool(shared_model(),
+                    pool_options(pc, /*replicas=*/2,
+                                 RoutePolicy::kLeastOutstandingTokens,
+                                 /*max_batch_requests=*/4,
+                                 /*max_wait=*/0.0005));
 
-      std::vector<Tensor<fp16_t>> inputs(kTotal);
-      std::vector<std::future<Response>> futures(kTotal);
-      std::vector<std::thread> submitters;
-      for (int t = 0; t < kThreads; ++t) {
-        submitters.emplace_back([&, t] {
-          for (int j = 0; j < kPerThread; ++j) {
-            const std::size_t slot =
-                static_cast<std::size_t>(t * kPerThread + j);
-            const int len = 2 + 3 * (static_cast<int>(slot) % 5);
-            Rng rng(1000 + t * 100 + j);
-            auto hidden = Tensor<fp16_t>::random_normal({len, h}, rng);
-            inputs[slot] = hidden.clone();
-            futures[slot] = pool.submit(Request{std::move(hidden)});
-          }
-        });
-      }
-      for (auto& s : submitters) s.join();
-
-      // Reference: the identical request contents served by one AsyncEngine,
-      // its futures indexed by slot.
-      AsyncEngineOptions single = pool.options().engine;
-      AsyncEngine reference(shared_model(), single);
-      std::vector<std::future<Response>> want(kTotal);
-      for (int slot = 0; slot < kTotal; ++slot) {
-        want[static_cast<std::size_t>(slot)] =
-            reference.submit(inputs[static_cast<std::size_t>(slot)].clone());
-      }
-
-      for (int slot = 0; slot < kTotal; ++slot) {
-        Response got = futures[static_cast<std::size_t>(slot)].get();
-        Response ref = want[static_cast<std::size_t>(slot)].get();
-        expect_bits_equal(got.output, ref.output);
-      }
-      pool.stop();
-      reference.stop();
-      EXPECT_EQ(pool.stats().requests, kTotal);
-      EXPECT_EQ(pool.pending(), 0u);
+    std::vector<Tensor<fp16_t>> inputs(kTotal);
+    std::vector<std::future<Response>> futures(kTotal);
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&, t] {
+        for (int j = 0; j < kPerThread; ++j) {
+          const std::size_t slot =
+              static_cast<std::size_t>(t * kPerThread + j);
+          const int len = 2 + 3 * (static_cast<int>(slot) % 5);
+          Rng rng(1000 + t * 100 + j);
+          auto hidden = Tensor<fp16_t>::random_normal({len, h}, rng);
+          inputs[slot] = hidden.clone();
+          futures[slot] = pool.submit(Request{std::move(hidden)});
+        }
+      });
     }
+    for (auto& s : submitters) s.join();
+
+    // Reference: the identical request contents served by one AsyncEngine,
+    // its futures indexed by slot.
+    AsyncEngineOptions single = pool.options().engine;
+    AsyncEngine reference(shared_model(), single);
+    std::vector<std::future<Response>> want(kTotal);
+    for (int slot = 0; slot < kTotal; ++slot) {
+      want[static_cast<std::size_t>(slot)] =
+          reference.submit(inputs[static_cast<std::size_t>(slot)].clone());
+    }
+
+    for (int slot = 0; slot < kTotal; ++slot) {
+      Response got = futures[static_cast<std::size_t>(slot)].get();
+      Response ref = want[static_cast<std::size_t>(slot)].get();
+      expect_bits_equal(got.output, ref.output);
+    }
+    pool.stop();
+    reference.stop();
+    EXPECT_EQ(pool.stats().requests, kTotal);
+    EXPECT_EQ(pool.pending(), 0u);
   }
 }
 
 // ---- routing ----------------------------------------------------------------
-
-// Round-robin is a pure function of submission order, so a seeded arrival
-// sequence reproduces the identical replica assignment — verified through
-// the exact per-replica request and token splits, twice.
-TEST(EnginePool, RoundRobinAssignmentIsDeterministic) {
-  const std::vector<int> lens{2, 3, 4, 5, 6, 7};
-  const std::int64_t h = shared_model()->config().hidden();
-
-  for (int run = 0; run < 2; ++run) {
-    EnginePool pool(shared_model(),
-                    pool_options(all_policies()[2], /*replicas=*/2,
-                                 RoutePolicy::kRoundRobin, 8,
-                                 /*max_wait=*/30.0));
-    std::vector<std::future<Response>> futures;
-    Rng rng(55);
-    for (int len : lens) {
-      futures.push_back(
-          pool.submit(Tensor<fp16_t>::random_normal({len, h}, rng)));
-    }
-    pool.stop();  // drains both replicas
-    for (auto& f : futures) f.get();
-
-    const auto rs = pool.replica_stats();
-    ASSERT_EQ(rs.size(), 2u);
-    // Evens (ids 0,2,4 -> lens 2,4,6) on replica 0, odds on replica 1.
-    EXPECT_EQ(rs[0].routed_requests, 3);
-    EXPECT_EQ(rs[0].routed_tokens, 2 + 4 + 6);
-    EXPECT_EQ(rs[1].routed_requests, 3);
-    EXPECT_EQ(rs[1].routed_tokens, 3 + 5 + 7);
-    // Routed == served: each replica's engine accounting agrees.
-    EXPECT_EQ(rs[0].engine.requests, 3);
-    EXPECT_EQ(rs[1].engine.requests, 3);
-    EXPECT_EQ(rs[0].engine.valid_tokens, 12);
-    EXPECT_EQ(rs[1].engine.valid_tokens, 15);
-  }
-}
 
 // Held-open windows keep every routed request outstanding, so the
 // join-shortest-queue decisions are fully deterministic.
@@ -235,79 +197,76 @@ TEST(EnginePool, LeastOutstandingRoutingBalancesLoad) {
   const std::int64_t h = shared_model()->config().hidden();
   Rng rng(66);
 
-  {  // least-outstanding-requests: a,c on replica 0; b on replica 1.
-    EnginePool pool(shared_model(),
-                    pool_options(all_policies()[2], 2,
-                                 RoutePolicy::kLeastOutstandingRequests, 8,
-                                 /*max_wait=*/30.0));
-    auto a = pool.submit(Tensor<fp16_t>::random_normal({5, h}, rng));  // tie->0
-    auto b = pool.submit(Tensor<fp16_t>::random_normal({3, h}, rng));  // 1<-0 busy
-    auto c = pool.submit(Tensor<fp16_t>::random_normal({1, h}, rng));  // tie->0
-    pool.stop();
-    a.get(); b.get(); c.get();
-    const auto rs = pool.replica_stats();
-    EXPECT_EQ(rs[0].routed_requests, 2);
-    EXPECT_EQ(rs[0].routed_tokens, 6);
-    EXPECT_EQ(rs[1].routed_requests, 1);
-    EXPECT_EQ(rs[1].routed_tokens, 3);
-    EXPECT_EQ(rs[0].peak_outstanding, 2u);
-  }
-
-  {  // least-outstanding-tokens: balances rows, not request counts.
-    EnginePool pool(shared_model(),
-                    pool_options(all_policies()[2], 2,
-                                 RoutePolicy::kLeastOutstandingTokens, 8,
-                                 /*max_wait=*/30.0));
-    auto a = pool.submit(Tensor<fp16_t>::random_normal({5, h}, rng));  // 0 (tie)
-    auto b = pool.submit(Tensor<fp16_t>::random_normal({3, h}, rng));  // 1 (0<5)
-    auto c = pool.submit(Tensor<fp16_t>::random_normal({1, h}, rng));  // 1 (3<5)
-    auto d = pool.submit(Tensor<fp16_t>::random_normal({2, h}, rng));  // 1 (4<5)
-    auto e = pool.submit(Tensor<fp16_t>::random_normal({9, h}, rng));  // 0 (5<6)
-    pool.stop();
-    a.get(); b.get(); c.get(); d.get(); e.get();
-    const auto rs = pool.replica_stats();
-    EXPECT_EQ(rs[0].routed_requests, 2);
-    EXPECT_EQ(rs[0].routed_tokens, 5 + 9);
-    EXPECT_EQ(rs[1].routed_requests, 3);
-    EXPECT_EQ(rs[1].routed_tokens, 3 + 1 + 2);
-  }
+  // Balances rows, not request counts.
+  EnginePool pool(shared_model(),
+                  pool_options(all_policies()[2], 2,
+                               RoutePolicy::kLeastOutstandingTokens, 8,
+                               /*max_wait=*/30.0));
+  auto a = pool.submit(Tensor<fp16_t>::random_normal({5, h}, rng));  // 0 (tie)
+  auto b = pool.submit(Tensor<fp16_t>::random_normal({3, h}, rng));  // 1 (0<5)
+  auto c = pool.submit(Tensor<fp16_t>::random_normal({1, h}, rng));  // 1 (3<5)
+  auto d = pool.submit(Tensor<fp16_t>::random_normal({2, h}, rng));  // 1 (4<5)
+  auto e = pool.submit(Tensor<fp16_t>::random_normal({9, h}, rng));  // 0 (5<6)
+  pool.stop();
+  a.get(); b.get(); c.get(); d.get(); e.get();
+  const auto rs = pool.replica_stats();
+  EXPECT_EQ(rs[0].routed_requests, 2);
+  EXPECT_EQ(rs[0].routed_tokens, 5 + 9);
+  EXPECT_EQ(rs[1].routed_requests, 3);
+  EXPECT_EQ(rs[1].routed_tokens, 3 + 1 + 2);
+  EXPECT_EQ(rs[0].peak_outstanding, 2u);  // e saw a still outstanding
+  EXPECT_EQ(rs[1].peak_outstanding, 3u);  // d saw b and c
+  // Routed == served: each replica's engine accounting agrees.
+  EXPECT_EQ(rs[0].engine.requests, 2);
+  EXPECT_EQ(rs[1].engine.requests, 3);
+  EXPECT_EQ(rs[0].engine.valid_tokens, 5 + 9);
+  EXPECT_EQ(rs[1].engine.valid_tokens, 3 + 1 + 2);
 }
 
 // ---- pool-wide id contract --------------------------------------------------
 
 // The pool assigns every id and hands it down, so ids are unique across
-// replicas and follow submission order even though round-robin spreads
-// consecutive requests over all four replicas.
+// replicas and follow submission order even though consecutive requests
+// spread over all four replicas.
 TEST(EnginePool, IdsAreUniqueAndFollowSubmissionOrderAcrossReplicas) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 16;
   constexpr int kTotal = kThreads * kPerThread;
-  EnginePool pool(shared_model(),
-                  pool_options(all_policies()[2], /*replicas=*/4,
-                               RoutePolicy::kRoundRobin, 8,
-                               /*max_wait=*/0.0005));
-  const std::int64_t h = pool.hidden();
 
-  // Malformed tensors throw the Engine contract's error and take no id.
-  EXPECT_THROW(pool.submit(Tensor<fp16_t>::zeros({4})), std::invalid_argument);
+  {  // One submitter: ids count up from 0 in submission order. Held-open
+     // windows keep every request outstanding, so equal-length requests
+     // cycle through the replicas: 0, 1, 2, 3, 0, 1, 2, 3.
+    EnginePool pool(shared_model(),
+                    pool_options(all_policies()[2], /*replicas=*/4,
+                                 RoutePolicy::kLeastOutstandingTokens, 8,
+                                 /*max_wait=*/30.0));
+    const std::int64_t h = pool.hidden();
 
-  // One submitter: ids count up from 0 in submission order.
-  Rng rng(8);
-  std::vector<std::future<Response>> sequential;
-  for (int i = 0; i < 8; ++i) {
-    sequential.push_back(
-        pool.submit(Tensor<fp16_t>::random_normal({2, h}, rng)));
+    // Malformed tensors throw the Engine contract's error and take no id.
+    EXPECT_THROW(pool.submit(Tensor<fp16_t>::zeros({4})),
+                 std::invalid_argument);
+
+    Rng rng(8);
+    std::vector<std::future<Response>> sequential;
+    for (int i = 0; i < 8; ++i) {
+      sequential.push_back(
+          pool.submit(Tensor<fp16_t>::random_normal({2, h}, rng)));
+    }
+    pool.stop();  // drains the open windows
+    for (int i = 0; i < 8; ++i) {
+      const Response r = sequential[static_cast<std::size_t>(i)].get();
+      EXPECT_EQ(r.id, i);
+      EXPECT_EQ(r.replica, i % 4);
+    }
   }
-  std::vector<bool> replica_used(4, false);
-  for (int i = 0; i < 8; ++i) {
-    const Response r = sequential[static_cast<std::size_t>(i)].get();
-    EXPECT_EQ(r.id, i);
-    replica_used[static_cast<std::size_t>(r.replica)] = true;
-  }
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(replica_used[i]) << "replica " << i;
 
   // Concurrent submitters: every id is issued exactly once, and each
   // thread's ids increase in its own submission order.
+  EnginePool pool(shared_model(),
+                  pool_options(all_policies()[2], /*replicas=*/4,
+                               RoutePolicy::kLeastOutstandingTokens, 8,
+                               /*max_wait=*/0.0005));
+  const std::int64_t h = pool.hidden();
   std::vector<std::vector<RequestId>> ids(kThreads);
   std::vector<std::thread> submitters;
   for (int t = 0; t < kThreads; ++t) {
@@ -332,13 +291,13 @@ TEST(EnginePool, IdsAreUniqueAndFollowSubmissionOrderAcrossReplicas) {
   std::sort(all.begin(), all.end());
   ASSERT_EQ(all.size(), static_cast<std::size_t>(kTotal));
   for (int i = 0; i < kTotal; ++i) {
-    EXPECT_EQ(all[static_cast<std::size_t>(i)], 8 + i);  // dense, no repeats
+    EXPECT_EQ(all[static_cast<std::size_t>(i)], i);  // dense, no repeats
   }
 }
 
 // A long-running pool must hold its heap flat: once warm, no tier may keep
-// per-request state after the request resolved. Round-robin over four
-// replicas is the case where a per-replica record of issued ids would gain
+// per-request state after the request resolved. Four replicas sharing the
+// traffic is the case where a per-replica record of issued ids would gain
 // an entry for every request routed to another replica.
 TEST(EnginePool, SteadyStateServingKeepsTheHeapFlat) {
 #ifndef BT_HEAP_PROBE
@@ -346,7 +305,7 @@ TEST(EnginePool, SteadyStateServingKeepsTheHeapFlat) {
 #else
   EnginePool pool(shared_model(),
                   pool_options(all_policies()[2], /*replicas=*/4,
-                               RoutePolicy::kRoundRobin, 8,
+                               RoutePolicy::kLeastOutstandingTokens, 8,
                                /*max_wait=*/0.0));
   const std::int64_t h = pool.hidden();
   Rng rng(12);
@@ -374,8 +333,9 @@ TEST(EnginePool, SteadyStateServingKeepsTheHeapFlat) {
 
 TEST(EnginePool, StopDrainsEveryReplicaAndRejectsLateSubmits) {
   EnginePool pool(shared_model(),
-                  pool_options(all_policies()[2], 3, RoutePolicy::kRoundRobin,
-                               8, /*max_wait=*/30.0));
+                  pool_options(all_policies()[2], 3,
+                               RoutePolicy::kLeastOutstandingTokens, 8,
+                               /*max_wait=*/30.0));
   const std::int64_t h = pool.hidden();
   Rng rng(9);
   std::vector<std::future<Response>> futures;
@@ -406,8 +366,8 @@ TEST(EnginePool, TrySubmitDeclineLeavesNoTraceInRouting) {
   // One replica, one queue slot: occupy the scheduler with a long round and
   // fill the slot so the decline path is exercised deterministically.
   EnginePoolOptions opts =
-      pool_options(all_policies()[2], 1, RoutePolicy::kRoundRobin, 1,
-                   /*max_wait=*/0.0);
+      pool_options(all_policies()[2], 1, RoutePolicy::kLeastOutstandingTokens,
+                   1, /*max_wait=*/0.0);
   opts.engine.max_queue = 1;
   EnginePool pool(shared_model(), opts);
   const std::int64_t h = pool.hidden();
@@ -432,22 +392,21 @@ TEST(EnginePool, TrySubmitDeclineLeavesNoTraceInRouting) {
 }
 
 TEST(EnginePool, RejectsInconsistentOptions) {
-  EnginePoolOptions opts =
-      pool_options(all_policies()[2], 0, RoutePolicy::kRoundRobin, 8, 0.0);
+  const PolicyCase pc = all_policies()[2];
+  const RoutePolicy lot = RoutePolicy::kLeastOutstandingTokens;
+  EnginePoolOptions opts = pool_options(pc, 0, lot, 8, 0.0);
   EXPECT_THROW(EnginePool(shared_model(), opts), std::invalid_argument);
 
-  opts = pool_options(all_policies()[2], 2, RoutePolicy::kRoundRobin, 8, 0.0);
+  opts = pool_options(pc, 2, lot, 8, 0.0);
   opts.threads_per_replica = -1;
   EXPECT_THROW(EnginePool(shared_model(), opts), std::invalid_argument);
 
-  EXPECT_THROW(
-      EnginePool(std::shared_ptr<const core::BertModel>(),
-                 pool_options(all_policies()[2], 1, RoutePolicy::kRoundRobin,
-                              8, 0.0)),
-      std::invalid_argument);
+  EXPECT_THROW(EnginePool(std::shared_ptr<const core::BertModel>(),
+                          pool_options(pc, 1, lot, 8, 0.0)),
+               std::invalid_argument);
 
   // Replica-level validation surfaces through the pool constructor.
-  opts = pool_options(all_policies()[2], 2, RoutePolicy::kRoundRobin, 0, 0.0);
+  opts = pool_options(pc, 2, lot, 0, 0.0);
   EXPECT_THROW(EnginePool(shared_model(), opts), std::invalid_argument);
 }
 

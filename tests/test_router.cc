@@ -1,5 +1,6 @@
-// Routing policies: deterministic replica selection, lowest-index
-// tie-breaking, and the name/parse round trip the simulator flags rely on.
+// Routing: least-outstanding-tokens replica selection with lowest-index
+// tie-breaking, sticky session pins, and the policy names the simulator
+// reports.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -17,108 +18,91 @@ std::vector<ReplicaLoad> loads(std::initializer_list<std::pair<int, int>> rs) {
   return out;
 }
 
-TEST(Router, RoundRobinCyclesDeterministically) {
-  auto router = make_router(RoutePolicy::kRoundRobin);
-  const auto l = loads({{5, 500}, {0, 0}, {9, 9000}});
-  // Load-blind: assignment is submission_index % replicas regardless of how
-  // skewed the loads are, twice around the ring.
-  for (int lap = 0; lap < 2; ++lap) {
-    EXPECT_EQ(router->pick(l, 7), 0u);
-    EXPECT_EQ(router->pick(l, 7), 1u);
-    EXPECT_EQ(router->pick(l, 7), 2u);
-  }
-  // A fresh router replays the identical sequence: seeded traffic is
-  // reproducible.
-  auto replay = make_router(RoutePolicy::kRoundRobin);
-  EXPECT_EQ(replay->pick(l, 1), 0u);
-  EXPECT_EQ(replay->pick(l, 1), 1u);
-}
+constexpr RoutePolicy kPolicies[] = {RoutePolicy::kLeastOutstandingTokens,
+                                     RoutePolicy::kStickySession};
 
-TEST(Router, LeastOutstandingRequestsPicksMinWithLowestIndexTie) {
-  auto router = make_router(RoutePolicy::kLeastOutstandingRequests);
-  EXPECT_EQ(router->pick(loads({{3, 10}, {1, 900}, {2, 0}}), 5), 1u);
-  // Ties break toward the lowest index; tokens are ignored.
-  EXPECT_EQ(router->pick(loads({{2, 999}, {2, 0}, {2, 5}}), 5), 0u);
-  EXPECT_EQ(router->pick(loads({{4, 0}, {2, 0}, {2, 0}}), 5), 1u);
-}
-
+// Sessionless requests route the same under both policies.
 TEST(Router, LeastOutstandingTokensPicksMinWithLowestIndexTie) {
-  auto router = make_router(RoutePolicy::kLeastOutstandingTokens);
-  // Request counts are ignored: one replica with many tiny requests can be
-  // the right target under variable-length traffic.
-  EXPECT_EQ(router->pick(loads({{1, 1024}, {8, 64}, {2, 512}}), 5), 1u);
-  EXPECT_EQ(router->pick(loads({{0, 100}, {0, 100}}), 5), 0u);
+  for (RoutePolicy p : kPolicies) {
+    Router router(p);
+    // Request counts are ignored: one replica with many tiny requests can
+    // be the right target under variable-length traffic.
+    EXPECT_EQ(router.pick(loads({{1, 1024}, {8, 64}, {2, 512}}), 5), 1u)
+        << route_policy_name(p);
+    EXPECT_EQ(router.pick(loads({{0, 100}, {0, 100}}), 5), 0u)
+        << route_policy_name(p);
+    // Unavailable replicas are skipped, however light.
+    auto l = loads({{0, 0}, {0, 300}, {0, 200}});
+    l[0].available = false;
+    EXPECT_EQ(router.pick(l, 5), 2u) << route_policy_name(p);
+  }
 }
 
 TEST(Router, SingleReplicaAlwaysPicksZero) {
-  for (RoutePolicy p :
-       {RoutePolicy::kRoundRobin, RoutePolicy::kLeastOutstandingRequests,
-        RoutePolicy::kLeastOutstandingTokens, RoutePolicy::kStickySession}) {
-    auto router = make_router(p);
-    EXPECT_EQ(router->pick(loads({{7, 700}}), 3), 0u) << route_policy_name(p);
+  for (RoutePolicy p : kPolicies) {
+    Router router(p);
+    EXPECT_EQ(router.pick(loads({{7, 700}}), 3), 0u) << route_policy_name(p);
+    EXPECT_EQ(router.pick(loads({{7, 700}}), {3, "s"}), 0u)
+        << route_policy_name(p);
   }
 }
 
 // ---- sticky sessions --------------------------------------------------------
 
 TEST(Router, StickySessionPinsFirstPickAndFollowsItThereafter) {
-  auto router = make_router(RoutePolicy::kStickySession);
+  Router router(RoutePolicy::kStickySession);
   // A fresh session routes least-outstanding-tokens (replica 1) and pins.
-  EXPECT_EQ(router->pick(loads({{1, 100}, {0, 10}}), {5, "alice"}), 1u);
-  EXPECT_EQ(router->pinned("alice"), 1u);
+  EXPECT_EQ(router.pick(loads({{1, 100}, {0, 10}}), {5, "alice"}), 1u);
+  EXPECT_EQ(router.pinned("alice"), 1u);
   // Follow-ups go to the pin even when the loads now favour replica 0.
-  EXPECT_EQ(router->pick(loads({{0, 0}, {9, 9000}}), {5, "alice"}), 1u);
-  EXPECT_EQ(router->pick(loads({{0, 0}, {9, 9000}}), {1, "alice"}), 1u);
+  EXPECT_EQ(router.pick(loads({{0, 0}, {9, 9000}}), {5, "alice"}), 1u);
+  EXPECT_EQ(router.pick(loads({{0, 0}, {9, 9000}}), {1, "alice"}), 1u);
   // A different session pins independently, by the current loads.
-  EXPECT_EQ(router->pick(loads({{0, 0}, {9, 9000}}), {5, "bob"}), 0u);
-  EXPECT_EQ(router->pinned("bob"), 0u);
-  EXPECT_EQ(router->pinned("alice"), 1u);
+  EXPECT_EQ(router.pick(loads({{0, 0}, {9, 9000}}), {5, "bob"}), 0u);
+  EXPECT_EQ(router.pinned("bob"), 0u);
+  EXPECT_EQ(router.pinned("alice"), 1u);
 }
 
 TEST(Router, StickySessionlessRequestsFallBackToTokensAndNeverPin) {
-  auto router = make_router(RoutePolicy::kStickySession);
-  EXPECT_EQ(router->pick(loads({{0, 500}, {3, 20}}), 5), 1u);
-  EXPECT_EQ(router->pick(loads({{0, 10}, {3, 20}}), 5), 0u);
-  // Load-based policies (and sessionless sticky picks) expose no pins.
-  EXPECT_FALSE(router->pinned("").has_value());
-  auto lot = make_router(RoutePolicy::kLeastOutstandingTokens);
-  EXPECT_FALSE(lot->pinned("alice").has_value());
+  Router router(RoutePolicy::kStickySession);
+  EXPECT_EQ(router.pick(loads({{0, 500}, {3, 20}}), 5), 1u);
+  EXPECT_EQ(router.pick(loads({{0, 10}, {3, 20}}), 5), 0u);
+  // Sessionless sticky picks, and sessions under kLeastOutstandingTokens,
+  // leave no pins.
+  EXPECT_FALSE(router.pinned("").has_value());
+  Router lot(RoutePolicy::kLeastOutstandingTokens);
+  bool pinned_hit = true;
+  EXPECT_EQ(lot.pick(loads({{0, 10}, {3, 20}}), {5, "alice"}, &pinned_hit),
+            0u);
+  EXPECT_FALSE(pinned_hit);
+  EXPECT_EQ(lot.pick(loads({{0, 50}, {3, 20}}), {5, "alice"}, &pinned_hit),
+            1u);
+  EXPECT_FALSE(pinned_hit);
+  EXPECT_FALSE(lot.pinned("alice").has_value());
 }
 
 // The pin map must not grow with every session ever seen: beyond
 // kStickyMaxPins the least-recently-routed session is evicted (and simply
 // re-pins by load if it ever returns).
 TEST(Router, StickyPinsAreBoundedWithLruEviction) {
-  auto router = make_router(RoutePolicy::kStickySession);
+  Router router(RoutePolicy::kStickySession);
   const auto l = loads({{0, 0}, {0, 1}});
-  router->pick(l, {1, "first"});
-  router->pick(l, {1, "second"});
+  router.pick(l, {1, "first"});
+  router.pick(l, {1, "second"});
   for (std::size_t i = 2; i < kStickyMaxPins; ++i) {
-    router->pick(l, {1, "s" + std::to_string(i)});
+    router.pick(l, {1, "s" + std::to_string(i)});
   }
-  ASSERT_TRUE(router->pinned("first").has_value());   // map exactly full
-  router->pick(l, {1, "first"});     // refresh: "second" is now the LRU
-  router->pick(l, {1, "overflow"});  // one past capacity: evicts "second"
-  EXPECT_TRUE(router->pinned("first").has_value());
-  EXPECT_FALSE(router->pinned("second").has_value());
-  EXPECT_TRUE(router->pinned("overflow").has_value());
+  ASSERT_TRUE(router.pinned("first").has_value());   // map exactly full
+  router.pick(l, {1, "first"});     // refresh: "second" is now the LRU
+  router.pick(l, {1, "overflow"});  // one past capacity: evicts "second"
+  EXPECT_TRUE(router.pinned("first").has_value());
+  EXPECT_FALSE(router.pinned("second").has_value());
+  EXPECT_TRUE(router.pinned("overflow").has_value());
 }
 
-TEST(Router, NameAndParseRoundTrip) {
-  for (RoutePolicy p :
-       {RoutePolicy::kRoundRobin, RoutePolicy::kLeastOutstandingRequests,
-        RoutePolicy::kLeastOutstandingTokens, RoutePolicy::kStickySession}) {
-    EXPECT_EQ(parse_route_policy(route_policy_name(p)), p);
-    EXPECT_STREQ(make_router(p)->name(), route_policy_name(p));
-  }
-  EXPECT_EQ(parse_route_policy("round-robin"), RoutePolicy::kRoundRobin);
-  EXPECT_EQ(parse_route_policy("least-outstanding-requests"),
-            RoutePolicy::kLeastOutstandingRequests);
-  EXPECT_EQ(parse_route_policy("least-outstanding-tokens"),
-            RoutePolicy::kLeastOutstandingTokens);
-  EXPECT_EQ(parse_route_policy("sticky-session"), RoutePolicy::kStickySession);
-  EXPECT_FALSE(parse_route_policy("random").has_value());
-  EXPECT_FALSE(parse_route_policy("").has_value());
+TEST(Router, PolicyNames) {
+  EXPECT_STREQ(route_policy_name(RoutePolicy::kLeastOutstandingTokens), "lot");
+  EXPECT_STREQ(route_policy_name(RoutePolicy::kStickySession), "sticky");
 }
 
 }  // namespace

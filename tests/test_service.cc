@@ -111,9 +111,11 @@ TEST(ModelRegistry, AliasedNamesShareOneWeightCopy) {
   const PolicyCase pc = all_policies()[2];
   ModelRegistry registry;
   registry.add("fast", model_a(),
-               pool_options(pc, 1, RoutePolicy::kRoundRobin, 8, 0.0));
+               pool_options(pc, 1, RoutePolicy::kLeastOutstandingTokens, 8,
+                            0.0));
   registry.add("batch", model_a(),
-               pool_options(pc, 2, RoutePolicy::kRoundRobin, 8, 0.0));
+               pool_options(pc, 2, RoutePolicy::kLeastOutstandingTokens, 8,
+                            0.0));
   Service service(std::move(registry));
   EXPECT_EQ(service.pool("fast").model().weights_ptr().get(),
             service.pool("batch").model().weights_ptr().get());
@@ -136,8 +138,8 @@ TEST(Service, RejectsInconsistentConfiguration) {
     // Per-pool validation surfaces through the Service constructor.
     ModelRegistry registry;
     registry.add("a", model_a(),
-                 pool_options(all_policies()[2], 0, RoutePolicy::kRoundRobin,
-                              8, 0.0));
+                 pool_options(all_policies()[2], 0,
+                              RoutePolicy::kLeastOutstandingTokens, 8, 0.0));
     EXPECT_THROW(Service(std::move(registry)), std::invalid_argument);
   }
 }
@@ -146,10 +148,12 @@ TEST(Service, DefaultModelIsFirstRegisteredUnlessOverridden) {
   const PolicyCase pc = all_policies()[2];
   {
     ModelRegistry registry;
-    registry.add("a", model_a(), pool_options(pc, 1, RoutePolicy::kRoundRobin,
-                                              8, 0.0));
-    registry.add("b", model_b(), pool_options(pc, 1, RoutePolicy::kRoundRobin,
-                                              8, 0.0));
+    registry.add("a", model_a(),
+                 pool_options(pc, 1, RoutePolicy::kLeastOutstandingTokens, 8,
+                              0.0));
+    registry.add("b", model_b(),
+                 pool_options(pc, 1, RoutePolicy::kLeastOutstandingTokens, 8,
+                              0.0));
     Service service(std::move(registry));
     EXPECT_EQ(service.default_model(), "a");
     Rng rng(3);
@@ -162,10 +166,12 @@ TEST(Service, DefaultModelIsFirstRegisteredUnlessOverridden) {
   }
   {
     ModelRegistry registry;
-    registry.add("a", model_a(), pool_options(pc, 1, RoutePolicy::kRoundRobin,
-                                              8, 0.0));
-    registry.add("b", model_b(), pool_options(pc, 1, RoutePolicy::kRoundRobin,
-                                              8, 0.0));
+    registry.add("a", model_a(),
+                 pool_options(pc, 1, RoutePolicy::kLeastOutstandingTokens, 8,
+                              0.0));
+    registry.add("b", model_b(),
+                 pool_options(pc, 1, RoutePolicy::kLeastOutstandingTokens, 8,
+                              0.0));
     ServiceOptions opts;
     opts.default_model = "b";
     Service service(std::move(registry), opts);
@@ -251,7 +257,7 @@ TEST(Service, SingleModelBitMatchesBareEnginePoolPerPolicyUnderConcurrentSubmitt
 TEST(Service, DispatchesByModelKeyWithPerModelAccounting) {
   const PolicyCase pc = all_policies()[2];
   const EnginePoolOptions opts =
-      pool_options(pc, 1, RoutePolicy::kRoundRobin, 8, 0.0);
+      pool_options(pc, 1, RoutePolicy::kLeastOutstandingTokens, 8, 0.0);
   ModelRegistry registry;
   registry.add("a", model_a(), opts);
   registry.add("b", model_b(), opts);
@@ -295,8 +301,8 @@ TEST(Service, DispatchesByModelKeyWithPerModelAccounting) {
 TEST(Service, UnknownModelResolvesTheFutureWithErrorInsteadOfThrowing) {
   ModelRegistry registry;
   registry.add("a", model_a(),
-               pool_options(all_policies()[2], 1, RoutePolicy::kRoundRobin, 8,
-                            0.0));
+               pool_options(all_policies()[2], 1,
+                            RoutePolicy::kLeastOutstandingTokens, 8, 0.0));
   Service service(std::move(registry));
   const std::int64_t h = service.pool("a").hidden();
   Rng rng(12);
@@ -329,7 +335,8 @@ TEST(Service, UnknownModelResolvesTheFutureWithErrorInsteadOfThrowing) {
 // submission order across models.
 TEST(Service, IdsAreUniqueAcrossModels) {
   const EnginePoolOptions opts =
-      pool_options(all_policies()[2], 1, RoutePolicy::kRoundRobin, 8, 0.0);
+      pool_options(all_policies()[2], 1, RoutePolicy::kLeastOutstandingTokens,
+                   8, 0.0);
   ModelRegistry registry;
   registry.add("a", model_a(), opts);
   registry.add("b", model_b(), opts);
@@ -362,7 +369,8 @@ TEST(Service, IdsAreUniqueAcrossModels) {
 
 TEST(Service, StopDrainsEveryRegisteredModelsPools) {
   const EnginePoolOptions opts = pool_options(
-      all_policies()[2], 2, RoutePolicy::kRoundRobin, 8, /*max_wait=*/30.0);
+      all_policies()[2], 2, RoutePolicy::kLeastOutstandingTokens, 8,
+      /*max_wait=*/30.0);
   ModelRegistry registry;
   registry.add("a", model_a(), opts);
   registry.add("b", model_b(), opts);
