@@ -7,6 +7,8 @@
 // paper's cuBLAS profile.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "bench_common.h"
 #include "core/encoder_layer.h"
 
@@ -38,8 +40,10 @@ void BM_Fig03_Breakdown(benchmark::State& state) {
   }
 
   const double total = times.total_seconds();
-  for (const auto& [stage, secs] : times.stages()) {
-    state.counters[stage + "_pct"] = 100.0 * secs / total;
+  for (Stage stage : kStages) {
+    if (times[stage] == 0) continue;  // a stage this pipeline never runs
+    state.counters[std::string(stage_name(stage)) + "_pct"] =
+        100.0 * times[stage] / total;
   }
 }
 

@@ -87,9 +87,11 @@ int main() {
 
   std::printf("\nByteTransformer stage breakdown:\n");
   const StageTimes& stages = bt_responses.front().stages;
-  for (const auto& [stage, secs] : stages.stages()) {
-    std::printf("  %-14s %7.2f ms  (%4.1f%%)\n", stage.c_str(), secs * 1e3,
-                100.0 * secs / stages.total_seconds());
+  for (Stage stage : kStages) {
+    if (stages[stage] == 0) continue;  // e.g. add_bias_gelu when fused
+    std::printf("  %-14s %7.2f ms  (%4.1f%%)\n", stage_name(stage),
+                stages[stage] * 1e3,
+                100.0 * stages[stage] / stages.total_seconds());
   }
 
   // 6. Outputs agree on every token (semantic preservation).

@@ -2,10 +2,10 @@
 // pipeline breakdown instrumentation.
 #pragma once
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 
 namespace bt {
 
@@ -25,34 +25,68 @@ class Timer {
   clock::time_point start_;
 };
 
-// Named accumulator used by the encoder pipeline to attribute time to the
-// modules the paper profiles (GEMM0..3, MHA, layernorm0/1, bias+GELU).
+// The modules the paper profiles in one encoder layer (Fig. 3), in pipeline
+// order, plus the pack/unpack of the zero-padding path. Split/merge
+// transposes count as kAttention; kAddBiasGelu runs only when bias+GELU is
+// not fused into GEMM #2.
+enum class Stage : std::uint8_t {
+  kPadding,
+  kGemm0,
+  kAttention,
+  kGemm1,
+  kLayernorm0,
+  kGemm2,
+  kAddBiasGelu,
+  kGemm3,
+  kLayernorm1,
+};
+
+inline constexpr std::size_t kStageCount =
+    static_cast<std::size_t>(Stage::kLayernorm1) + 1;
+
+// Every stage in pipeline order, for walking a StageTimes.
+inline constexpr std::array<Stage, kStageCount> kStages = {
+    Stage::kPadding, Stage::kGemm0, Stage::kAttention,
+    Stage::kGemm1, Stage::kLayernorm0, Stage::kGemm2,
+    Stage::kAddBiasGelu, Stage::kGemm3, Stage::kLayernorm1,
+};
+
+constexpr const char* stage_name(Stage stage) {
+  constexpr const char* kNames[kStageCount] = {
+      "padding", "gemm0",         "attention", "gemm1",     "layernorm0",
+      "gemm2",   "add_bias_gelu", "gemm3",     "layernorm1",
+  };
+  return kNames[static_cast<std::size_t>(stage)];
+}
+
+// Seconds per stage, summed over every layer and pass that recorded into
+// it. A plain array: copying one into each Response allocates nothing.
 class StageTimes {
  public:
-  void add(const std::string& stage, double seconds) {
-    total_[stage] += seconds;
+  void add(Stage stage, double seconds) {
+    seconds_[static_cast<std::size_t>(stage)] += seconds;
   }
-  void clear() { total_.clear(); }
-
-  const std::map<std::string, double>& stages() const { return total_; }
+  double operator[](Stage stage) const {
+    return seconds_[static_cast<std::size_t>(stage)];
+  }
+  void clear() { seconds_ = {}; }
 
   double total_seconds() const {
     double s = 0;
-    for (const auto& [k, v] : total_) s += v;
+    for (double v : seconds_) s += v;
     return s;
   }
 
  private:
-  std::map<std::string, double> total_;
+  std::array<double, kStageCount> seconds_{};
 };
 
-// RAII stage scope: adds elapsed time to `times[stage]` on destruction.
+// RAII stage scope: adds elapsed time to `(*times)[stage]` on destruction.
 // A null StageTimes pointer turns instrumentation off with zero overhead in
 // the hot path beyond one branch.
 class StageScope {
  public:
-  StageScope(StageTimes* times, std::string stage)
-      : times_(times), stage_(std::move(stage)) {}
+  StageScope(StageTimes* times, Stage stage) : times_(times), stage_(stage) {}
   ~StageScope() {
     if (times_ != nullptr) times_->add(stage_, timer_.seconds());
   }
@@ -61,7 +95,7 @@ class StageScope {
 
  private:
   StageTimes* times_;
-  std::string stage_;
+  Stage stage_;
   Timer timer_;
 };
 

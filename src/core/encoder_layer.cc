@@ -93,14 +93,14 @@ void encoder_layer_tail(par::Device& dev, const BertConfig& cfg,
 
   // GEMM #1: attention output projection.
   {
-    StageScope scope(times, "gemm1");
+    StageScope scope(times, Stage::kGemm1);
     weight_gemm(dev, prepacked, rows, h, h, ctx_rows, w.packed.proj,
                 w.w_proj, attn_out.data());
   }
 
   // Add-bias + residual + layernorm #0.
   {
-    StageScope scope(times, "layernorm0");
+    StageScope scope(times, Stage::kLayernorm0);
     if (flags.fuse_layernorm) {
       kernels::add_bias_residual_layernorm(
           dev, ln1_out.data(), attn_out.data(), input, w.b_proj.data(),
@@ -115,7 +115,7 @@ void encoder_layer_tail(par::Device& dev, const BertConfig& cfg,
 
   // GEMM #2: FFN expansion, optionally with bias+GELU fused in the epilogue.
   {
-    StageScope scope(times, "gemm2");
+    StageScope scope(times, Stage::kGemm2);
     if (flags.fuse_bias_gelu) {
       const gemm::BiasGeluEpilogue<fp16_t> ep{w.b_ffn1.data()};
       weight_gemm(dev, prepacked, rows, inner, h, ln1_out.data(),
@@ -126,20 +126,20 @@ void encoder_layer_tail(par::Device& dev, const BertConfig& cfg,
     }
   }
   if (!flags.fuse_bias_gelu) {
-    StageScope scope(times, "add_bias_gelu");
+    StageScope scope(times, Stage::kAddBiasGelu);
     kernels::add_bias_gelu(dev, ffn_mid.data(), w.b_ffn1.data(), rows, inner);
   }
 
   // GEMM #3: FFN contraction.
   {
-    StageScope scope(times, "gemm3");
+    StageScope scope(times, Stage::kGemm3);
     weight_gemm(dev, prepacked, rows, h, inner, ffn_mid.data(), w.packed.ffn2,
                 w.w_ffn2, ffn_out.data());
   }
 
   // Add-bias + residual + layernorm #1.
   {
-    StageScope scope(times, "layernorm1");
+    StageScope scope(times, Stage::kLayernorm1);
     if (flags.fuse_layernorm) {
       kernels::add_bias_residual_layernorm(
           dev, output, ffn_out.data(), ln1_out.data(), w.b_ffn2.data(),
@@ -213,13 +213,13 @@ void encoder_layer_forward(par::Device& dev, const BertConfig& cfg,
   // are served from the persistent pre-packed panels when available —
   // bitwise identical to packing on the fly, minus the packing.
   {
-    StageScope scope(times, "gemm0");
+    StageScope scope(times, Stage::kGemm0);
     weight_gemm(dev, prepacked, rows, 3 * h, h, input, w.packed.qkv, w.w_qkv,
                 qkv.data());
   }
   // Multi-head attention (incl. bias-add and layout transforms).
   {
-    StageScope scope(times, "attention");
+    StageScope scope(times, Stage::kAttention);
     padded_attention_block(dev, cfg, w, flags, qkv.data(), ctx_rows.data(),
                            off, ws);
   }
@@ -287,7 +287,7 @@ void encoder_layer_packed(par::Device& dev, const BertConfig& cfg,
   // own input row (fixed k-accumulation order), so every row is bitwise
   // identical to the same row of its sequence's full forward.
   {
-    StageScope scope(times, "gemm0");
+    StageScope scope(times, Stage::kGemm0);
     weight_gemm(dev, prepacked, rows, 3 * h, h, input, w.packed.qkv, w.w_qkv,
                 qkv);
   }
@@ -314,7 +314,7 @@ void encoder_layer_packed(par::Device& dev, const BertConfig& cfg,
   // Attention computes only fresh query rows, each written straight to its
   // fresh-block row.
   {
-    StageScope scope(times, "attention");
+    StageScope scope(times, Stage::kAttention);
     if (flags.fused_mha) {
       for (const PackedLayout::Run& run : layout.runs) {
         const auto first = static_cast<std::size_t>(run.first);

@@ -24,9 +24,8 @@
 
 namespace bt::core {
 
-// Stage keys used for the Fig. 3 breakdown: "gemm0", "attention", "gemm1",
-// "layernorm0", "gemm2", "add_bias_gelu" (unfused only), "gemm3",
-// "layernorm1". Split/merge transposes are attributed to "attention".
+// `times` receives the Fig. 3 breakdown: every bt::Stage but kPadding
+// (kAddBiasGelu only when bias+GELU is unfused).
 // Under flags.zero_padding this is encoder_layer_packed over `off` with no
 // cached prefix; otherwise it runs the padded baseline.
 void encoder_layer_forward(par::Device& dev, const BertConfig& cfg,

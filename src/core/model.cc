@@ -33,13 +33,13 @@ void BertModel::forward(par::Device& dev, const fp16_t* input, fp16_t* output,
       seqs[b].total_rows = off.seq_lens[b];
     }
     {
-      StageScope scope(times, "padding");
+      StageScope scope(times, Stage::kPadding);
       pack_rows(dev, input, packed_in.data(), off, h);
     }
     forward_packed(dev, seqs, packed_in.data(), packed_out.data(), stream,
                    flags, ws, times);
     {
-      StageScope scope(times, "padding");
+      StageScope scope(times, Stage::kPadding);
       unpack_rows(dev, packed_out.data(), output, off, h);
     }
     if (capture != nullptr) {

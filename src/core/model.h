@@ -77,7 +77,7 @@ class BertModel {
   // input/output: padded token rows [batch * max_seq, hidden]; padding rows
   // of `input` must be zero-filled. `off` describes the valid tokens. With
   // flags.zero_padding this is pack -> forward_packed (no cached prefix) ->
-  // unpack, the pack/unpack time attributed to the "padding" stage of
+  // unpack, the pack/unpack time attributed to Stage::kPadding of
   // `times`; otherwise every layer runs on the padded rows. `capture`, if
   // given, observes each layer's raw QKV rows (packed layout; requires
   // flags.zero_padding and a non-DeBERTa model).

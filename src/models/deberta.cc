@@ -142,13 +142,13 @@ void deberta_layer_forward(par::Device& dev, const core::BertConfig& cfg,
   const bool prepacked = flags.prepacked_weights && w.packed.ready;
 
   {
-    StageScope scope(times, "gemm0");
+    StageScope scope(times, Stage::kGemm0);
     core::weight_gemm(dev, prepacked, rows, 3 * h, h, input, w.packed.qkv,
                       w.w_qkv, qkv.data());
   }
 
   {
-    StageScope scope(times, "attention");
+    StageScope scope(times, Stage::kAttention);
     auto q = ws.get<fp16_t>("layer.q", per_head_elems);
     auto k = ws.get<fp16_t>("layer.k", per_head_elems);
     auto v = ws.get<fp16_t>("layer.v", per_head_elems);
@@ -178,12 +178,12 @@ void deberta_layer_forward(par::Device& dev, const core::BertConfig& cfg,
   }
 
   {
-    StageScope scope(times, "gemm1");
+    StageScope scope(times, Stage::kGemm1);
     core::weight_gemm(dev, prepacked, rows, h, h, ctx_rows.data(),
                       w.packed.proj, w.w_proj, attn_out.data());
   }
   {
-    StageScope scope(times, "layernorm0");
+    StageScope scope(times, Stage::kLayernorm0);
     if (flags.fuse_layernorm) {
       kernels::add_bias_residual_layernorm(
           dev, ln1_out.data(), attn_out.data(), input, w.b_proj.data(),
@@ -196,7 +196,7 @@ void deberta_layer_forward(par::Device& dev, const core::BertConfig& cfg,
     }
   }
   {
-    StageScope scope(times, "gemm2");
+    StageScope scope(times, Stage::kGemm2);
     if (flags.fuse_bias_gelu) {
       const gemm::BiasGeluEpilogue<fp16_t> ep{w.b_ffn1.data()};
       core::weight_gemm(dev, prepacked, rows, inner, h, ln1_out.data(),
@@ -207,16 +207,16 @@ void deberta_layer_forward(par::Device& dev, const core::BertConfig& cfg,
     }
   }
   if (!flags.fuse_bias_gelu) {
-    StageScope scope(times, "add_bias_gelu");
+    StageScope scope(times, Stage::kAddBiasGelu);
     kernels::add_bias_gelu(dev, ffn_mid.data(), w.b_ffn1.data(), rows, inner);
   }
   {
-    StageScope scope(times, "gemm3");
+    StageScope scope(times, Stage::kGemm3);
     core::weight_gemm(dev, prepacked, rows, h, inner, ffn_mid.data(),
                       w.packed.ffn2, w.w_ffn2, ffn_out.data());
   }
   {
-    StageScope scope(times, "layernorm1");
+    StageScope scope(times, Stage::kLayernorm1);
     if (flags.fuse_layernorm) {
       kernels::add_bias_residual_layernorm(
           dev, output, ffn_out.data(), ln1_out.data(), w.b_ffn2.data(),

@@ -119,26 +119,13 @@ Client::Client(std::uint16_t port, ClientOptions opts)
 
 Client::~Client() { close(); }
 
-std::future<WireResponse> Client::submit(WireRequest req) {
-  if (closed_.load()) {
-    throw serving::ShutdownError("net::Client: submit on a closed connection");
-  }
-  PendingOp op;
-  op.as_serving = false;
-  op.request = std::move(req);
-  auto fut = op.wire.get_future();
-  start_request(std::move(op));
-  return fut;
-}
-
 std::future<serving::Response> Client::submit_serving(WireRequest req) {
   if (closed_.load()) {
     throw serving::ShutdownError("net::Client: submit on a closed connection");
   }
   PendingOp op;
-  op.as_serving = true;
   op.request = std::move(req);
-  auto fut = op.serving.get_future();
+  auto fut = op.promise.get_future();
   start_request(std::move(op));
   return fut;
 }
@@ -315,38 +302,17 @@ Client::ConnEnd Client::run_connection(std::string* why) {
             continue;
           }
         }
+        fail_op(std::move(op), rf.error, std::string(rf.message));
+        continue;
       }
-
-      if (op.as_serving) {
-        if (rf.error == serving::ErrorCode::kOk) {
-          serving::Response resp;
-          resp.error = serving::ErrorCode::kOk;
-          resp.model = std::string(rf.model);
-          resp.replica = rf.replica;
-          if (!rf.session.empty()) resp.session = std::string(rf.session);
-          resp.output = Tensor<fp16_t>({static_cast<std::int64_t>(rf.rows),
-                                        static_cast<std::int64_t>(rf.cols)});
-          std::memcpy(resp.output.data(), rf.tokens, rf.token_bytes());
-          op.serving.set_value(std::move(resp));
-        } else {
-          op.serving.set_exception(serving::make_serving_error(
-              rf.error, std::string(rf.message)));
-        }
-      } else {
-        WireResponse resp;
-        resp.correlation = rf.correlation;
-        resp.error = rf.error;
-        resp.message = std::string(rf.message);
-        resp.model = std::string(rf.model);
-        resp.session = std::string(rf.session);
-        resp.replica = rf.replica;
-        if (rf.rows > 0) {
-          resp.output = Tensor<fp16_t>({static_cast<std::int64_t>(rf.rows),
-                                        static_cast<std::int64_t>(rf.cols)});
-          std::memcpy(resp.output.data(), rf.tokens, rf.token_bytes());
-        }
-        op.wire.set_value(std::move(resp));
-      }
+      serving::Response resp;
+      resp.model = std::string(rf.model);
+      resp.replica = rf.replica;
+      if (!rf.session.empty()) resp.session = std::string(rf.session);
+      resp.output = Tensor<fp16_t>({static_cast<std::int64_t>(rf.rows),
+                                    static_cast<std::int64_t>(rf.cols)});
+      std::memcpy(resp.output.data(), rf.tokens, rf.token_bytes());
+      op.promise.set_value(std::move(resp));
     }
 
     const ssize_t n = ::recv(fd, chunk.data(), chunk.size(), 0);
@@ -533,15 +499,7 @@ void Client::retry_loop() {
 
 void Client::fail_op(PendingOp op, serving::ErrorCode code,
                      const std::string& why) {
-  if (op.as_serving) {
-    op.serving.set_exception(serving::make_serving_error(code, why));
-  } else {
-    WireResponse resp;
-    resp.correlation = op.first_correlation;
-    resp.error = code;
-    resp.message = why;
-    op.wire.set_value(std::move(resp));
-  }
+  op.promise.set_exception(serving::make_serving_error(code, why));
 }
 
 void Client::fail_pending(const std::string& why) {

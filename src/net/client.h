@@ -1,28 +1,21 @@
 // Blocking loopback client for the net::Server wire protocol.
 //
-// One Client owns one TCP connection. submit() encodes a submit frame,
-// writes it on the caller's thread, and returns a future; a receiver
+// One Client owns one TCP connection. submit_serving() encodes a submit
+// frame, writes it on the caller's thread, and returns a future; a receiver
 // thread blocks on recv(), decodes response frames, and resolves each
 // future by correlation id — so any number of requests can be in flight
 // on one connection and responses resolve in whatever order the server
 // finishes them (the serving tier's out-of-order completion is visible
 // end-to-end).
 //
-// Two submission surfaces:
-//
-//   submit()         -> future<WireResponse>: the raw wire reply — stable
-//                       ErrorCode, diagnostic message, provenance, tokens.
-//                       Nothing throws for server-side failures; the error
-//                       code is data. This is the load-generator surface.
-//
-//   submit_serving() -> future<serving::Response>: the adapter that makes
-//                       a wire connection a drop-in for Service::submit —
-//                       a kOk frame resolves to a serving::Response, any
-//                       other code rejects the future with the SAME typed
-//                       exception the in-process API would have thrown
-//                       (serving::make_serving_error), so code written
-//                       against Service futures (replay_trace, the
-//                       simulator) runs unchanged over sockets.
+// The future is the one the in-process tiers return: a kOk frame resolves
+// to a serving::Response carrying the output and its provenance (model,
+// replica, session); any other code rejects the future with the SAME typed
+// exception Service::submit would have delivered
+// (serving::make_serving_error), so code written against Service futures
+// (replay_trace, the simulator, the load generator) runs unchanged over
+// sockets. The stable code is serving::error_code_of(exception) and the
+// server's diagnostic is what().
 //
 // Retries (off by default; docs/ROBUSTNESS.md is the normative spec):
 // with RetryPolicy::max_attempts > 1 the client re-sends requests that
@@ -35,7 +28,7 @@
 // kShutdown and the other codes are never retried — the server said this
 // request can not succeed here.
 //
-// Thread-safety: submit()/submit_serving() may be called from any number
+// Thread-safety: submit_serving() may be called from any number
 // of threads (writes are serialized internally). close() unblocks the
 // receiver; futures still pending when the connection permanently dies
 // are rejected with serving::ShutdownError.
@@ -65,21 +58,6 @@ struct WireRequest {
   std::string session;  // empty = sessionless
   std::uint32_t deadline_ms = 0;
   Tensor<fp16_t> hidden;  // [rows, cols] fp16 token matrix
-};
-
-// One decoded reply, with the token payload copied out of the wire buffer
-// into an owning tensor (the decoder's view dies with the next frame; the
-// future's value cannot).
-struct WireResponse {
-  std::uint64_t correlation = 0;
-  serving::ErrorCode error = serving::ErrorCode::kOk;
-  std::string message;  // diagnostic detail when error != kOk
-  std::string model;
-  std::string session;
-  std::int32_t replica = -1;
-  Tensor<fp16_t> output;  // empty unless error == kOk
-
-  bool ok() const { return error == serving::ErrorCode::kOk; }
 };
 
 // The server's telemetry snapshot (a decoded kStatsResponse), copied out
@@ -145,7 +123,8 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  std::future<WireResponse> submit(WireRequest req);
+  // Sends `req`. Throws serving::ShutdownError when the connection is
+  // permanently down.
   std::future<serving::Response> submit_serving(WireRequest req);
 
   // Pulls the server's telemetry snapshot (a kStatsRequest frame). Stats
@@ -169,10 +148,10 @@ class Client {
  private:
   using Clock = std::chrono::steady_clock;
 
-  // A pending request resolves through exactly one of these promises,
-  // chosen at submit time. The request itself rides along so a retry can
-  // re-encode it; attempts/first_sent/first_correlation enforce the
-  // attempt and deadline budgets across retries.
+  // A pending request and the promise it resolves. The request itself
+  // rides along so a retry can re-encode it; attempts/first_sent/
+  // first_correlation enforce the attempt and deadline budgets across
+  // retries.
   //
   // Ownership rule (what makes resolution exactly-once under faults):
   // while an attempt is in flight the op lives in pending_ keyed by that
@@ -180,9 +159,7 @@ class Client {
   // response, the reconnect sweep, a fail_pending — owns resolving or
   // re-sending it, and nobody else may touch it.
   struct PendingOp {
-    bool as_serving = false;
-    std::promise<WireResponse> wire;
-    std::promise<serving::Response> serving;
+    std::promise<serving::Response> promise;
     WireRequest request;
     int attempts = 0;  // sends so far (start_request increments)
     std::uint64_t first_correlation = 0;
@@ -213,7 +190,8 @@ class Client {
   // the attempt budget is spent, or the deadline has passed.
   void resend(PendingOp op, const char* budget_why)
       BT_EXCLUDES(pending_mutex_, write_mutex_);
-  void fail_op(PendingOp op, serving::ErrorCode code, const std::string& why);
+  static void fail_op(PendingOp op, serving::ErrorCode code,
+                      const std::string& why);
   void fail_pending(const std::string& why) BT_EXCLUDES(pending_mutex_);
   // Receiver-side permanent teardown: marks the client dead, stops the
   // retry worker, fails everything pending.

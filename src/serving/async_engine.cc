@@ -370,8 +370,10 @@ void AsyncEngine::scheduler_loop() {
       round_tokens -= shed_tokens;
       in_flight_ -= shed.size();
       in_flight_tokens_ -= shed_tokens;
-      deadline_shed_ += static_cast<long long>(shed.size());
-      stats_.deadline_shed = deadline_shed_;
+      // The inner engine is idle here (this thread owns it), so its stats
+      // are a consistent snapshot to publish with the shed counted.
+      engine_.stats_.deadline_shed += static_cast<long long>(shed.size());
+      stats_ = engine_.stats();
       fail_each(shed, ErrorCode::kDeadlineExceeded,
                 "AsyncEngine: request deadline passed before compute (shed)");
       lock.unlock();
@@ -426,8 +428,6 @@ void AsyncEngine::scheduler_loop() {
     lock.lock();
     in_flight_ -= count;  // the live share; shed accounting settled above
     in_flight_tokens_ -= round_tokens;
-    const long long prev_processed = stats_.processed_tokens;
-    stats_ = engine_.stats();
     if (failed || responses.size() != live.size()) {
       ErrorCode code = ErrorCode::kInternal;
       std::string message =
@@ -465,7 +465,7 @@ void AsyncEngine::scheduler_loop() {
       }
       const auto resolved_at = Clock::now();
       const long long round_processed =
-          stats_.processed_tokens - prev_processed;
+          engine_.stats().processed_tokens - stats_.processed_tokens;
       std::vector<obs::TraceRecord> traced;
       const bool tracing = obs::enabled() && !live.empty();
       if (tracing) traced.reserve(live.size());
@@ -476,8 +476,9 @@ void AsyncEngine::scheduler_loop() {
         responses[i].model = opts_.model_name;
         responses[i].replica = opts_.replica_index;
         if (live[i].deadline.has_value()) {
-          (resolved_at <= *live[i].deadline) ? ++deadline_met_
-                                             : ++deadline_missed_;
+          (resolved_at <= *live[i].deadline)
+              ? ++engine_.stats_.deadline_met
+              : ++engine_.stats_.deadline_missed;
         }
         ins.queue_seconds.record_seconds(responses[i].queue_seconds);
         ins.e2e_seconds.record_seconds(
@@ -519,11 +520,7 @@ void AsyncEngine::scheduler_loop() {
       for (obs::TraceRecord& rec : traced) ring.record(std::move(rec));
     }
     ins.in_flight.add(-static_cast<double>(count));
-    // Overlay the executor-level deadline accounting onto the inner
-    // engine's snapshot (which cannot know about deadlines or shedding).
-    stats_.deadline_met = deadline_met_;
-    stats_.deadline_missed = deadline_missed_;
-    stats_.deadline_shed = deadline_shed_;
+    stats_ = engine_.stats();  // the round, its deadline counts included
   }
 
   // Only reachable with stop_ set and the queue observed empty, so every

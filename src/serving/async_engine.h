@@ -196,12 +196,9 @@ class AsyncEngine {
   std::size_t in_flight_ BT_GUARDED_BY(mutex_) = 0;
   long long in_flight_tokens_ BT_GUARDED_BY(mutex_) = 0;
   RequestId next_id_ BT_GUARDED_BY(mutex_) = 0;
-  EngineStats stats_ BT_GUARDED_BY(mutex_);  // snapshot, updated per round
-  // Deadline accounting: resolved before its deadline / computed but
-  // resolved after / deadline passed before compute.
-  long long deadline_met_ BT_GUARDED_BY(mutex_) = 0;
-  long long deadline_missed_ BT_GUARDED_BY(mutex_) = 0;
-  long long deadline_shed_ BT_GUARDED_BY(mutex_) = 0;
+  // Snapshot of engine_.stats(), taken per round and per shed. The
+  // scheduler counts the deadline fields straight into engine_'s stats.
+  EngineStats stats_ BT_GUARDED_BY(mutex_);
   ReplicaHealth health_ BT_GUARDED_BY(mutex_);
   bool stop_ BT_GUARDED_BY(mutex_) = false;
 

@@ -19,7 +19,8 @@
 // serving::AsyncEngine (serving/async_engine.h), the pipelined executor
 // that runs this Engine behind a background scheduler thread; replicated
 // and multi-model serving stack EnginePool (serving/pool.h) and Service
-// (serving/service.h) on top of the same Request/Response surface.
+// (serving/service.h) on top of the same Request/Response surface, and
+// net::Client (net/client.h) delivers that same Response over a socket.
 #pragma once
 
 #include <chrono>
@@ -122,20 +123,19 @@ struct Request {
 void validate_request_shape(const char* who, const Tensor<fp16_t>& hidden,
                             std::int64_t hidden_dim);
 
+// A served request. Every tier, the wire client included, delivers exactly
+// this type; a request that failed delivers a typed serving error
+// (serving/error.h) instead, so a Response is always a success.
 struct Response {
   RequestId id = -1;
-  // Always kOk on a Response delivered through the C++ API — failures
-  // travel as exceptions there. The field exists so surfaces that cannot
-  // throw across their boundary (the wire protocol's response frames)
-  // report the identical stable code instead of a stringly-typed error.
-  ErrorCode error = ErrorCode::kOk;
   Tensor<fp16_t> output;       // [length, hidden] valid rows only
   double queue_seconds = 0;    // submit -> scheduling-round start
   double compute_seconds = 0;  // wall time of the owning micro-batch forward
   long long round = -1;        // 0-based scheduling round that served this
                                // request (dispatch order is observable:
                                // promises resolve in non-decreasing rounds)
-  StageTimes stages;           // stage breakdown of the owning micro-batch
+  StageTimes stages;           // stage breakdown of the owning micro-batch,
+                               // summed over its layers
   // Provenance: which registered model / replica served the request, and
   // the session it belonged to. `model` is the registry name the serving
   // tier was built under (empty on a bare Engine/AsyncEngine/EnginePool);
@@ -248,7 +248,8 @@ class Engine {
   int hidden() const { return model_->config().hidden(); }
 
  private:
-  friend class AsyncEngine;  // hands down the id it assigned
+  friend class AsyncEngine;  // hands down the id it assigned, and counts
+                             // the deadline fields into stats_
 
   RequestId submit(Request req, RequestId id);
 

@@ -154,10 +154,8 @@ EnginePool::RouteDecision EnginePool::route_and_account(const Request& req) {
     // dropping. This is the only fallback: Router::pick relies on it.
     for (auto& load : loads) load.available = true;
   }
-  RouteRequest route_req(req.hidden.dim(0));
   RouteDecision decision;
   if (req.session.has_value()) {
-    route_req.session = *req.session;
     decision.sessioned = true;
     // Lock-free CAS-max on 4 KiB of registers — cheap enough to sit on the
     // routing path. Deliberately not undone by undo_route: the session was
@@ -166,7 +164,7 @@ EnginePool::RouteDecision EnginePool::route_and_account(const Request& req) {
   }
   // sticky_hit: an existing pin decided the pick (reported by the router so
   // the hot path pays exactly one pin lookup).
-  decision.target = router_.pick(loads, route_req, &decision.sticky_hit);
+  decision.target = router_.pick(loads, req.session, &decision.sticky_hit);
   if (decision.sessioned && opts_.engine.engine.prefix_cache != nullptr) {
     // Tell the prefix cache where this session landed. When the pin MOVED
     // (breaker quarantine re-routed the session) the cache drops the

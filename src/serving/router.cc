@@ -22,12 +22,13 @@ std::size_t least_outstanding_tokens(std::span<const ReplicaLoad> replicas) {
 }  // namespace
 
 std::size_t Router::pick(std::span<const ReplicaLoad> replicas,
-                         const RouteRequest& req, bool* pinned_hit) {
+                         std::optional<std::string_view> session,
+                         bool* pinned_hit) {
   if (pinned_hit != nullptr) *pinned_hit = false;
-  if (policy_ != RoutePolicy::kStickySession || !req.session.has_value()) {
+  if (policy_ != RoutePolicy::kStickySession || !session.has_value()) {
     return least_outstanding_tokens(replicas);
   }
-  if (auto it = pins_.find(*req.session); it != pins_.end()) {
+  if (auto it = pins_.find(*session); it != pins_.end()) {
     // A shrunken fleet (not possible through EnginePool today, where the
     // replica count is fixed at construction) would invalidate the pin;
     // re-route and re-pin instead of indexing out of range. A pin on an
@@ -52,7 +53,7 @@ std::size_t Router::pick(std::span<const ReplicaLoad> replicas,
     pins_.erase(victim);
   }
   auto [it, inserted] =
-      pins_.emplace(std::string(*req.session), Pin{target, {}});
+      pins_.emplace(std::string(*session), Pin{target, {}});
   it->second.pos = lru_.insert(lru_.end(), it->first);
   return target;
 }

@@ -2,13 +2,13 @@
 //
 // A Router decides which replica AsyncEngine receives each submitted
 // request, given a live load snapshot of every replica and the request's
-// routing attributes (RouteRequest: token count plus an optional session
-// key). It routes to the available replica with the fewest outstanding
-// valid tokens, the right load metric here because variable-length inputs
-// make per-request cost wildly non-uniform (the paper's whole premise), so
-// two queued requests can differ by 100x in compute. Ties go to the lowest
-// replica index, making single-threaded submission sequences fully
-// reproducible. The policy decides one thing, session pins:
+// optional session key. It routes to the available replica with the fewest
+// outstanding valid tokens, the right load metric here because
+// variable-length inputs make per-request cost wildly non-uniform (the
+// paper's whole premise), so two queued requests can differ by 100x in
+// compute. Ties go to the lowest replica index, making single-threaded
+// submission sequences fully reproducible. The policy decides one thing,
+// session pins:
 //
 //   kLeastOutstandingTokens — every request routes by load; nothing pins.
 //   kStickySession          — conversational traffic: the first request of
@@ -62,17 +62,6 @@ struct ReplicaLoad {
   bool available = true;
 };
 
-// Routing attributes of one request. Implicitly constructible from a bare
-// token count so sessionless requests read naturally (`pick(loads, tokens)`).
-struct RouteRequest {
-  RouteRequest(long long tokens_ = 0,
-               std::optional<std::string_view> session_ = std::nullopt)
-      : tokens(tokens_), session(session_) {}
-
-  long long tokens = 0;                     // valid rows of the request
-  std::optional<std::string_view> session;  // kStickySession keys on this
-};
-
 // Sticky pin capacity per router (i.e. per EnginePool). Beyond it the
 // least-recently-routed session's pin is evicted — that session re-pins by
 // load on its next request.
@@ -88,13 +77,14 @@ class Router {
  public:
   explicit Router(RoutePolicy policy) : policy_(policy) {}
 
-  // Returns the target replica index for `req`; `replicas` is non-empty
-  // and at least one is available. When `pinned_hit` is non-null, it is
-  // set to whether an existing session pin decided the pick — reported
-  // here so the caller doesn't pay a second pin lookup on the routing hot
-  // path.
+  // Returns the target replica index for a request of `session`
+  // (std::nullopt = sessionless); `replicas` is non-empty and at least one
+  // is available. When `pinned_hit` is non-null, it is set to whether an
+  // existing session pin decided the pick — reported here so the caller
+  // doesn't pay a second pin lookup on the routing hot path.
   std::size_t pick(std::span<const ReplicaLoad> replicas,
-                   const RouteRequest& req, bool* pinned_hit = nullptr);
+                   std::optional<std::string_view> session,
+                   bool* pinned_hit = nullptr);
 
   // The replica a session is pinned to (std::nullopt for unseen sessions
   // and under kLeastOutstandingTokens). EnginePool exposes it

@@ -34,6 +34,7 @@
 #include "serving/router.h"
 #include "serving/service.h"
 #include "tensor/tensor.h"
+#include "test_utils.h"
 
 namespace bt {
 namespace {
@@ -149,8 +150,7 @@ TEST(Chaos, BreakerQuarantinesProbesAndReadmits) {
   EXPECT_EQ(sick.consecutive_failures, 3);
 
   // The next route trips the breaker and lands on the healthy replica.
-  auto ok = pool.submit(make_hidden(2, 7));
-  EXPECT_EQ(ok.get().error, serving::ErrorCode::kOk);
+  EXPECT_EQ(pool.submit(make_hidden(2, 7)).get().replica, 1);
   serving::EnginePool::BreakerStats bs = pool.breaker_stats();
   EXPECT_EQ(bs.quarantines, 1);
   EXPECT_EQ(bs.readmissions, 0);
@@ -159,16 +159,14 @@ TEST(Chaos, BreakerQuarantinesProbesAndReadmits) {
   // probe, it succeeds (the fault budget is spent), and the replica is
   // readmitted.
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  auto probe = pool.submit(make_hidden(2, 8));
-  EXPECT_EQ(probe.get().error, serving::ErrorCode::kOk);
+  EXPECT_EQ(pool.submit(make_hidden(2, 8)).get().replica, 0);
   bs = pool.breaker_stats();
   EXPECT_EQ(bs.quarantines, 1);
   EXPECT_GE(bs.probes, 1);
   EXPECT_EQ(bs.readmissions, 1);
 
   // Readmitted replica serves again, and success cleared the streak.
-  EXPECT_EQ(pool.submit(make_hidden(2, 9)).get().error,
-            serving::ErrorCode::kOk);
+  EXPECT_EQ(pool.submit(make_hidden(2, 9)).get().replica, 0);
   EXPECT_EQ(pool.replica_health(0).consecutive_failures, 0);
   pool.stop();
 }
@@ -192,8 +190,8 @@ TEST(Chaos, BreakerReQuarantinesWhenTheProbeFails) {
     EXPECT_THROW(pool.submit(make_hidden(2, i)).get(),
                  serving::InternalError);
   }
-  EXPECT_EQ(pool.submit(make_hidden(2, 3)).get().error,
-            serving::ErrorCode::kOk);  // routed around the quarantine
+  // Routed around the quarantine.
+  EXPECT_EQ(pool.submit(make_hidden(2, 3)).get().replica, 1);
   ASSERT_EQ(pool.breaker_stats().quarantines, 1);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
@@ -205,8 +203,7 @@ TEST(Chaos, BreakerReQuarantinesWhenTheProbeFails) {
   EXPECT_GE(bs.quarantines, 2);  // re-quarantined
 
   // Healthy replica still serves while replica 0 sits in quarantine.
-  EXPECT_EQ(pool.submit(make_hidden(2, 5)).get().error,
-            serving::ErrorCode::kOk);
+  EXPECT_EQ(pool.submit(make_hidden(2, 5)).get().replica, 1);
   pool.stop();
 }
 
@@ -218,24 +215,24 @@ TEST(Chaos, StickyPinMigratesOffUnavailableReplica) {
   bool pinned = false;
 
   // Session pins by load to replica 0; the follow-up is a pin hit.
-  EXPECT_EQ(router.pick(loads, {10, "s"}, &pinned), 0u);
+  EXPECT_EQ(router.pick(loads, "s", &pinned), 0u);
   EXPECT_FALSE(pinned);
-  EXPECT_EQ(router.pick(loads, {10, "s"}, &pinned), 0u);
+  EXPECT_EQ(router.pick(loads, "s", &pinned), 0u);
   EXPECT_TRUE(pinned);
 
   // Replica 0 quarantined: the pin is dropped and the session re-pins by
   // load among the available replicas (replica 2 is the least loaded).
   loads[0].available = false;
   loads[1].outstanding_tokens = 5;
-  EXPECT_EQ(router.pick(loads, {10, "s"}, &pinned), 2u);
+  EXPECT_EQ(router.pick(loads, "s", &pinned), 2u);
   EXPECT_FALSE(pinned);  // a migration is a fresh pin, not a hit
 
   // The new pin sticks — including after replica 0 is readmitted (no
   // flap-back; the session's prefix-cache state now builds on replica 2).
-  EXPECT_EQ(router.pick(loads, {10, "s"}, &pinned), 2u);
+  EXPECT_EQ(router.pick(loads, "s", &pinned), 2u);
   EXPECT_TRUE(pinned);
   loads[0].available = true;
-  EXPECT_EQ(router.pick(loads, {10, "s"}, &pinned), 2u);
+  EXPECT_EQ(router.pick(loads, "s", &pinned), 2u);
   EXPECT_TRUE(pinned);
   EXPECT_EQ(router.pinned("s"), std::optional<std::size_t>(2));
 }
@@ -290,8 +287,7 @@ TEST(Chaos, IdleConnectionsAreReaped) {
   net::Client client(server.port());
   net::WireRequest req;
   req.hidden = make_hidden(2, 0);
-  EXPECT_EQ(client.submit(std::move(req)).get().error,
-            serving::ErrorCode::kOk);
+  EXPECT_NO_THROW(client.submit_serving(std::move(req)).get());
 
   client.close();
   server.stop();
@@ -320,8 +316,8 @@ TEST(Chaos, SlowPeerIsDisconnectedWithoutHarmingOthers) {
     req.hidden = make_hidden(4, 0);
     // The server disconnects the slow peer; the client observes the close
     // as a failed pending op.
-    const net::WireResponse r = slow.submit(std::move(req)).get();
-    EXPECT_EQ(r.error, serving::ErrorCode::kShutdown);
+    EXPECT_EQ(test::resolved_code(slow.submit_serving(std::move(req))),
+              serving::ErrorCode::kShutdown);
     slow.close();
   }
   EXPECT_EQ(server.stats().slow_peer_disconnects, 1);
@@ -332,8 +328,7 @@ TEST(Chaos, SlowPeerIsDisconnectedWithoutHarmingOthers) {
   net::Client client(server.port());
   net::WireRequest req;
   req.hidden = make_hidden(4, 1);
-  EXPECT_EQ(client.submit(std::move(req)).get().error,
-            serving::ErrorCode::kOk);
+  EXPECT_NO_THROW(client.submit_serving(std::move(req)).get());
 
   client.close();
   server.stop();
@@ -355,25 +350,25 @@ TEST(Chaos, InflightCapAnswersBackpressureNotQueueing) {
   // in-flight budget while it computes. Returns the blocker's future
   // first, then the four extras'.
   auto burst = [](net::Client& client) {
-    std::vector<std::future<net::WireResponse>> futs;
+    std::vector<std::future<serving::Response>> futs;
     net::WireRequest big;
     big.hidden = make_hidden(2048, 0);
-    futs.push_back(client.submit(std::move(big)));
+    futs.push_back(client.submit_serving(std::move(big)));
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
     for (int i = 0; i < 4; ++i) {
       net::WireRequest req;
       req.hidden = make_hidden(2, 1 + i);
-      futs.push_back(client.submit(std::move(req)));
+      futs.push_back(client.submit_serving(std::move(req)));
     }
     return futs;
   };
 
   net::Client client(server.port());
   auto futs = burst(client);
-  EXPECT_EQ(futs[0].get().error, serving::ErrorCode::kOk);
+  EXPECT_NO_THROW(futs[0].get());
   int backpressure = 0;
   for (std::size_t i = 1; i < futs.size(); ++i) {
-    if (futs[i].get().error == serving::ErrorCode::kBackpressure) {
+    if (test::resolved_code(futs[i]) == serving::ErrorCode::kBackpressure) {
       ++backpressure;
     }
   }
@@ -382,8 +377,7 @@ TEST(Chaos, InflightCapAnswersBackpressureNotQueueing) {
   // The connection survived the declined frames.
   net::WireRequest last;
   last.hidden = make_hidden(2, 99);
-  EXPECT_EQ(client.submit(std::move(last)).get().error,
-            serving::ErrorCode::kOk);
+  EXPECT_NO_THROW(client.submit_serving(std::move(last)).get());
   client.close();
 
   // A retrying client re-sends each kBackpressure reply until the cap
@@ -396,9 +390,7 @@ TEST(Chaos, InflightCapAnswersBackpressureNotQueueing) {
   copts.retry.initial_backoff_ms = 1.0;
   copts.retry.max_backoff_ms = 10.0;
   net::Client retrying(server.port(), copts);
-  for (auto& f : burst(retrying)) {
-    EXPECT_EQ(f.get().error, serving::ErrorCode::kOk);
-  }
+  for (auto& f : burst(retrying)) EXPECT_NO_THROW(f.get());
   EXPECT_GT(server.stats().inflight_capped, capped_before);
   EXPECT_GE(retrying.stats().retries, 1);
 
@@ -501,11 +493,9 @@ TEST(Chaos, SoakExactlyOnceBitwiseIdenticalQuarantineAndReadmit) {
         const int slot = c * kPerConn + begin + static_cast<int>(k);
         // .get() resolves exactly once per request: a duplicate
         // resolution would abort on the satisfied promise, a lost one
-        // would hang here. Every request must end in kOk — the injected
+        // would hang here. Every request must succeed — the injected
         // failures are the client's and breaker's problem, not ours.
-        got[static_cast<std::size_t>(slot)] = wave[k].get();
-        EXPECT_EQ(got[static_cast<std::size_t>(slot)].error,
-                  serving::ErrorCode::kOk);
+        EXPECT_NO_THROW(got[static_cast<std::size_t>(slot)] = wave[k].get());
       }
       wave.clear();
     }
@@ -539,8 +529,7 @@ TEST(Chaos, SoakExactlyOnceBitwiseIdenticalQuarantineAndReadmit) {
     std::this_thread::sleep_for(std::chrono::milliseconds(120));
     net::WireRequest req;
     req.hidden = inputs[static_cast<std::size_t>(extra++ % kTotal)].clone();
-    EXPECT_EQ(clients[0]->submit_serving(std::move(req)).get().error,
-              serving::ErrorCode::kOk);
+    EXPECT_NO_THROW(clients[0]->submit_serving(std::move(req)).get());
     end = service.pool("tiny").breaker_stats();
   }
   EXPECT_GE(end.quarantines, 1);

@@ -282,6 +282,25 @@ TEST(Engine, SingleRequestRoundTrips) {
   EXPECT_GE(responses[0].queue_seconds, 0.0);
 }
 
+// A packed Response carries its micro-batch's stage clock: the stages are
+// disjoint spans inside the pass, so they sum to more than nothing and to
+// no more than the pass's wall time.
+TEST(Engine, PackedResponseStageTotalWithinComputeTime) {
+  Engine engine(shared_model(),
+                options_for(BatchPolicy::kPacked,
+                            core::OptFlags::byte_transformer()));
+  for (auto& r : make_requests(kLens, engine.hidden())) {
+    engine.submit(std::move(r));
+  }
+  const auto responses = engine.drain();
+  ASSERT_EQ(responses.size(), kLens.size());
+  for (const Response& r : responses) {
+    EXPECT_GT(r.stages.total_seconds(), 0.0) << r.id;
+    EXPECT_LE(r.stages.total_seconds(), r.compute_seconds) << r.id;
+    EXPECT_GT(r.stages[Stage::kAttention], 0.0) << r.id;
+  }
+}
+
 TEST(Engine, RoundsRespectRequestCap) {
   auto opts = options_for(BatchPolicy::kPacked,
                           core::OptFlags::byte_transformer());

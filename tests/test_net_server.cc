@@ -18,11 +18,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.h"
 #include "core/model.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "serving/service.h"
 #include "tensor/tensor.h"
+#include "test_utils.h"
 
 namespace bt::net {
 namespace {
@@ -208,7 +210,6 @@ TEST(NetServer, LoopbackBitwiseMatchesInProcess) {
     SCOPED_TRACE(slot.session);
     expect_bits_equal(slot.wire.output, slot.direct.output);
     EXPECT_EQ(slot.wire.model, "tiny");
-    EXPECT_EQ(slot.wire.error, serving::ErrorCode::kOk);
     // Session provenance survives the wire round trip.
     if (!slot.session.empty()) {
       ASSERT_TRUE(slot.wire.session.has_value());
@@ -233,15 +234,16 @@ TEST(NetServer, UnknownModelIsAFrameNotAClosedConnection) {
   WireRequest bad;
   bad.model = "no-such-model";
   bad.hidden = make_hidden(2, 0);
-  const WireResponse r = client.submit(std::move(bad)).get();
-  EXPECT_EQ(r.error, serving::ErrorCode::kUnknownModel);
-  EXPECT_FALSE(r.message.empty());
+  std::string message;
+  EXPECT_EQ(
+      test::resolved_code(client.submit_serving(std::move(bad)), &message),
+      serving::ErrorCode::kUnknownModel);
+  EXPECT_FALSE(message.empty());
 
   // The connection survived: a valid request on it still round-trips.
   WireRequest good;
   good.hidden = make_hidden(2, 1);
-  const WireResponse ok = client.submit(std::move(good)).get();
-  EXPECT_EQ(ok.error, serving::ErrorCode::kOk);
+  const serving::Response ok = client.submit_serving(std::move(good)).get();
   EXPECT_EQ(ok.model, "tiny");
 
   client.close();
@@ -259,17 +261,17 @@ TEST(NetServer, BackpressureSurfacesAsFrames) {
   server.start();
   Client client(server.port());
 
-  std::vector<std::future<WireResponse>> futs;
+  std::vector<std::future<serving::Response>> futs;
   for (int i = 0; i < 32; ++i) {
     WireRequest req;
     req.hidden = make_hidden(128, i);
-    futs.push_back(client.submit(std::move(req)));
+    futs.push_back(client.submit_serving(std::move(req)));
   }
   int ok = 0, backpressure = 0;
   for (auto& f : futs) {
-    const WireResponse r = f.get();
-    if (r.error == serving::ErrorCode::kOk) ++ok;
-    if (r.error == serving::ErrorCode::kBackpressure) ++backpressure;
+    const serving::ErrorCode code = test::resolved_code(f);
+    if (code == serving::ErrorCode::kOk) ++ok;
+    if (code == serving::ErrorCode::kBackpressure) ++backpressure;
   }
   EXPECT_GE(ok, 1);
   EXPECT_GE(backpressure, 1);
@@ -286,7 +288,16 @@ TEST(NetServer, DeadlineTravelsTheWire) {
   // deadlines while it is mid-compute: no scheduling round can start
   // inside their window (EDF would otherwise serve them first), so they
   // must come back as kDeadlineExceeded frames — produced by the same
-  // shedding machinery the in-process tier uses.
+  // shedding machinery the in-process tier uses. A scripted stall holds
+  // the blocker's round until every tight deadline has passed.
+  fault::Injector inj(1);
+  fault::PointConfig stall;
+  stall.fire_at = {0};
+  stall.max_fires = 1;
+  stall.param = 100000;  // us
+  inj.arm("serving.compute.delay", stall);
+  fault::ScopedInjector scope(inj);
+
   auto service = make_service(pool_options(/*max_batch_requests=*/1));
   Server server(service);
   server.start();
@@ -294,27 +305,29 @@ TEST(NetServer, DeadlineTravelsTheWire) {
 
   WireRequest big;
   big.hidden = make_hidden(2048, 0);
-  auto blocker = client.submit(std::move(big));
-  // Past the 1 ms batching window: the blocker's round is now computing.
-  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  auto blocker = client.submit_serving(std::move(big));
+  while (inj.stats("serving.compute.delay").hits == 0) {
+    std::this_thread::yield();
+  }
 
-  std::vector<std::future<WireResponse>> tight;
+  std::vector<std::future<serving::Response>> tight;
   for (int i = 0; i < 4; ++i) {
     WireRequest req;
     req.deadline_ms = 1;
     req.hidden = make_hidden(8, 100 + i);
-    tight.push_back(client.submit(std::move(req)));
+    tight.push_back(client.submit_serving(std::move(req)));
   }
-  EXPECT_EQ(blocker.get().error, serving::ErrorCode::kOk);
+  EXPECT_NO_THROW(blocker.get());
   int shed = 0;
   for (auto& f : tight) {
-    const WireResponse r = f.get();
-    if (r.error == serving::ErrorCode::kDeadlineExceeded) {
+    std::string message;
+    if (test::resolved_code(f, &message) ==
+        serving::ErrorCode::kDeadlineExceeded) {
       ++shed;
-      EXPECT_FALSE(r.message.empty());
+      EXPECT_FALSE(message.empty());
     }
   }
-  EXPECT_GE(shed, 1);
+  EXPECT_EQ(shed, 4);
 
   client.close();
   server.stop();
@@ -378,8 +391,7 @@ TEST(NetServer, MalformedStreamKillsOnlyItsConnection) {
   Client client(server.port());
   WireRequest req;
   req.hidden = make_hidden(2, 0);
-  EXPECT_EQ(client.submit(std::move(req)).get().error,
-            serving::ErrorCode::kOk);
+  EXPECT_NO_THROW(client.submit_serving(std::move(req)).get());
   EXPECT_GE(server.stats().protocol_errors, 1);
 
   client.close();
@@ -398,10 +410,10 @@ TEST(NetServer, WrongTokenWidthIsAProtocolViolation) {
 
   WireRequest req;
   req.hidden = Tensor<fp16_t>({2, tiny_config().hidden() / 2});
-  const WireResponse r = client.submit(std::move(req)).get();
   // The client observes the close as a failed pending op, not a server
   // frame: kShutdown with the connection-closed diagnostic.
-  EXPECT_EQ(r.error, serving::ErrorCode::kShutdown);
+  EXPECT_EQ(test::resolved_code(client.submit_serving(std::move(req))),
+            serving::ErrorCode::kShutdown);
   EXPECT_GE(server.stats().protocol_errors, 1);
 
   client.close();
@@ -418,8 +430,8 @@ TEST(NetServer, StoppedServiceAnswersShutdown) {
   Client client(server.port());
   WireRequest req;
   req.hidden = make_hidden(2, 0);
-  const WireResponse r = client.submit(std::move(req)).get();
-  EXPECT_EQ(r.error, serving::ErrorCode::kShutdown);
+  EXPECT_EQ(test::resolved_code(client.submit_serving(std::move(req))),
+            serving::ErrorCode::kShutdown);
 
   client.close();
   server.stop();

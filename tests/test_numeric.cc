@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "common/numeric.h"
@@ -210,31 +212,51 @@ TEST(Timer, MeasuresElapsed) {
   EXPECT_LT(t.seconds(), 10.0);
 }
 
-TEST(StageTimes, AccumulatesByName) {
+static_assert(std::is_trivially_copyable_v<StageTimes>,
+              "a Response copies its StageTimes without allocating");
+
+TEST(StageTimes, AccumulatesPerStage) {
   StageTimes times;
-  times.add("a", 1.0);
-  times.add("b", 2.0);
-  times.add("a", 0.5);
-  EXPECT_DOUBLE_EQ(times.stages().at("a"), 1.5);
-  EXPECT_DOUBLE_EQ(times.stages().at("b"), 2.0);
+  times.add(Stage::kGemm0, 1.0);
+  times.add(Stage::kAttention, 2.0);
+  times.add(Stage::kGemm0, 0.5);
+  EXPECT_DOUBLE_EQ(times[Stage::kGemm0], 1.5);
+  EXPECT_DOUBLE_EQ(times[Stage::kAttention], 2.0);
+  EXPECT_DOUBLE_EQ(times[Stage::kLayernorm1], 0.0);
   EXPECT_DOUBLE_EQ(times.total_seconds(), 3.5);
   times.clear();
-  EXPECT_TRUE(times.stages().empty());
+  for (Stage stage : kStages) {
+    EXPECT_EQ(times[stage], 0.0) << stage_name(stage);
+  }
+  EXPECT_EQ(times.total_seconds(), 0.0);
+}
+
+TEST(StageTimes, NamesFollowPipelineOrder) {
+  ASSERT_EQ(kStages.size(), kStageCount);
+  for (std::size_t i = 0; i < kStages.size(); ++i) {
+    EXPECT_EQ(static_cast<std::size_t>(kStages[i]), i);
+  }
+  EXPECT_STREQ(stage_name(Stage::kPadding), "padding");
+  EXPECT_STREQ(stage_name(Stage::kAddBiasGelu), "add_bias_gelu");
+  EXPECT_STREQ(stage_name(Stage::kLayernorm1), "layernorm1");
 }
 
 TEST(StageTimes, ScopeAttributesOnDestruction) {
   StageTimes times;
   {
-    StageScope scope(&times, "stage");
+    StageScope scope(&times, Stage::kGemm2);
     // long long: the triangular sum (~5e9) overflows int, which is UB the
     // UBSan CI leg rejects — the burn loop must be overflow-free.
     volatile long long sink = 0;
     for (int i = 0; i < 100000; ++i) sink = sink + i;
   }
-  EXPECT_GT(times.stages().at("stage"), 0.0);
-  // Null sink is a no-op.
-  { StageScope scope(nullptr, "ignored"); }
-  EXPECT_EQ(times.stages().count("ignored"), 0u);
+  EXPECT_GT(times[Stage::kGemm2], 0.0);
+  EXPECT_DOUBLE_EQ(times.total_seconds(), times[Stage::kGemm2]);
+}
+
+// A null sink turns a scope off: it times nothing and writes nowhere.
+TEST(StageTimes, NullScopeIsANoOp) {
+  { StageScope scope(nullptr, Stage::kGemm2); }
 }
 
 }  // namespace

@@ -27,22 +27,24 @@ TEST(Router, LeastOutstandingTokensPicksMinWithLowestIndexTie) {
     Router router(p);
     // Request counts are ignored: one replica with many tiny requests can
     // be the right target under variable-length traffic.
-    EXPECT_EQ(router.pick(loads({{1, 1024}, {8, 64}, {2, 512}}), 5), 1u)
+    EXPECT_EQ(
+        router.pick(loads({{1, 1024}, {8, 64}, {2, 512}}), std::nullopt), 1u)
         << route_policy_name(p);
-    EXPECT_EQ(router.pick(loads({{0, 100}, {0, 100}}), 5), 0u)
+    EXPECT_EQ(router.pick(loads({{0, 100}, {0, 100}}), std::nullopt), 0u)
         << route_policy_name(p);
     // Unavailable replicas are skipped, however light.
     auto l = loads({{0, 0}, {0, 300}, {0, 200}});
     l[0].available = false;
-    EXPECT_EQ(router.pick(l, 5), 2u) << route_policy_name(p);
+    EXPECT_EQ(router.pick(l, std::nullopt), 2u) << route_policy_name(p);
   }
 }
 
 TEST(Router, SingleReplicaAlwaysPicksZero) {
   for (RoutePolicy p : kPolicies) {
     Router router(p);
-    EXPECT_EQ(router.pick(loads({{7, 700}}), 3), 0u) << route_policy_name(p);
-    EXPECT_EQ(router.pick(loads({{7, 700}}), {3, "s"}), 0u)
+    EXPECT_EQ(router.pick(loads({{7, 700}}), std::nullopt), 0u)
+        << route_policy_name(p);
+    EXPECT_EQ(router.pick(loads({{7, 700}}), "s"), 0u)
         << route_policy_name(p);
   }
 }
@@ -52,30 +54,30 @@ TEST(Router, SingleReplicaAlwaysPicksZero) {
 TEST(Router, StickySessionPinsFirstPickAndFollowsItThereafter) {
   Router router(RoutePolicy::kStickySession);
   // A fresh session routes least-outstanding-tokens (replica 1) and pins.
-  EXPECT_EQ(router.pick(loads({{1, 100}, {0, 10}}), {5, "alice"}), 1u);
+  EXPECT_EQ(router.pick(loads({{1, 100}, {0, 10}}), "alice"), 1u);
   EXPECT_EQ(router.pinned("alice"), 1u);
   // Follow-ups go to the pin even when the loads now favour replica 0.
-  EXPECT_EQ(router.pick(loads({{0, 0}, {9, 9000}}), {5, "alice"}), 1u);
-  EXPECT_EQ(router.pick(loads({{0, 0}, {9, 9000}}), {1, "alice"}), 1u);
+  EXPECT_EQ(router.pick(loads({{0, 0}, {9, 9000}}), "alice"), 1u);
+  EXPECT_EQ(router.pick(loads({{0, 0}, {9, 9000}}), "alice"), 1u);
   // A different session pins independently, by the current loads.
-  EXPECT_EQ(router.pick(loads({{0, 0}, {9, 9000}}), {5, "bob"}), 0u);
+  EXPECT_EQ(router.pick(loads({{0, 0}, {9, 9000}}), "bob"), 0u);
   EXPECT_EQ(router.pinned("bob"), 0u);
   EXPECT_EQ(router.pinned("alice"), 1u);
 }
 
 TEST(Router, StickySessionlessRequestsFallBackToTokensAndNeverPin) {
   Router router(RoutePolicy::kStickySession);
-  EXPECT_EQ(router.pick(loads({{0, 500}, {3, 20}}), 5), 1u);
-  EXPECT_EQ(router.pick(loads({{0, 10}, {3, 20}}), 5), 0u);
+  EXPECT_EQ(router.pick(loads({{0, 500}, {3, 20}}), std::nullopt), 1u);
+  EXPECT_EQ(router.pick(loads({{0, 10}, {3, 20}}), std::nullopt), 0u);
   // Sessionless sticky picks, and sessions under kLeastOutstandingTokens,
   // leave no pins.
   EXPECT_FALSE(router.pinned("").has_value());
   Router lot(RoutePolicy::kLeastOutstandingTokens);
   bool pinned_hit = true;
-  EXPECT_EQ(lot.pick(loads({{0, 10}, {3, 20}}), {5, "alice"}, &pinned_hit),
+  EXPECT_EQ(lot.pick(loads({{0, 10}, {3, 20}}), "alice", &pinned_hit),
             0u);
   EXPECT_FALSE(pinned_hit);
-  EXPECT_EQ(lot.pick(loads({{0, 50}, {3, 20}}), {5, "alice"}, &pinned_hit),
+  EXPECT_EQ(lot.pick(loads({{0, 50}, {3, 20}}), "alice", &pinned_hit),
             1u);
   EXPECT_FALSE(pinned_hit);
   EXPECT_FALSE(lot.pinned("alice").has_value());
@@ -87,14 +89,14 @@ TEST(Router, StickySessionlessRequestsFallBackToTokensAndNeverPin) {
 TEST(Router, StickyPinsAreBoundedWithLruEviction) {
   Router router(RoutePolicy::kStickySession);
   const auto l = loads({{0, 0}, {0, 1}});
-  router.pick(l, {1, "first"});
-  router.pick(l, {1, "second"});
+  router.pick(l, "first");
+  router.pick(l, "second");
   for (std::size_t i = 2; i < kStickyMaxPins; ++i) {
-    router.pick(l, {1, "s" + std::to_string(i)});
+    router.pick(l, "s" + std::to_string(i));
   }
   ASSERT_TRUE(router.pinned("first").has_value());   // map exactly full
-  router.pick(l, {1, "first"});     // refresh: "second" is now the LRU
-  router.pick(l, {1, "overflow"});  // one past capacity: evicts "second"
+  router.pick(l, "first");     // refresh: "second" is now the LRU
+  router.pick(l, "overflow");  // one past capacity: evicts "second"
   EXPECT_TRUE(router.pinned("first").has_value());
   EXPECT_FALSE(router.pinned("second").has_value());
   EXPECT_TRUE(router.pinned("overflow").has_value());

@@ -1,9 +1,12 @@
 // Shared helpers for the test suite: FP64 reference implementations of every
-// pipeline stage, tensor conversion utilities, and input generators.
+// pipeline stage, tensor conversion utilities, input generators, and the
+// error code a serving future resolved with.
 #pragma once
 
 #include <cmath>
+#include <exception>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "attention/attention.h"
@@ -13,6 +16,7 @@
 #include "core/padding.h"
 #include "core/weights.h"
 #include "kernels/layernorm.h"
+#include "serving/error.h"
 #include "tensor/tensor.h"
 
 namespace bt::test {
@@ -165,6 +169,26 @@ inline double max_diff_valid_rows(const Tensor<fp16_t>& got,
     }
   }
   return m;
+}
+
+// ---- serving futures -------------------------------------------------------
+
+// Waits for `f` and returns the stable code it resolved with: kOk for a
+// value, else the typed serving error's code, with its what() in *message.
+// The error is read through a shared_future that holds the future's state
+// until the read is done, as net::Server's pump does: ThreadSanitizer does
+// not see libsupc++'s exception refcount, so a resolving thread that drops
+// the state last must be ordered after the read by the state's own count.
+template <typename Future>
+serving::ErrorCode resolved_code(Future&& f, std::string* message = nullptr) {
+  const auto state = f.share();
+  try {
+    state.get();
+    return serving::ErrorCode::kOk;
+  } catch (...) {
+    return serving::error_code_of(std::current_exception(),
+                                  serving::ErrorCode::kInternal, message);
+  }
 }
 
 }  // namespace bt::test
