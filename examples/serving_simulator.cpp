@@ -514,7 +514,8 @@ int main(int argc, char** argv) {
         const serving::EngineStats before = service.stats();
         const auto r0 = std::chrono::steady_clock::now();
         long long round_tokens = 0;
-        std::vector<std::future<serving::Response>> futs;
+        // Shared, so a failed future's state outlives the catch reading it.
+        std::vector<std::shared_future<serving::Response>> futs;
         futs.reserve(static_cast<std::size_t>(conv_sessions));
         for (int s = 0; s < conv_sessions; ++s) {
           const int len = conv_lens[static_cast<std::size_t>(s)]
@@ -530,7 +531,7 @@ int main(int argc, char** argv) {
               conv_model[static_cast<std::size_t>(s)])];
           req.session = "conv-" + std::to_string(s);
           round_tokens += len;
-          futs.push_back(submit(std::move(req)));
+          futs.push_back(submit(std::move(req)).share());
         }
         for (auto& f : futs) {
           try {

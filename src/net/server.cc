@@ -8,12 +8,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstring>
 #include <deque>
-#include <future>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -77,6 +80,74 @@ obs::Counter& wire_error_counter(serving::ErrorCode code) {
   }
 }
 
+// One resolved request on its way to the event loop.
+struct Completion {
+  std::uint64_t conn_id = 0;
+  std::uint64_t correlation = 0;
+  serving::ErrorCode error = serving::ErrorCode::kOk;
+  std::string message;         // error detail when error != kOk
+  serving::Response response;  // when error == kOk
+};
+
+// The hand-off from the threads that resolve requests to the event loop.
+// Replies hold it by shared_ptr, never the Server's Impl: one can run after
+// stop() or ~Server (the service outlives the server), and then finds the
+// sink closed. Its mutex is a leaf, taken under AsyncEngine::mutex_.
+class CompletionSink {
+ public:
+  explicit CompletionSink(int wake_fd) : wake_fd_(wake_fd) {}
+  ~CompletionSink() { close(); }
+  CompletionSink(const CompletionSink&) = delete;
+  CompletionSink& operator=(const CompletionSink&) = delete;
+
+  // The body of every server reply, on the resolving thread: the error is
+  // read by the thread that made it. Never throws, takes no other lock.
+  void push(std::uint64_t conn_id, std::uint64_t correlation,
+            serving::Response&& response, std::exception_ptr error) noexcept
+      BT_EXCLUDES(mutex_) {
+    Completion c;
+    c.conn_id = conn_id;
+    c.correlation = correlation;
+    if (error) {
+      // Typed serving errors keep their stable code on the wire; anything
+      // else is kInternal — this request broke, the server still serves.
+      c.error = serving::error_code_of(error, serving::ErrorCode::kInternal,
+                                       &c.message);
+    } else {
+      c.response = std::move(response);
+    }
+    MutexLock lock(mutex_);
+    if (wake_fd_ < 0) return;  // server stopped: nobody to answer
+    queue_.push_back(std::move(c));
+    // One wake byte per empty -> non-empty edge: the loop drains the pipe
+    // before it takes the queue, so later pushes ride the same wake.
+    if (queue_.size() == 1) {
+      const char byte = 'w';
+      // EAGAIN means a wake byte is already pending — exactly as good.
+      [[maybe_unused]] ssize_t n = ::write(wake_fd_, &byte, 1);
+    }
+  }
+
+  std::deque<Completion> take() BT_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return std::exchange(queue_, {});
+  }
+
+  // Closing the write end wakes the loop for good (POLLHUP); what is queued
+  // and every later push is dropped.
+  void close() BT_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    if (wake_fd_ >= 0) ::close(wake_fd_);
+    wake_fd_ = -1;
+    queue_.clear();
+  }
+
+ private:
+  Mutex mutex_;
+  std::deque<Completion> queue_ BT_GUARDED_BY(mutex_);
+  int wake_fd_ BT_GUARDED_BY(mutex_);  // pipe write end; -1 once closed
+};
+
 }  // namespace
 
 struct Server::Impl {
@@ -88,13 +159,12 @@ struct Server::Impl {
 
   int listen_fd = -1;
   int wake_read_fd = -1;
-  int wake_write_fd = -1;
+  std::shared_ptr<CompletionSink> sink;  // owns the wake pipe's write end
   std::uint16_t bound_port = 0;
   bool started = false;
   bool stopped = false;
   std::atomic<bool> stop_flag{false};
   std::thread loop_worker;
-  std::thread pump_worker;
 
   // ---- per-connection state (event-loop thread only) ----------------------
   //
@@ -128,27 +198,6 @@ struct Server::Impl {
   std::unordered_map<std::uint64_t, Connection> conns
       BT_GUARDED_BY(loop_thread);
   std::uint64_t next_conn_id BT_GUARDED_BY(loop_thread) = 1;
-
-  // ---- completion bridge (event loop <-> pump thread) ---------------------
-  struct InFlight {
-    std::uint64_t conn_id = 0;
-    std::uint64_t correlation = 0;
-    std::future<serving::Response> fut;
-  };
-  struct Completion {
-    std::uint64_t conn_id = 0;
-    std::uint64_t correlation = 0;
-    serving::ErrorCode error = serving::ErrorCode::kOk;
-    std::string message;  // error detail when error != kOk
-    // Ready; holds the Response when error == kOk. Shared so the pump can
-    // read a failure while still holding the state (pump_loop).
-    std::shared_future<serving::Response> outcome;
-  };
-  Mutex pump_mutex;
-  CondVar pump_cv;
-  std::vector<InFlight> inflight BT_GUARDED_BY(pump_mutex);
-  std::deque<Completion> completed BT_GUARDED_BY(pump_mutex);
-  bool pump_stop BT_GUARDED_BY(pump_mutex) = false;
 
   mutable Mutex stats_mutex;
   ServerStats stats BT_GUARDED_BY(stats_mutex);
@@ -184,78 +233,18 @@ struct Server::Impl {
     int pipe_fds[2];
     if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) throw_errno("pipe2");
     wake_read_fd = pipe_fds[0];
-    wake_write_fd = pipe_fds[1];
-  }
-
-  void wake() {
-    const char byte = 'w';
-    // EAGAIN means a wake byte is already pending — exactly as good.
-    [[maybe_unused]] ssize_t n = ::write(wake_write_fd, &byte, 1);
-  }
-
-  // ---- completion pump ----------------------------------------------------
-  //
-  // std::future has no completion hook, so readiness is polled — the same
-  // idiom as serving::replay_trace, off the event loop so socket latency
-  // never couples to the scan. The 200 us poll period is noise against
-  // ms-scale inference; completions reach the loop through the self-pipe.
-  void pump_loop() BT_EXCLUDES(pump_mutex) {
-    using namespace std::chrono_literals;
-    MutexLock lock(pump_mutex);
-    while (!pump_stop) {
-      if (inflight.empty()) {
-        while (!pump_stop && inflight.empty()) pump_cv.wait(pump_mutex);
-        continue;
-      }
-      bool any_ready = false;
-      for (auto it = inflight.begin(); it != inflight.end();) {
-        if (it->fut.wait_for(0s) != std::future_status::ready) {
-          ++it;
-          continue;
-        }
-        Completion c;
-        c.conn_id = it->conn_id;
-        c.correlation = it->correlation;
-        // std::future::get drops the shared state while a failure is still
-        // in flight, so the replica's promise could free the exception
-        // while the catch below reads it, ordered only by libsupc++'s
-        // exception refcount, which ThreadSanitizer does not see. Holding
-        // the state through a shared_future orders the read before that.
-        c.outcome = it->fut.share();
-        try {
-          c.outcome.get();
-          c.error = serving::ErrorCode::kOk;
-        } catch (...) {
-          // Typed serving errors keep their stable code on the wire; an
-          // unexpected failure maps to kInternal — this request broke, the
-          // server is still serving (kShutdown would tell a retrying
-          // client the endpoint is dead).
-          c.error = serving::error_code_of(std::current_exception(),
-                                           serving::ErrorCode::kInternal,
-                                           &c.message);
-        }
-        completed.push_back(std::move(c));
-        it = inflight.erase(it);
-        any_ready = true;
-      }
-      if (any_ready) {
-        wake();
-      } else {
-        // wait_for releases the lock, so the event loop can add in-flight
-        // entries (and stop() can interrupt) between scans.
-        pump_cv.wait_for(pump_mutex, 200us);
-      }
-    }
+    sink = std::make_shared<CompletionSink>(pipe_fds[1]);
   }
 
   // ---- event loop ---------------------------------------------------------
 
-  void loop() BT_EXCLUDES(pump_mutex, stats_mutex) {
+  void loop() BT_EXCLUDES(stats_mutex) {
     // This thread IS the loop-thread capability: every loop-only method
     // below becomes callable, and only from here.
     loop_thread.attach();
     std::vector<pollfd> fds;
     std::vector<std::uint64_t> fd_conn;  // conn id per pollfd slot (>= 2)
+    int timeout_ms = -1;  // no connection yet, so none can idle out
     while (!stop_flag.load(std::memory_order_relaxed)) {
       fds.clear();
       fd_conn.clear();
@@ -272,12 +261,10 @@ struct Server::Impl {
         fd_conn.push_back(id);
       }
 
-      const int n = ::poll(fds.data(), fds.size(), opts.poll_timeout_ms);
+      const int n = ::poll(fds.data(), fds.size(), timeout_ms);
       if (stop_flag.load(std::memory_order_relaxed)) break;
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;  // unrecoverable poll failure; tear the loop down
-      }
+      // EINTR reports no events (every revents 0): carry on as on a timeout.
+      if (n < 0 && errno != EINTR) break;  // unrecoverable: tear down
 
       if (fds[1].revents & POLLIN) {
         drain_wake_pipe();
@@ -309,7 +296,7 @@ struct Server::Impl {
         if (!alive) dead.push_back(conn.id);
       }
       for (std::uint64_t id : dead) close_conn(id);
-      reap_idle();
+      timeout_ms = reap_idle();
     }
 
     for (auto& [id, conn] : conns) ::close(conn.fd);
@@ -320,27 +307,38 @@ struct Server::Impl {
     conns.clear();
   }
 
-  // Closes connections idle past opts.idle_timeout_seconds. Only fully
-  // quiet ones qualify: in-flight work or queued responses mean the peer
-  // is waiting on us, not the reverse.
-  void reap_idle() BT_REQUIRES(loop_thread) {
-    if (!(opts.idle_timeout_seconds > 0)) return;
+  // Closes connections idle past opts.idle_timeout_seconds and returns how
+  // long poll() may wait for the next one to expire. Only fully quiet ones
+  // qualify: in-flight work or queued responses mean the peer is waiting on
+  // us, not the reverse. Socket events, completions and stop() all
+  // interrupt poll(), so with no quiet connection it waits forever (-1).
+  int reap_idle() BT_REQUIRES(loop_thread) {
+    if (!(opts.idle_timeout_seconds > 0)) return -1;
     const auto now = std::chrono::steady_clock::now();
-    const auto limit =
-        std::chrono::duration<double>(opts.idle_timeout_seconds);
+    const std::chrono::duration<double> limit(opts.idle_timeout_seconds);
+    double next = -1;  // seconds until the next quiet connection expires
     std::vector<std::uint64_t> idle;
     for (const auto& [id, conn] : conns) {
-      if (conn.inflight.empty() && conn.out.empty() &&
-          now - conn.last_read >= limit) {
+      if (!conn.inflight.empty() || !conn.out.empty()) continue;
+      const double left =
+          std::chrono::duration<double>(limit - (now - conn.last_read))
+              .count();
+      if (left <= 0) {
         idle.push_back(id);
+      } else if (next < 0 || left < next) {
+        next = left;
       }
     }
-    if (idle.empty()) return;
-    {
+    const int timeout_ms =
+        next < 0 ? -1
+                 : static_cast<int>(std::min(std::ceil(next * 1e3),
+                                             static_cast<double>(INT_MAX)));
+    if (!idle.empty()) {
       MutexLock lock(stats_mutex);
       stats.idle_disconnects += static_cast<long long>(idle.size());
     }
     for (std::uint64_t id : idle) close_conn(id);
+    return timeout_ms;
   }
 
   void drain_wake_pipe() BT_REQUIRES(loop_thread) {
@@ -373,8 +371,8 @@ struct Server::Impl {
     if (it == conns.end()) return;
     ::close(it->second.fd);
     conns.erase(it);
-    // In-flight futures belonging to this connection stay with the pump;
-    // their completions are dropped (and counted) when they surface.
+    // Replies still in flight for this connection find it gone; their
+    // completions are dropped (and counted) when they surface.
     MutexLock lock(stats_mutex);
     stats.active_connections = static_cast<long long>(conns.size());
   }
@@ -465,8 +463,8 @@ struct Server::Impl {
     encode_stats_response(conn.out, reply);
     enforce_write_cap(conn);
     if (conn.doomed) return false;
-    // Flush eagerly, like a completion: a stats poller should not eat a
-    // poll-tick of latency.
+    // Flush eagerly, like a completion: a stats poller should not wait a
+    // poll() round for POLLOUT.
     return flush_writes(conn);
   }
 
@@ -513,20 +511,27 @@ struct Server::Impl {
       req.deadline = serving::deadline_in(f.deadline_ms * 1e-3);
     }
 
-    std::optional<std::future<serving::Response>> fut;
+    // The reply runs on the resolving thread and holds the sink, never
+    // this Impl: it can fire after the server is gone.
+    serving::Reply reply = [sink = sink, conn_id = conn.id,
+                            correlation = f.correlation](
+                               serving::Response&& response,
+                               std::exception_ptr error) {
+      sink->push(conn_id, correlation, std::move(response), std::move(error));
+    };
+    bool accepted = false;
     try {
       // The non-blocking path, always: the event loop must stay responsive
-      // under any fleet load. (Unknown models come back as an engaged,
-      // already-failed future and are framed by the pump like any other
-      // completion.)
-      fut = service.try_submit(std::move(req));
+      // under any fleet load. (An unknown model runs the reply at once, on
+      // this thread, and is framed like any other completion.)
+      accepted = service.try_submit(std::move(req), std::move(reply));
     } catch (const std::exception&) {
       // invalid_argument here means the frame lied about its token matrix
       // (wrong width for the resolved model): a client bug, handled like
       // any other malformed traffic.
       return false;
     }
-    if (!fut.has_value()) {
+    if (!accepted) {
       const bool shutdown = service.stopped();
       queue_error(conn, f.correlation,
                   shutdown ? serving::ErrorCode::kShutdown
@@ -539,13 +544,9 @@ struct Server::Impl {
       }
       return true;
     }
-
+    // The completion cannot overtake this insert: only this thread takes
+    // it from the sink.
     conn.inflight.insert(f.correlation);
-    {
-      MutexLock lock(pump_mutex);
-      inflight.push_back({conn.id, f.correlation, std::move(*fut)});
-    }
-    pump_cv.notify_one();
     return true;
   }
 
@@ -583,11 +584,7 @@ struct Server::Impl {
   }
 
   void process_completions() BT_REQUIRES(loop_thread) {
-    std::deque<Completion> batch;
-    {
-      MutexLock lock(pump_mutex);
-      batch.swap(completed);
-    }
+    std::deque<Completion> batch = sink->take();
     std::vector<std::uint64_t> dead;
     for (Completion& c : batch) {
       const auto it = conns.find(c.conn_id);
@@ -599,7 +596,7 @@ struct Server::Impl {
       Connection& conn = it->second;
       conn.inflight.erase(c.correlation);
       if (c.error == serving::ErrorCode::kOk) {
-        const serving::Response& r = c.outcome.get();
+        const serving::Response& r = c.response;
         ResponseFrame f;
         f.correlation = c.correlation;
         f.error = serving::ErrorCode::kOk;
@@ -618,9 +615,9 @@ struct Server::Impl {
       } else {
         queue_error(conn, c.correlation, c.error, c.message);
       }
-      // Flush eagerly: waiting for the next poll() round would add a tick
-      // of latency to every response. A doomed (slow-peer) connection is
-      // not worth flushing — it goes straight to the dead list.
+      // Flush eagerly: waiting for POLLOUT would add a poll() round to
+      // every response. A doomed (slow-peer) connection is not worth
+      // flushing — it goes straight to the dead list.
       if (conn.doomed || !flush_writes(conn) ||
           (conn.read_closed && conn.inflight.empty() && conn.out.empty())) {
         dead.push_back(conn.id);
@@ -655,9 +652,6 @@ struct Server::Impl {
 
 Server::Server(serving::Service& service, ServerOptions opts)
     : service_(service), opts_(opts) {
-  if (opts_.poll_timeout_ms < 1) {
-    throw std::invalid_argument("ServerOptions: poll_timeout_ms must be >= 1");
-  }
   if (!(opts_.idle_timeout_seconds >= 0)) {
     throw std::invalid_argument(
         "ServerOptions: idle_timeout_seconds must be >= 0");
@@ -674,7 +668,6 @@ void Server::start() {
   auto impl = std::make_unique<Impl>(service_, opts_);
   impl->open_sockets();
   impl->started = true;
-  impl->pump_worker = std::thread([i = impl.get()] { i->pump_loop(); });
   impl->loop_worker = std::thread([i = impl.get()] { i->loop(); });
   impl_ = std::move(impl);
 }
@@ -683,17 +676,12 @@ void Server::stop() {
   MutexLock lock(lifecycle_mutex_);
   if (impl_ == nullptr || impl_->stopped) return;
   impl_->stop_flag.store(true);
-  impl_->wake();
-  {
-    MutexLock plock(impl_->pump_mutex);
-    impl_->pump_stop = true;
-  }
-  impl_->pump_cv.notify_all();
+  // Wakes the loop; replies still in flight keep the sink and find it
+  // closed.
+  impl_->sink->close();
   if (impl_->loop_worker.joinable()) impl_->loop_worker.join();
-  if (impl_->pump_worker.joinable()) impl_->pump_worker.join();
   ::close(impl_->listen_fd);
   ::close(impl_->wake_read_fd);
-  ::close(impl_->wake_write_fd);
   impl_->stopped = true;
 }
 

@@ -13,7 +13,7 @@
 //   ... clients connect to 127.0.0.1:server.port() ...
 //   server.stop();                          // then service.stop()
 //
-// Architecture (two threads per server, N connections each O(buffers)):
+// Architecture (one thread per server, N connections each O(buffers)):
 //
 //   event-loop thread — the only thread that touches sockets. Non-blocking
 //     accept/read/write via poll(). Each connection owns a frame Decoder
@@ -27,14 +27,16 @@
 //     fleet is. Malformed or oversized frames kill their connection (the
 //     stream is unframeable), never the loop.
 //
-//   completion thread — bridges Service futures back to the loop. It polls
-//     the in-flight futures (readiness-poll, same idiom as
-//     serving::replay_trace), converts each resolution into an encoded
-//     response frame payload — Response -> kOk frame with provenance;
-//     typed serving errors -> their stable ErrorCode; anything else ->
-//     kShutdown — and wakes the event loop through a self-pipe. The loop
-//     drains completions onto the owning connection's write queue (dropped
-//     silently if the connection is gone) and flushes as POLLOUT allows.
+//   completions — pushed, never polled. Each accepted request carries a
+//     serving::Reply that runs on the thread resolving it (a replica's
+//     scheduler; the loop itself for an unknown model). It maps a failure
+//     to its stable ErrorCode there — typed serving errors keep theirs,
+//     anything else is kInternal — queues {connection, correlation, code,
+//     Response} on a small completion sink and wakes the loop through a
+//     self-pipe. The loop frames each completion onto its connection's
+//     write queue (dropped and counted if the connection is gone) and
+//     flushes as POLLOUT allows. poll() waits without a timeout unless an
+//     idle timeout is set, then until the next quiet connection expires.
 //
 // Deadlines: a submit frame's deadline_ms starts counting at server
 // receipt (serving::deadline_in), so the in-process shedding machinery —
@@ -50,12 +52,13 @@
 // (or declines on) exactly one connection — the loop and every other
 // connection are untouched.
 //
-// Shutdown: stop() closes the listener and every connection and joins both
-// threads. Responses still in flight are dropped — their promises resolve
-// into abandoned futures, which is safe — because the peers they belong to
-// are being disconnected anyway. For a graceful drain, stop the clients
-// first (or let them collect their responses), then the server, then the
-// service.
+// Shutdown: stop() closes the completion sink (which wakes the loop), joins
+// the loop, and closes the listener and every connection. Requests still
+// in flight resolve later in the service; their replies hold the sink, not
+// the server, so they run safely after stop() or ~Server and are dropped,
+// because the peers they belong to are disconnected anyway. For a graceful
+// drain, stop the clients first (or let them collect their responses),
+// then the server, then the service.
 #pragma once
 
 #include <cstdint>
@@ -78,13 +81,9 @@ struct ServerOptions {
   // (the simulator/bt_stats --bind flag). Rejected at start() when it does
   // not parse.
   std::string bind_addr = "127.0.0.1";
-  // Idle poll() tick. Liveness never depends on it — socket events and the
-  // completion self-pipe both interrupt the wait — it only bounds how fast
-  // a stop() issued from outside is noticed at worst.
-  int poll_timeout_ms = 100;
   // Close a connection with nothing in flight and nothing queued that has
-  // not sent a byte for this long (0 = never). Detection granularity is
-  // poll_timeout_ms under an otherwise quiet loop.
+  // not sent a byte for this long (0 = never); the loop wakes for the
+  // earliest expiry, to the millisecond.
   double idle_timeout_seconds = 0;
   // Slow-peer defense: when a connection's queued response bytes still
   // exceed this after a flush attempt — the kernel refused the bytes, so
@@ -142,12 +141,12 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds 127.0.0.1:port, starts listening, and spawns the event-loop and
-  // completion threads. Throws std::runtime_error when the socket setup
-  // fails (port in use, fd exhaustion). Not restartable after stop().
+  // Binds bind_addr:port, starts listening, and spawns the event-loop
+  // thread. Throws std::runtime_error when the socket setup fails (port in
+  // use, fd exhaustion). Not restartable after stop().
   void start() BT_EXCLUDES(lifecycle_mutex_);
 
-  // Closes the listener and every connection, joins both threads.
+  // Closes the listener and every connection, joins the loop thread.
   // Idempotent, safe from any thread.
   void stop() BT_EXCLUDES(lifecycle_mutex_);
 
@@ -164,12 +163,13 @@ class Server {
   const ServerOptions& options() const { return opts_; }
 
  private:
-  struct Impl;  // sockets, poll loop, completion pump (server.cc)
+  struct Impl;  // sockets, poll loop, completion sink (server.cc)
   serving::Service& service_;
   ServerOptions opts_;
-  // The Impl pointer is lifecycle-guarded; the loop and pump threads hold
-  // raw Impl*s captured at start(), whose internals carry their own
-  // contracts (loop-thread capability, pump/stats mutexes — server.cc).
+  // The Impl pointer is lifecycle-guarded; the loop thread holds a raw
+  // Impl* captured at start(), whose internals carry their own contracts
+  // (loop-thread capability, stats mutex — server.cc). Replies never hold
+  // the Impl, only its shared completion sink.
   std::unique_ptr<Impl> impl_ BT_GUARDED_BY(lifecycle_mutex_);
   mutable Mutex lifecycle_mutex_;  // start/stop serialization
 };

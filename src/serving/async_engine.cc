@@ -69,21 +69,17 @@ obs::Counter& failure_counter(ErrorCode code) {
   }
 }
 
-// Resolves every request's promise with its own exception object. Callers
-// inspect their error on their own threads (the net pump through
-// error_code_of) while the scheduler drops its references; libsupc++'s
-// exception refcount is invisible to ThreadSanitizer, so one object shared
-// by many promises reads as a data race on its vptr.
+// Runs every request's reply with its own exception object. A future
+// caller inspects its error on its own thread while the scheduler drops its
+// references; libsupc++'s exception refcount is invisible to
+// ThreadSanitizer, so one object shared by many futures reads as a data
+// race on its vptr.
 template <typename Requests>
 void fail_each(Requests& requests, ErrorCode code, const std::string& message) {
   for (auto& q : requests) {
-    q.promise.set_exception(make_serving_error(code, message));
+    q.reply(Response{}, make_serving_error(code, message));
   }
 }
-
-}  // namespace
-
-namespace {
 
 AsyncEngineOptions resolve_async_options(AsyncEngineOptions opts) {
   // The registry model name is the natural prefix-cache scope: pools and
@@ -97,6 +93,20 @@ AsyncEngineOptions resolve_async_options(AsyncEngineOptions opts) {
 }
 
 }  // namespace
+
+FutureReply future_reply() {
+  auto promise = std::make_shared<std::promise<Response>>();
+  FutureReply out{nullptr, promise->get_future()};
+  out.reply = [promise = std::move(promise)](Response&& response,
+                                             std::exception_ptr error) {
+    if (error) {
+      promise->set_exception(std::move(error));
+    } else {
+      promise->set_value(std::move(response));
+    }
+  };
+  return out;
+}
 
 AsyncEngine::AsyncEngine(std::shared_ptr<const core::BertModel> model,
                          AsyncEngineOptions opts)
@@ -118,27 +128,10 @@ AsyncEngine::AsyncEngine(core::BertModel model, AsyncEngineOptions opts)
 
 AsyncEngine::~AsyncEngine() { stop(); }
 
-std::future<Response> AsyncEngine::enqueue_locked(
-    Request&& req, std::optional<RequestId> id) {
-  Queued q;
-  q.id = id.has_value() ? *id : next_id_++;
-  q.hidden = std::move(req.hidden);
-  q.arrival = Clock::now();
-  q.deadline = req.deadline;
-  q.session = std::move(req.session);
-  std::future<Response> fut = q.promise.get_future();
-  queued_tokens_ += q.hidden.dim(0);
-  if (q.deadline.has_value()) ++deadline_count_;
-  queue_.push_back(std::move(q));
-  Instruments& ins = instruments();
-  ins.submitted.inc();
-  ins.queue_depth.add(1);
-  cv_work_.notify_one();
-  return fut;
-}
-
 std::future<Response> AsyncEngine::submit(Request req) {
-  return submit(std::move(req), std::nullopt);
+  FutureReply r = future_reply();
+  submit(std::move(req), std::move(r.reply), std::nullopt, /*wait=*/true);
+  return std::move(r.future);
 }
 
 std::future<Response> AsyncEngine::submit(Tensor<fp16_t> hidden) {
@@ -146,33 +139,46 @@ std::future<Response> AsyncEngine::submit(Tensor<fp16_t> hidden) {
 }
 
 std::optional<std::future<Response>> AsyncEngine::try_submit(Request req) {
-  return try_submit(std::move(req), std::nullopt);
+  FutureReply r = future_reply();
+  if (!submit(std::move(req), std::move(r.reply), std::nullopt,
+              /*wait=*/false)) {
+    return std::nullopt;
+  }
+  return std::move(r.future);
 }
 
-std::future<Response> AsyncEngine::submit(Request req,
-                                          std::optional<RequestId> id) {
+bool AsyncEngine::submit(Request req, Reply reply,
+                         std::optional<RequestId> id, bool wait) {
   // Same contract as Engine::submit, enforced here because the throw must
   // reach the submitting thread, not the scheduler — and before the
-  // backpressure wait, so a malformed request throws immediately instead of
-  // blocking behind a full queue first.
-  validate_request_shape("AsyncEngine::submit", req.hidden, hidden());
+  // backpressure wait or decline, so a malformed request neither blocks
+  // behind a full queue nor looks like transient backpressure.
+  validate_request_shape(
+      wait ? "AsyncEngine::submit" : "AsyncEngine::try_submit", req.hidden,
+      hidden());
   MutexLock lock(mutex_);
-  while (!stop_ && queue_.size() >= opts_.max_queue) cv_space_.wait(mutex_);
-  if (stop_) {
+  while (wait && !stop_ && queue_.size() >= opts_.max_queue) {
+    cv_space_.wait(mutex_);
+  }
+  if (wait && stop_) {
     throw ShutdownError("AsyncEngine::submit: engine is stopped");
   }
-  return enqueue_locked(std::move(req), id);
-}
-
-std::optional<std::future<Response>> AsyncEngine::try_submit(
-    Request req, std::optional<RequestId> id) {
-  // Programming errors throw even when the request would be declined —
-  // otherwise a malformed request looks like transient backpressure while
-  // the queue happens to be full, and only throws once it drains.
-  validate_request_shape("AsyncEngine::try_submit", req.hidden, hidden());
-  MutexLock lock(mutex_);
-  if (stop_ || queue_.size() >= opts_.max_queue) return std::nullopt;
-  return enqueue_locked(std::move(req), id);
+  if (stop_ || queue_.size() >= opts_.max_queue) return false;
+  Queued q;
+  q.id = id.has_value() ? *id : next_id_++;
+  q.hidden = std::move(req.hidden);
+  q.reply = std::move(reply);
+  q.arrival = Clock::now();
+  q.deadline = req.deadline;
+  q.session = std::move(req.session);
+  queued_tokens_ += q.hidden.dim(0);
+  if (q.deadline.has_value()) ++deadline_count_;
+  queue_.push_back(std::move(q));
+  Instruments& ins = instruments();
+  ins.submitted.inc();
+  ins.queue_depth.add(1);
+  cv_work_.notify_one();
+  return true;
 }
 
 void AsyncEngine::stop() {
@@ -360,7 +366,7 @@ void AsyncEngine::scheduler_loop() {
       }
     }
     if (!shed.empty()) {
-      // Fail the shed futures now, before the live round computes: the
+      // Fail the shed requests now, before the live round computes: the
       // decision is already final, and an SLO-aware caller (retry, hedging)
       // should not learn about it a full round late.
       long long shed_tokens = 0;
@@ -422,9 +428,9 @@ void AsyncEngine::scheduler_loop() {
     }
     const auto t_compute_end = Clock::now();
 
-    // Accounting and fulfillment happen together under the lock, so
-    // pending() never counts a request whose future already resolved (and
-    // never reports zero while one is still unresolved).
+    // Accounting and replies happen together under the lock, so pending()
+    // never counts a request that already resolved (and never reports zero
+    // while one is still unresolved).
     lock.lock();
     in_flight_ -= count;  // the live share; shed accounting settled above
     in_flight_tokens_ -= round_tokens;
@@ -455,8 +461,8 @@ void AsyncEngine::scheduler_loop() {
       engine_.discard_pending();
     } else {
       // drain() returns responses in submission order == round (dispatch)
-      // order, so promises resolve in dispatch order — the fulfillment-
-      // order contract stop()'s drain relies on. The inner engine only saw
+      // order, so replies run in dispatch order — the resolution-order
+      // contract stop()'s drain relies on. The inner engine only saw
       // each request at round start, so rewrite queue_seconds to cover the
       // async wait (submit -> round start).
       if (!live.empty()) {
@@ -506,7 +512,7 @@ void AsyncEngine::scheduler_loop() {
           rec.t_replied = obs::trace_seconds(resolved_at);
           traced.push_back(std::move(rec));
         }
-        live[i].promise.set_value(std::move(responses[i]));
+        live[i].reply(std::move(responses[i]), nullptr);
       }
       if (!live.empty()) {
         ins.compute_seconds.record_seconds(
@@ -514,8 +520,8 @@ void AsyncEngine::scheduler_loop() {
                 .count());
         ins.batch_occupancy.record(live.size());
       }
-      // Ring insertion after the promises resolve: callers are not kept
-      // waiting behind the trace mutex.
+      // Ring insertion after the replies run: callers are not kept waiting
+      // behind the trace mutex.
       obs::TraceRing& ring = obs::TraceRing::global();
       for (obs::TraceRecord& rec : traced) ring.record(std::move(rec));
     }
@@ -524,9 +530,9 @@ void AsyncEngine::scheduler_loop() {
   }
 
   // Only reachable with stop_ set and the queue observed empty, so every
-  // accepted promise has been fulfilled. Belt-and-braces: if a future code
-  // path ever let the scheduler exit with queued requests, destroying their
-  // promises would surface as std::future_error(broken_promise) at random
+  // accepted request has been replied to. Belt-and-braces: if a future code
+  // path ever let the scheduler exit with queued requests, dropping their
+  // replies would surface as std::future_error(broken_promise) at random
   // callers — fail each one loudly instead.
   if (!queue_.empty()) {
     Instruments& ins = instruments();

@@ -18,8 +18,8 @@
 // Threading model
 //   * submit()/try_submit() are thread-safe; ids are assigned in submission
 //     order under the queue lock.
-//   * One scheduler thread owns the inner Engine exclusively; responses are
-//     delivered by fulfilling the per-request promise.
+//   * One scheduler thread owns the inner Engine exclusively; every request
+//     resolves by its Reply, run on that thread (below).
 //
 // Batching window
 //   A round dispatches as soon as the queue can fill it (request cap
@@ -49,7 +49,7 @@
 // Shutdown
 //   stop() (idempotent, also run by the destructor) wakes the scheduler,
 //   drains every already-accepted request, and joins the thread. The drain
-//   resolves promises strictly in dispatch order (the order requests are
+//   resolves requests strictly in dispatch order (the order requests are
 //   popped into rounds; Response::round exposes it) and never drops one —
 //   a future obtained from submit()/try_submit() always resolves with a
 //   value or an exception, never std::future_error(broken_promise).
@@ -60,6 +60,8 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -71,6 +73,22 @@
 #include "serving/engine.h"
 
 namespace bt::serving {
+
+// How an accepted request resolves — the serving tiers' one resolution
+// path. Run exactly once, on the resolving thread (a replica's scheduler,
+// under its AsyncEngine::mutex_), with the Response when `error` is null,
+// else with the typed serving error (error.h) and an empty Response. A
+// Reply must not throw, block, or call back into the serving tiers.
+using Reply =
+    std::function<void(Response&& response, std::exception_ptr error)>;
+
+// The future-returning submit paths of every tier: a Reply that fulfils a
+// promise, and that promise's future.
+struct FutureReply {
+  Reply reply;
+  std::future<Response> future;
+};
+FutureReply future_reply();
 
 struct AsyncEngineOptions {
   EngineOptions engine;            // policy, caps, flags of the inner Engine
@@ -152,26 +170,23 @@ class AsyncEngine {
 
   using Clock = std::chrono::steady_clock;
 
-  // The entry points behind the public ones: `id` is the owning tier's id,
+  // The entry point behind the public ones: `id` is the owning tier's id,
   // or std::nullopt to take the next value of next_id_ under the lock.
-  std::future<Response> submit(Request req, std::optional<RequestId> id)
-      BT_EXCLUDES(mutex_);
-  std::optional<std::future<Response>> try_submit(Request req,
-                                                  std::optional<RequestId> id)
-      BT_EXCLUDES(mutex_);
+  // `wait` blocks while the queue is full and throws once stopped (submit);
+  // without it a full or stopped engine returns false (try_submit).
+  // `reply` runs exactly once if this returns true, never otherwise.
+  bool submit(Request req, Reply reply, std::optional<RequestId> id,
+              bool wait) BT_EXCLUDES(mutex_);
 
   struct Queued {
     RequestId id;
     Tensor<fp16_t> hidden;
-    std::promise<Response> promise;
+    Reply reply;
     Clock::time_point arrival;
     std::optional<Deadline> deadline;
     std::optional<std::string> session;
   };
 
-  std::future<Response> enqueue_locked(Request&& req,
-                                       std::optional<RequestId> id)
-      BT_REQUIRES(mutex_);
   // Queue indices in admission order: identity (FIFO) while no queued
   // request has a deadline, else earliest-deadline-first with queue
   // position as the stable tie-break (deadline-less requests last).
@@ -192,7 +207,7 @@ class AsyncEngine {
   std::size_t deadline_count_ BT_GUARDED_BY(mutex_) = 0;
   // Valid tokens sitting in queue_.
   long long queued_tokens_ BT_GUARDED_BY(mutex_) = 0;
-  // Popped, promises not yet fulfilled — and their valid tokens.
+  // Popped, replies not yet run — and their valid tokens.
   std::size_t in_flight_ BT_GUARDED_BY(mutex_) = 0;
   long long in_flight_tokens_ BT_GUARDED_BY(mutex_) = 0;
   RequestId next_id_ BT_GUARDED_BY(mutex_) = 0;

@@ -209,16 +209,11 @@ void EnginePool::settle_hand_off_locked(const RouteDecision& d,
       std::max(acct.peak_outstanding, d.seen_outstanding + 1);
 }
 
-void EnginePool::finish_hand_off(const RouteDecision& d, long long tokens) {
-  MutexLock lock(mutex_);
-  settle_hand_off_locked(d, tokens);
-}
-
 void EnginePool::undo_route(const RouteDecision& d, long long tokens) {
-  // Caller holds mutex_ (try_submit) — a declined or failed hand-off leaves
-  // no trace in the routing accounting. (A sticky pin created by the
-  // declined pick survives: re-routing the retry to the same replica is
-  // exactly what stickiness means.)
+  // A declined or failed hand-off leaves no trace in the routing
+  // accounting. (A sticky pin created by the declined pick survives:
+  // re-routing the retry to the same replica is exactly what stickiness
+  // means.)
   Routed& acct = routed_[d.target];
   acct.requests -= 1;
   acct.tokens -= tokens;
@@ -237,7 +232,9 @@ void EnginePool::undo_route(const RouteDecision& d, long long tokens) {
 }
 
 std::future<Response> EnginePool::submit(Request req) {
-  return submit(std::move(req), std::nullopt);
+  FutureReply r = future_reply();
+  submit(std::move(req), std::move(r.reply), std::nullopt, /*wait=*/true);
+  return std::move(r.future);
 }
 
 std::future<Response> EnginePool::submit(Tensor<fp16_t> hidden) {
@@ -245,57 +242,59 @@ std::future<Response> EnginePool::submit(Tensor<fp16_t> hidden) {
 }
 
 std::optional<std::future<Response>> EnginePool::try_submit(Request req) {
-  return try_submit(std::move(req), std::nullopt);
+  FutureReply r = future_reply();
+  if (!submit(std::move(req), std::move(r.reply), std::nullopt,
+              /*wait=*/false)) {
+    return std::nullopt;
+  }
+  return std::move(r.future);
 }
 
-std::future<Response> EnginePool::submit(Request req,
-                                         std::optional<RequestId> id) {
-  validate_request_shape("EnginePool::submit", req.hidden, hidden());
-  RouteDecision decision;
+bool EnginePool::submit(Request req, Reply reply,
+                        std::optional<RequestId> id, bool wait) {
+  // Same contract as AsyncEngine: programming errors throw even when the
+  // request would be declined.
+  validate_request_shape(
+      wait ? "EnginePool::submit" : "EnginePool::try_submit", req.hidden,
+      hidden());
   const long long tokens = req.hidden.dim(0);
-  {
-    MutexLock lock(mutex_);
-    if (stop_) {
-      throw ShutdownError("EnginePool::submit: pool is stopped");
+  MutexLock lock(mutex_);
+  if (wait && stop_) {
+    throw ShutdownError("EnginePool::submit: pool is stopped");
+  }
+  if (stop_) return false;
+  if (!id.has_value()) id = next_id_++;
+  const RouteDecision decision = route_and_account(req);
+  AsyncEngine& replica = *engines_[decision.target];
+  if (!wait) {
+    // The replica call is non-blocking and its lock is always taken after
+    // the pool's, never the reverse, so the whole route + hand-off + settle
+    // runs under one pool lock hold. The decline does not shop around: a
+    // declined request re-enters routing on the caller's retry.
+    const bool accepted =
+        replica.submit(std::move(req), std::move(reply), id, /*wait=*/false);
+    if (accepted) {
+      settle_hand_off_locked(decision, tokens);
+    } else {
+      undo_route(decision, tokens);
     }
-    if (!id.has_value()) id = next_id_++;
-    decision = route_and_account(req);
+    return accepted;
   }
   // Hand off outside the pool lock: a full replica queue blocks this
   // submitter without stalling routing for everyone else (the in-transit
   // charge keeps the router honest meanwhile). A stop() racing this
   // hand-off surfaces as the replica's stopped error.
+  lock.unlock();
   try {
-    auto fut = engines_[decision.target]->submit(std::move(req), id);
-    finish_hand_off(decision, tokens);
-    return fut;
+    replica.submit(std::move(req), std::move(reply), id, /*wait=*/true);
   } catch (...) {
-    MutexLock lock(mutex_);
+    lock.lock();
     undo_route(decision, tokens);
     throw;
   }
-}
-
-std::optional<std::future<Response>> EnginePool::try_submit(
-    Request req, std::optional<RequestId> id) {
-  // Same contract as AsyncEngine::try_submit: programming errors throw even
-  // when the request would be declined.
-  validate_request_shape("EnginePool::try_submit", req.hidden, hidden());
-  const long long tokens = req.hidden.dim(0);
-  MutexLock lock(mutex_);
-  if (stop_) return std::nullopt;
-  if (!id.has_value()) id = next_id_++;
-  // The replica call is non-blocking and its lock is always taken after the
-  // pool's, never the reverse, so the whole route + hand-off + settle runs
-  // under one pool lock hold.
-  const RouteDecision decision = route_and_account(req);
-  auto fut = engines_[decision.target]->try_submit(std::move(req), id);
-  if (fut.has_value()) {
-    settle_hand_off_locked(decision, tokens);
-  } else {
-    undo_route(decision, tokens);
-  }
-  return fut;
+  lock.lock();
+  settle_hand_off_locked(decision, tokens);
+  return true;
 }
 
 void EnginePool::stop() {

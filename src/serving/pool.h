@@ -204,13 +204,11 @@ class EnginePool {
 
   using Clock = std::chrono::steady_clock;
 
-  // The entry points behind the public ones: `id` is the owning tier's id,
+  // The entry point behind the public ones: `id` is the owning tier's id,
   // or std::nullopt to take the next value of next_id_ under the pool lock.
-  std::future<Response> submit(Request req, std::optional<RequestId> id)
-      BT_EXCLUDES(mutex_);
-  std::optional<std::future<Response>> try_submit(Request req,
-                                                  std::optional<RequestId> id)
-      BT_EXCLUDES(mutex_);
+  // `wait` and the return value follow AsyncEngine's private submit.
+  bool submit(Request req, Reply reply, std::optional<RequestId> id,
+              bool wait) BT_EXCLUDES(mutex_);
 
   struct RouteDecision {
     std::size_t target = 0;
@@ -245,15 +243,12 @@ class EnginePool {
   // replica's own pending() (the hand-off happens outside the pool lock):
   // without it, a concurrent burst would see every replica at zero and
   // tie-break onto replica 0. Callers must settle the in-transit charge via
-  // finish_hand_off (which re-acquires the lock after the hand-off) or
-  // undo_route / settle_hand_off_locked (still under it).
+  // settle_hand_off_locked or undo_route.
   RouteDecision route_and_account(const Request& req) BT_REQUIRES(mutex_);
   // Clears the in-transit charge and records the queue-depth high-water
   // mark for a request that landed on its replica.
   void settle_hand_off_locked(const RouteDecision& d, long long tokens)
       BT_REQUIRES(mutex_);
-  void finish_hand_off(const RouteDecision& d, long long tokens)  // accepted
-      BT_EXCLUDES(mutex_);
   void undo_route(const RouteDecision& d, long long tokens)  // declined/threw
       BT_REQUIRES(mutex_);
 

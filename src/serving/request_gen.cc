@@ -57,7 +57,10 @@ ReplayResult replay_trace(
   result.done_seconds.assign(n, -1.0);
   result.failed.assign(n, 0);
 
-  std::vector<std::future<Response>> futures(n);
+  // Shared, so each future's state outlives the catch that reads a failure:
+  // ThreadSanitizer does not see libsupc++'s exception refcount, and a plain
+  // future::get() drops the state before the error is read.
+  std::vector<std::shared_future<Response>> futures(n);
   std::size_t submitted = 0;
   std::size_t resolved = 0;
   const auto start = clock::now();
@@ -91,7 +94,7 @@ ReplayResult replay_trace(
           std::min<clock::duration>(kPollPeriod, due - clock::now()));
     }
     if (interrupted()) break;
-    futures[i] = submit(std::move(requests[i]));
+    futures[i] = submit(std::move(requests[i])).share();
     ++submitted;
   }
   // Drain what was submitted — even on interrupt, so the partial result is

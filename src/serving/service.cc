@@ -9,19 +9,17 @@ namespace bt::serving {
 
 namespace {
 
-// A future already resolved with UnknownModelError. Unknown-model
-// rejections never reach an AsyncEngine (the request enters no pool), so
-// the scheduler-side failure counters cannot see them; count them here at
-// the only place they happen.
-std::future<Response> unknown_model_future(const char* who,
-                                           const std::string& name) {
+// Runs `reply` with UnknownModelError. Unknown-model rejections never
+// reach an AsyncEngine (the request enters no pool), so the scheduler-side
+// failure counters cannot see them; count them here at the only place they
+// happen.
+void reply_unknown_model(const Reply& reply, const char* who,
+                         const std::string& name) {
   static obs::Counter& counter =
       obs::MetricRegistry::global().counter("serving.errors.unknown_model");
   counter.inc();
-  std::promise<Response> promise;
-  promise.set_exception(std::make_exception_ptr(UnknownModelError(
-      std::string(who) + ": unknown model \"" + name + "\"")));
-  return promise.get_future();
+  reply(Response{}, std::make_exception_ptr(UnknownModelError(
+                        std::string(who) + ": unknown model \"" + name + "\"")));
 }
 
 }  // namespace
@@ -66,63 +64,51 @@ Service::Service(ModelRegistry registry, ServiceOptions opts)
 Service::~Service() { stop(); }
 
 std::future<Response> Service::submit(Request req) {
-  // Reference, not copy: the common sessionless/default-model submit must
-  // not allocate on the dispatch path.
-  const std::string& name =
-      req.model.has_value() ? *req.model : default_model_;
-  // Model-independent programming errors throw on the caller thread even
-  // when the model name is unknown — otherwise a typo in the name would
-  // mask the real bug as a routing error. Only the hidden-width check must
-  // wait for model resolution.
-  validate_request_shape("Service::submit", req.hidden, /*hidden_dim=*/-1);
-  EnginePool* pool = find_pool(name);
-  if (pool != nullptr) {
-    validate_request_shape("Service::submit", req.hidden, pool->hidden());
-  }
-  RequestId id = 0;
-  {
-    MutexLock lock(mutex_);
-    if (stop_) {
-      throw ShutdownError("Service::submit: service is stopped");
-    }
-    if (pool == nullptr) {
-      // Routing error, not a programming error: resolve the future the
-      // caller already awaits instead of throwing, and burn no request id
-      // (the request never entered any pool).
-      return unknown_model_future("Service::submit", name);
-    }
-    id = next_id_++;
-  }
-  // Hand off outside the service lock: one model's full replica queue must
-  // not stall dispatch (or id assignment) for every other model.
-  return pool->submit(std::move(req), id);
+  FutureReply r = future_reply();
+  submit(std::move(req), std::move(r.reply), /*wait=*/true);
+  return std::move(r.future);
 }
 
 std::future<Response> Service::submit(Tensor<fp16_t> hidden) {
   return submit(Request{std::move(hidden)});
 }
 
-std::optional<std::future<Response>> Service::try_submit(Request req) {
+bool Service::try_submit(Request req, Reply reply) {
+  return submit(std::move(req), std::move(reply), /*wait=*/false);
+}
+
+bool Service::submit(Request req, Reply reply, bool wait) {
+  const char* who = wait ? "Service::submit" : "Service::try_submit";
+  // Reference, not copy: the common sessionless/default-model submit must
+  // not allocate on the dispatch path.
   const std::string& name =
       req.model.has_value() ? *req.model : default_model_;
-  // Programming errors throw even when the request would be declined (the
-  // try_submit contract of every tier below).
-  validate_request_shape("Service::try_submit", req.hidden,
-                         /*hidden_dim=*/-1);
+  // Model-independent programming errors throw on the caller thread even
+  // when the model name is unknown (or the request would be declined) —
+  // otherwise a typo in the name would mask the real bug as a routing
+  // error. Only the hidden-width check must wait for model resolution.
+  validate_request_shape(who, req.hidden, /*hidden_dim=*/-1);
   EnginePool* pool = find_pool(name);
-  if (pool != nullptr) {
-    validate_request_shape("Service::try_submit", req.hidden, pool->hidden());
-  }
+  if (pool != nullptr) validate_request_shape(who, req.hidden, pool->hidden());
   RequestId id = 0;
   {
     MutexLock lock(mutex_);
-    if (stop_) return std::nullopt;
-    if (pool == nullptr) {
-      return unknown_model_future("Service::try_submit", name);
+    if (wait && stop_) {
+      throw ShutdownError("Service::submit: service is stopped");
     }
-    id = next_id_++;
+    if (stop_) return false;
+    // An unknown model burns no request id: the request enters no pool.
+    if (pool != nullptr) id = next_id_++;
   }
-  return pool->try_submit(std::move(req), id);
+  if (pool == nullptr) {
+    // Routing error, not a programming error: reply with it (a future
+    // caller sees it resolved) instead of throwing.
+    reply_unknown_model(reply, who, name);
+    return true;
+  }
+  // Hand off outside the service lock: one model's full replica queue must
+  // not stall dispatch (or id assignment) for every other model.
+  return pool->submit(std::move(req), std::move(reply), id, wait);
 }
 
 void Service::stop() {

@@ -32,8 +32,9 @@
 //     unknown model reports the unknown model).
 //   * An unknown model name is a routing error, not a programming error: it
 //     travels the async path the caller already handles — submit() returns
-//     a future already resolved with UnknownModelError (never a throw on a
-//     scheduler thread, never a burned request id).
+//     a future already resolved with UnknownModelError, try_submit() runs
+//     the reply with it (never a throw on a scheduler thread, never a
+//     burned request id).
 //   * submit() after stop() throws std::runtime_error.
 //
 // Request ids
@@ -108,13 +109,14 @@ class Service {
 
   // Non-blocking variant — the submission path of callers that must never
   // block on a full replica queue (the wire front-end's event loop).
-  // Returns std::nullopt when the routed replica's queue is full or the
-  // service is stopped (the backpressure signal, same contract as
-  // EnginePool/AsyncEngine::try_submit); programming errors still throw,
-  // and an unknown model still comes back as an engaged future already
-  // resolved with UnknownModelError.
-  std::optional<std::future<Response>> try_submit(Request req)
-      BT_EXCLUDES(mutex_);
+  // Returns false when the routed replica's queue is full or the service is
+  // stopped (the backpressure signal, same contract as
+  // EnginePool/AsyncEngine::try_submit); `reply` is then never run.
+  // Otherwise `reply` runs exactly once (async_engine.h): on the replica's
+  // scheduler thread, or — for an unknown model, with UnknownModelError —
+  // at once on this thread, outside every serving lock. Programming errors
+  // still throw.
+  bool try_submit(Request req, Reply reply) BT_EXCLUDES(mutex_);
 
   // Stops every model's pool in registration order (each drains: all
   // accepted futures resolve). Idempotent.
@@ -152,6 +154,9 @@ class Service {
   long long pending_tokens() const;
 
  private:
+  // The entry point behind submit/try_submit; `wait` and the return value
+  // follow AsyncEngine's private submit.
+  bool submit(Request req, Reply reply, bool wait) BT_EXCLUDES(mutex_);
   EnginePool* find_pool(std::string_view model) const;  // nullptr: unknown
   const EnginePool& pool_at(std::string_view model) const;
 

@@ -270,7 +270,6 @@ TEST(Chaos, IdleConnectionsAreReaped) {
   auto service = make_service(pool_options(1));
   net::ServerOptions sopts;
   sopts.idle_timeout_seconds = 0.05;
-  sopts.poll_timeout_ms = 10;
   net::Server server(service, sopts);
   server.start();
 
@@ -298,7 +297,6 @@ TEST(Chaos, SlowPeerIsDisconnectedWithoutHarmingOthers) {
   auto service = make_service(pool_options(1));
   net::ServerOptions sopts;
   sopts.max_write_queue_bytes = 64;  // far below one response frame
-  sopts.poll_timeout_ms = 10;
   net::Server server(service, sopts);
   server.start();
 

@@ -1,8 +1,10 @@
 // net::Server loopback integration: wire round trips are bitwise-identical
 // to in-process Service::submit under concurrent client connections;
 // backpressure, deadline shedding, unknown models, duplicate correlations,
-// and service shutdown all surface as their stable ErrorCode frames; and a
-// malformed stream kills exactly its own connection, never the event loop.
+// and service shutdown all surface as their stable ErrorCode frames; a
+// malformed stream kills exactly its own connection, never the event loop;
+// and a reply that resolves after its connection or the whole server is
+// gone is dropped safely.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -113,6 +115,16 @@ struct RawConn {
       p += w;
       n -= static_cast<std::size_t>(w);
     }
+  }
+  void send_submit(const Tensor<fp16_t>& hidden, std::uint64_t correlation) {
+    SubmitFrame f;
+    f.correlation = correlation;
+    f.rows = static_cast<std::uint32_t>(hidden.dim(0));
+    f.cols = static_cast<std::uint32_t>(hidden.dim(1));
+    f.tokens = reinterpret_cast<const std::byte*>(hidden.data());
+    Buffer wire;
+    encode_submit(wire, f);
+    send_all(wire.data(), wire.size());
   }
   // Blocks until one response frame decodes (or the peer closes, which
   // fails the test).
@@ -435,6 +447,105 @@ TEST(NetServer, StoppedServiceAnswersShutdown) {
 
   client.close();
   server.stop();
+}
+
+// Arms a one-shot stall of the first computing round, long enough for a
+// test to act on the server while that round's request is mid-compute.
+void arm_compute_stall(fault::Injector& inj) {
+  fault::PointConfig stall;
+  stall.fire_at = {0};
+  stall.max_fires = 1;
+  stall.param = 300000;  // us
+  inj.arm("serving.compute.delay", stall);
+}
+
+void wait_until_computing(const fault::Injector& inj) {
+  while (inj.stats("serving.compute.delay").hits == 0) {
+    std::this_thread::yield();
+  }
+}
+
+// Polls `done` every millisecond for up to 10 s; false if it never held.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(NetServer, ReplyOutlivesTheServer) {
+  // A request's reply holds the server's completion sink, never the server:
+  // stop and destroy the Server while the request computes, then let the
+  // round finish. The reply runs into the closed sink (ASan and TSan keep
+  // this honest), and the service drains as usual.
+  fault::Injector inj(1);
+  arm_compute_stall(inj);
+  fault::ScopedInjector scope(inj);
+
+  auto service = make_service(pool_options(/*max_batch_requests=*/1));
+  {
+    Server server(service);
+    server.start();
+    RawConn raw(server.port());
+    ASSERT_GE(raw.fd, 0);
+    raw.send_submit(make_hidden(16, 0), 1);
+    if (::testing::Test::HasFatalFailure()) return;
+    wait_until_computing(inj);
+    server.stop();
+  }
+  EXPECT_EQ(service.pending(), 1u);  // the reply has not run yet
+  service.stop();                    // the stall runs out; the reply runs
+  EXPECT_EQ(service.pending(), 0u);
+  EXPECT_EQ(service.stats().requests, 1);
+}
+
+TEST(NetServer, ClosedConnectionDropsItsCompletion) {
+  // A client that resets its connection while its request computes: the
+  // completion finds the connection gone, is dropped and counted, and the
+  // server keeps answering everyone else. The close is abortive (RST) —
+  // after a plain FIN the server keeps the half-closed connection open to
+  // deliver the reply.
+  fault::Injector inj(1);
+  arm_compute_stall(inj);
+  fault::ScopedInjector scope(inj);
+
+  auto service = make_service(pool_options(/*max_batch_requests=*/1));
+  Server server(service);
+  server.start();
+  {
+    RawConn raw(server.port());
+    ASSERT_GE(raw.fd, 0);
+    raw.send_submit(make_hidden(16, 0), 1);
+    if (::testing::Test::HasFatalFailure()) return;
+    wait_until_computing(inj);
+    const linger reset{1, 0};
+    ASSERT_EQ(::setsockopt(raw.fd, SOL_SOCKET, SO_LINGER, &reset,
+                           sizeof reset),
+              0);
+  }
+  ASSERT_TRUE(eventually([&] {
+    return server.stats().active_connections == 0;
+  }));
+  EXPECT_EQ(service.pending(), 1u);  // closed while still computing
+  ASSERT_TRUE(eventually([&] {
+    return server.stats().dropped_completions > 0;
+  }));
+
+  Client client(server.port());
+  WireRequest req;
+  req.hidden = make_hidden(2, 1);
+  EXPECT_NO_THROW(client.submit_serving(std::move(req)).get());
+  const ServerStats st = server.stats();
+  EXPECT_EQ(st.dropped_completions, 1);
+  EXPECT_EQ(st.responses_sent, 1);
+
+  client.close();
+  server.stop();
+  service.stop();
 }
 
 }  // namespace

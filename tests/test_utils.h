@@ -176,9 +176,9 @@ inline double max_diff_valid_rows(const Tensor<fp16_t>& got,
 // Waits for `f` and returns the stable code it resolved with: kOk for a
 // value, else the typed serving error's code, with its what() in *message.
 // The error is read through a shared_future that holds the future's state
-// until the read is done, as net::Server's pump does: ThreadSanitizer does
-// not see libsupc++'s exception refcount, so a resolving thread that drops
-// the state last must be ordered after the read by the state's own count.
+// until the read is done: ThreadSanitizer does not see libsupc++'s
+// exception refcount, so a resolving thread that drops the state last must
+// be ordered after the read by the state's own count.
 template <typename Future>
 serving::ErrorCode resolved_code(Future&& f, std::string* message = nullptr) {
   const auto state = f.share();

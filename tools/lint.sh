@@ -8,7 +8,7 @@
 #      see is a lock it cannot check.
 #
 #   2. No `throw` in the functions that run on scheduler / event-loop /
-#      pump / worker threads. An exception escaping one of these threads is
+#      worker threads (the net server's reply push runs on schedulers). An exception escaping one of these threads is
 #      std::terminate; error delivery from them is promises and error
 #      codes, never throws.
 #
@@ -51,7 +51,7 @@ if [[ -n "$raw" ]]; then
   fail=1
 fi
 
-# ---- rule 2: no throw on scheduler / loop / pump / worker threads -----------
+# ---- rule 2: no throw on scheduler / loop / worker threads -----------------
 # Extract each function's body by brace counting from its definition line
 # and grep it for throw statements. (Comments mentioning "throw" are fine;
 # only "throw " / "throw;" statements match.)
@@ -87,7 +87,7 @@ check_nothrow src/parallel/thread_pool.cc 'ThreadPool::worker_loop'
 check_nothrow src/parallel/thread_pool.cc 'ThreadPool::work_on_job'
 check_nothrow src/serving/async_engine.cc 'AsyncEngine::scheduler_loop'
 check_nothrow src/net/server.cc 'void loop()'
-check_nothrow src/net/server.cc 'void pump_loop()'
+check_nothrow src/net/server.cc 'void push('
 check_nothrow src/net/server.cc 'void process_completions()'
 check_nothrow src/net/server.cc 'bool handle_readable('
 check_nothrow src/net/server.cc 'bool handle_submit('
