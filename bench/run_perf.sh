@@ -27,9 +27,10 @@
 # A full run repeats every benchmark 5 times and keeps each repetition as
 # its own record ("repetition"), so the spread is in the file.
 #
-# Kernels that are unsupported on the host (e.g. avx2 in a portable build)
-# fall back at dispatch; each record's "kernel" field is the variant that
-# actually ran, so merged files never lie about what was measured.
+# Kernels that are unsupported on the host (e.g. avx2 in a portable build,
+# amx without AMX tiles) fall back at dispatch; each record's "kernel" field
+# is the variant that actually ran, so merged files never lie about what was
+# measured.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -59,7 +60,7 @@ else
   FIG15_FILTER='BM_Fig15_ByteTransformer'
 fi
 
-for kernel in scalar vec avx2; do
+for kernel in scalar vec avx2 amx; do
   echo "== BT_GEMM_KERNEL=$kernel bench_gemm_kernels" >&2
   BT_GEMM_KERNEL=$kernel "$BUILD/bench_gemm_kernels" "${COMMON_ARGS[@]}" \
       --benchmark_filter="$GEMM_FILTER" > "$TMP/gemm_$kernel.json"
@@ -108,7 +109,7 @@ def records(path, requested):
                 rec[key] = b[key]
         yield ctx, rec
 
-def merge(stem, out_name, extra=None, kernels=("scalar", "vec", "avx2")):
+def merge(stem, out_name, extra=None, kernels=("scalar", "vec", "avx2", "amx")):
     context, results = {}, []
     for kernel in kernels:
         for ctx, rec in records(os.path.join(tmp, f"{stem}_{kernel}.json"),

@@ -11,7 +11,8 @@
 //     stored (paper Sec. III-C2 / Fig. 8).
 //
 // The inner product itself lives in gemm/kernels/ (runtime-dispatched
-// scalar and register-blocked microkernels); this header owns packing,
+// scalar, register-blocked and AMX-BF16 microkernels; FP32-storage A keeps
+// an FP32 kernel, kernels::tile_multiply_fp32); this header owns packing,
 // the k loop, and the epilogue. compute_tile_bsrc abstracts *where* the B
 // panel comes from — packed on the fly into scratch, served from a
 // persistent prepacked weight panel (gemm/packed.h), or from a per-CTA
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "common/half.h"
 #include "common/numeric.h"
@@ -144,7 +146,11 @@ inline void compute_tile_bsrc(int problem, Trans ta, std::int64_t m,
     const int kc = static_cast<int>(std::min<std::int64_t>(TileShape::kK, k - k0));
     pack_a_panel(ta, a, lda, row0, k0, mc, kc, panel_a, problem, at);
     const float* panel_b = bsrc(k0, kc);
-    kernels::tile_multiply(panel_a, mc, panel_b, kc, acc);
+    if constexpr (std::is_same_v<TA, float>) {
+      kernels::tile_multiply_fp32(panel_a, mc, panel_b, kc, acc);
+    } else {
+      kernels::tile_multiply(panel_a, mc, panel_b, kc, acc);
+    }
   }
 
   if (alpha != 1.0f) {

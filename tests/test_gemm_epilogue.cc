@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
 #include "gemm/epilogues.h"
 #include "gemm/gemm.h"
+#include "gemm/kernels/kernel.h"
 #include "kernels/activation.h"
 #include "parallel/device.h"
 #include "tensor/tensor.h"
@@ -142,46 +145,94 @@ TEST(Epilogue, BiasWithBetaMatchesPerElementFormulaBitwise) {
   }
 }
 
+// Restores the dispatched kernel after a test that forces kinds.
+class KernelGuard {
+ public:
+  KernelGuard() : saved_(kernels::active()) {}
+  ~KernelGuard() { kernels::force(saved_); }
+
+ private:
+  kernels::Kind saved_;
+};
+
+// RNE rounding of an FP32 value to bf16, as the amx kernel rounds its
+// inputs (bf16 denormals read as zero).
+float round_bf16(float x) {
+  std::uint32_t u;
+  std::memcpy(&u, &x, sizeof(u));
+  if ((u & 0x7F800000u) == 0) {
+    u &= 0x80000000u;
+  } else {
+    u += 0x7FFFu + ((u >> 16) & 1u);
+    u &= 0xFFFF0000u;
+  }
+  std::memcpy(&x, &u, sizeof(x));
+  return x;
+}
+
 TEST(Epilogue, SoftmaxPartialReductionIsExactPerTile) {
   // Feed a known matrix through the epilogue via a plain GEMM (A = diag-ish
-  // trick: multiply by identity) and verify the per-tile max/sum pairs.
-  const int m = 70;   // two row tiles
-  const int n = 130;  // three col tiles (64, 64, 2)
-  Rng rng(23);
-  auto values = Tensor<fp16_t>::random_normal({m, n}, rng);
-  auto identity = Tensor<fp16_t>::zeros({m, m});
-  for (int i = 0; i < m; ++i) identity(i, i) = fp16_t(1.0f);
+  // trick: multiply by identity) and verify the per-tile max/sum pairs, once
+  // per supported kernel kind. The FP32 kinds multiply exactly, so the
+  // output is the input; amx rounds B to bf16 first, so the output is the
+  // bf16-rounded input and the partials reduce those rounded values.
+  KernelGuard guard;
+  for (auto kind : {kernels::Kind::kScalar, kernels::Kind::kVec,
+                    kernels::Kind::kAvx2, kernels::Kind::kAmxBf16}) {
+    if (!kernels::force(kind)) continue;
+    SCOPED_TRACE(kernels::name(kind));
+    const bool bf16 = kind == kernels::Kind::kAmxBf16;
+    const int m = 70;   // two row tiles
+    const int n = 130;  // three col tiles (64, 64, 2)
+    Rng rng(23);
+    auto values = Tensor<fp16_t>::random_normal({m, n}, rng);
+    auto identity = Tensor<fp16_t>::zeros({m, m});
+    for (int i = 0; i < m; ++i) identity(i, i) = fp16_t(1.0f);
+    // What the kernel multiplies: the values, or their bf16 rounding.
+    auto input = [&](int i, int j) {
+      const float v = load_f32(values(i, j));
+      return bf16 ? round_bf16(v) : v;
+    };
 
-  const std::int64_t col_tiles = ceil_div(n, TileShape::kN);
-  std::vector<float> pmax(static_cast<std::size_t>(m * col_tiles), -1.0f);
-  std::vector<float> psum(static_cast<std::size_t>(m * col_tiles), -1.0f);
-  std::vector<SoftmaxPartials> partials{
-      {pmax.data(), psum.data(), col_tiles, m}};
+    const std::int64_t col_tiles = ceil_div(n, TileShape::kN);
+    std::vector<float> pmax(static_cast<std::size_t>(m * col_tiles), -1.0f);
+    std::vector<float> psum(static_cast<std::size_t>(m * col_tiles), -1.0f);
+    std::vector<SoftmaxPartials> partials{
+        {pmax.data(), psum.data(), col_tiles, m}};
 
-  auto out = Tensor<fp16_t>::zeros({m, n});
-  const SoftmaxPartialReduceEpilogue ep{partials};
-  gemm<fp16_t, fp16_t, fp16_t, IdentityATransform,
-       SoftmaxPartialReduceEpilogue>(dev(), Trans::N, Trans::N, m, n, m, 1.0f,
-                                     identity.data(), m, values.data(), n,
-                                     0.0f, out.data(), n, ep);
+    auto out = Tensor<fp16_t>::zeros({m, n});
+    const SoftmaxPartialReduceEpilogue ep{partials};
+    gemm<fp16_t, fp16_t, fp16_t, IdentityATransform,
+         SoftmaxPartialReduceEpilogue>(dev(), Trans::N, Trans::N, m, n, m,
+                                       1.0f, identity.data(), m, values.data(),
+                                       n, 0.0f, out.data(), n, ep);
 
-  // The GEMM output must equal the input (identity multiply)...
-  EXPECT_LT(max_abs_diff(out, values), 1e-6);
-  // ...and the partials must match a direct per-tile reduction.
-  for (int i = 0; i < m; ++i) {
-    for (std::int64_t t = 0; t < col_tiles; ++t) {
-      const int j0 = static_cast<int>(t) * TileShape::kN;
-      const int j1 = std::min(n, j0 + TileShape::kN);
-      float mx = -INFINITY;
-      for (int j = j0; j < j1; ++j) {
-        mx = std::max(mx, load_f32(values(i, j)));
+    if (bf16) {
+      // The GEMM output must equal the bf16-rounded input, bit for bit...
+      for (int i = 0; i < m; ++i) {
+        for (int j = 0; j < n; ++j) {
+          ASSERT_EQ(out(i, j).bits(), fp16_t(input(i, j)).bits())
+              << "at (" << i << ", " << j << ")";
+        }
       }
-      float sum = 0;
-      for (int j = j0; j < j1; ++j) {
-        sum += std::exp(load_f32(values(i, j)) - mx);
+    } else {
+      // The GEMM output must equal the input (identity multiply)...
+      EXPECT_LT(max_abs_diff(out, values), 1e-6);
+    }
+    // ...and the partials must match a direct per-tile reduction.
+    for (int i = 0; i < m; ++i) {
+      for (std::int64_t t = 0; t < col_tiles; ++t) {
+        const int j0 = static_cast<int>(t) * TileShape::kN;
+        const int j1 = std::min(n, j0 + TileShape::kN);
+        float mx = -INFINITY;
+        for (int j = j0; j < j1; ++j) mx = std::max(mx, input(i, j));
+        float sum = 0;
+        for (int j = j0; j < j1; ++j) sum += std::exp(input(i, j) - mx);
+        EXPECT_NEAR(pmax[static_cast<std::size_t>(i * col_tiles + t)], mx,
+                    1e-5);
+        EXPECT_NEAR(psum[static_cast<std::size_t>(i * col_tiles + t)], sum,
+                    1e-4);
       }
-      EXPECT_NEAR(pmax[static_cast<std::size_t>(i * col_tiles + t)], mx, 1e-5);
-      EXPECT_NEAR(psum[static_cast<std::size_t>(i * col_tiles + t)], sum, 1e-4);
     }
   }
 }

@@ -4,12 +4,16 @@
 //   * bitwise cross-checks between forced kernel variants (the variants
 //     accumulate each output element over p ascending, so under uniform FMA
 //     contraction they are interchangeable to the last bit),
+//   * the amx kind against an FP64 bound derived from its bf16 rounding,
+//     with its row, depth and worker-count contracts,
 //   * PackedB panel layout vs pack_b_panel,
 //   * dispatch / BT_GEMM_KERNEL parsing and force() fallback behavior.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <tuple>
@@ -224,7 +228,7 @@ TEST(KernelBitwise, EveryRowRemainderMatchesScalar) {
 }
 #endif  // __FMA__
 
-TEST(KernelDispatch, ParseAcceptsExactlyTheThreeNames) {
+TEST(KernelDispatch, ParseAcceptsExactlyTheFourNames) {
   kernels::Kind k;
   EXPECT_TRUE(kernels::parse("scalar", &k));
   EXPECT_EQ(k, kernels::Kind::kScalar);
@@ -232,9 +236,17 @@ TEST(KernelDispatch, ParseAcceptsExactlyTheThreeNames) {
   EXPECT_EQ(k, kernels::Kind::kVec);
   EXPECT_TRUE(kernels::parse("avx2", &k));
   EXPECT_EQ(k, kernels::Kind::kAvx2);
+  EXPECT_TRUE(kernels::parse("amx", &k));
+  EXPECT_EQ(k, kernels::Kind::kAmxBf16);
   EXPECT_FALSE(kernels::parse("", &k));
   EXPECT_FALSE(kernels::parse("AVX2", &k));
+  EXPECT_FALSE(kernels::parse("AMX", &k));
   EXPECT_FALSE(kernels::parse("sse", &k));
+  for (int i = 0; i < kernels::kNumKinds; ++i) {
+    const auto kind = static_cast<kernels::Kind>(i);
+    ASSERT_TRUE(kernels::parse(kernels::name(kind), &k));
+    EXPECT_EQ(k, kind);
+  }
 }
 
 TEST(KernelDispatch, ScalarAndVecAlwaysSupported) {
@@ -253,6 +265,157 @@ TEST(KernelDispatch, ForceRoundTripsAndRejectsUnsupported) {
     EXPECT_FALSE(kernels::force(kernels::Kind::kAvx2));
     EXPECT_EQ(kernels::active(), before);
   }
+}
+
+// ---- the AMX-BF16 kind ------------------------------------------------------
+//
+// amx rounds both panels to bf16 before its FP32-accumulating tile product,
+// so it is checked against an FP64 reference on the unrounded panels, not
+// against scalar's bits.
+
+constexpr const char* kNoAmx =
+    "amx is unsupported on this build/host (it needs the AMX flags at build "
+    "time, cpuid's amx-tile and amx-bf16, and the OS's tile-state grant)";
+
+// Direct kernel calls for every mc in 1..kPanelM and every K shape around
+// the 32-deep tile chunk. A's columns and B's rows past kc hold NaN (the
+// short MHA kernel leaves stale values there), acc rows >= mc must come
+// back bitwise untouched, and each row's bits must not depend on mc.
+//
+// Error bound per element, from bf16 input rounding: RNE to 8 significant
+// bits gives |a^ - a| <= u|a| and |b^ - b| <= u|b| with u = 2^-8, so
+// |a^ b^ - a b| <= (2u + u^2)|a b|. Each product a^ b^ (8 x 8 significant
+// bits) is exact in FP32; summing kc of them and adding the result to acc
+// in FP32, in any order, errs by at most gamma_{kc+1} (Sum|a^ b^| + |acc0|),
+// gamma_n = n e / (1 - n e), e = 2^-24, with Sum|a^ b^| <= (1 + u)^2 S for
+// S = Sum|a b|.
+TEST(KernelAmx, EveryRowAndDepthWithinBf16Bound) {
+  if (!kernels::supported(kernels::Kind::kAmxBf16)) GTEST_SKIP() << kNoAmx;
+  using kernels::kPanelK;
+  using kernels::kPanelM;
+  using kernels::kPanelN;
+  const auto amx = kernels::fn(kernels::Kind::kAmxBf16);
+  const double u = std::ldexp(1.0, -8);
+  const double e = std::ldexp(1.0, -24);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(31);
+  std::vector<float> panel_a(static_cast<std::size_t>(kPanelM) * kPanelK);
+  std::vector<float> panel_b(static_cast<std::size_t>(kPanelK) * kPanelN);
+  std::vector<float> acc0(static_cast<std::size_t>(kPanelM) * kPanelN);
+  std::vector<float> full(acc0.size());
+  std::vector<float> got(acc0.size());
+  for (int kc : {1, 5, 31, 32, 33, 127, 128}) {
+    std::fill(panel_a.begin(), panel_a.end(), nan);
+    std::fill(panel_b.begin(), panel_b.end(), nan);
+    for (int i = 0; i < kPanelM; ++i) {
+      for (int p = 0; p < kc; ++p) {
+        panel_a[static_cast<std::size_t>(i) * kPanelK + p] = rng.normal();
+      }
+    }
+    rng.fill_normal(std::span<float>(panel_b.data(),
+                                     static_cast<std::size_t>(kc) * kPanelN));
+    rng.fill_normal(std::span<float>(acc0));
+    full = acc0;
+    amx(panel_a.data(), kPanelM, panel_b.data(), kc, full.data());
+
+    const double gamma = (kc + 1) * e / (1.0 - (kc + 1) * e);
+    for (int i = 0; i < kPanelM; ++i) {
+      for (int j = 0; j < kPanelN; ++j) {
+        double ref = 0;
+        double s = 0;
+        for (int p = 0; p < kc; ++p) {
+          const double ab =
+              static_cast<double>(
+                  panel_a[static_cast<std::size_t>(i) * kPanelK + p]) *
+              panel_b[static_cast<std::size_t>(p) * kPanelN + j];
+          ref += ab;
+          s += std::abs(ab);
+        }
+        const double seed = acc0[static_cast<std::size_t>(i) * kPanelN + j];
+        const double bound = (2 * u + u * u) * s +
+                             gamma * ((1 + u) * (1 + u) * s + std::abs(seed));
+        const double out = full[static_cast<std::size_t>(i) * kPanelN + j];
+        ASSERT_LE(std::abs(out - (seed + ref)), bound)
+            << "kc=" << kc << " at (" << i << ", " << j << ")";
+      }
+    }
+
+    // Rows >= mc start as -0.0: adding anything to them, even +0.0,
+    // changes their bits.
+    for (int mc = 1; mc < kPanelM; ++mc) {  // mc = kPanelM made `full`
+      const std::size_t split = static_cast<std::size_t>(mc) * kPanelN;
+      got = acc0;
+      const auto tail = got.begin() + static_cast<std::ptrdiff_t>(split);
+      std::fill(tail, got.end(), -0.0f);
+      const std::vector<float> untouched(tail, got.end());
+      amx(panel_a.data(), mc, panel_b.data(), kc, got.data());
+      ASSERT_EQ(std::memcmp(got.data(), full.data(), split * sizeof(float)), 0)
+          << "rows < mc depend on mc: mc=" << mc << " kc=" << kc;
+      ASSERT_EQ(std::memcmp(got.data() + split, untouched.data(),
+                            untouched.size() * sizeof(float)),
+                0)
+          << "acc rows >= mc were written: mc=" << mc << " kc=" << kc;
+    }
+  }
+}
+
+// A whole GEMM under amx must not depend on how its tiles are spread over
+// workers: prepacked weights and dynamic B, on 1, 2 and 3 workers.
+TEST(KernelAmx, GemmBitwiseIndependentOfWorkerCount) {
+  if (!kernels::supported(kernels::Kind::kAmxBf16)) GTEST_SKIP() << kNoAmx;
+  KernelGuard guard;
+  ASSERT_TRUE(kernels::force(kernels::Kind::kAmxBf16));
+  const int m = 150;
+  const int n = 200;
+  const int k = 300;
+  Rng rng(37);
+  auto a = Tensor<fp16_t>::random_normal({m, k}, rng);
+  auto b = Tensor<fp16_t>::random_normal({k, n}, rng);
+  const PackedB pb = PackedB::pack(Trans::N, b.data(), n, k, n);
+  std::vector<Tensor<fp16_t>> dynamic, prepacked;
+  for (int workers : {1, 2, 3}) {
+    par::Device d(workers);
+    dynamic.push_back(Tensor<fp16_t>::zeros({m, n}));
+    prepacked.push_back(Tensor<fp16_t>::zeros({m, n}));
+    gemm_f16(d, Trans::N, Trans::N, m, n, k, 1.0f, a.data(), k, b.data(), n,
+             0.0f, dynamic.back().data(), n);
+    gemm_prepacked(d, Trans::N, m, n, k, 1.0f, a.data(), k, pb, 0.0f,
+                   prepacked.back().data(), n);
+  }
+  for (std::size_t w = 0; w < dynamic.size(); ++w) {
+    for (std::int64_t i = 0; i < dynamic[0].size(); ++i) {
+      ASSERT_EQ(dynamic[0].data()[i].bits(), dynamic[w].data()[i].bits())
+          << "dynamic, run " << w << " at " << i;
+      ASSERT_EQ(dynamic[0].data()[i].bits(), prepacked[w].data()[i].bits())
+          << "prepacked, run " << w << " at " << i;
+    }
+  }
+}
+
+// GEMMs on FP32 storage keep an FP32 kernel under amx: the result is the
+// best FP32 kind's, bit for bit.
+TEST(KernelAmx, Fp32StorageKeepsTheFp32Kernel) {
+  if (!kernels::supported(kernels::Kind::kAmxBf16)) GTEST_SKIP() << kNoAmx;
+  KernelGuard guard;
+  const int m = 70;
+  const int n = 90;
+  const int k = 200;
+  Rng rng(41);
+  auto a = Tensor<float>::random_normal({m, k}, rng);
+  auto b = Tensor<float>::random_normal({k, n}, rng);
+  const auto best_fp32 = supported_kinds().back();
+  ASSERT_TRUE(kernels::force(best_fp32));
+  auto want = Tensor<float>::zeros({m, n});
+  gemm_f32(dev(), Trans::N, Trans::N, m, n, k, 1.0f, a.data(), k, b.data(), n,
+           0.0f, want.data(), n);
+  ASSERT_TRUE(kernels::force(kernels::Kind::kAmxBf16));
+  auto got = Tensor<float>::zeros({m, n});
+  gemm_f32(dev(), Trans::N, Trans::N, m, n, k, 1.0f, a.data(), k, b.data(), n,
+           0.0f, got.data(), n);
+  ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                        static_cast<std::size_t>(want.size()) * sizeof(float)),
+            0)
+      << "fp32 GEMM under amx differs from " << kernels::name(best_fp32);
 }
 
 TEST(PackedB, PanelsMatchPackBPanel) {
