@@ -5,13 +5,14 @@
 // beta 0 — and two interchangeable B sources: the persistent PackedB
 // panels built at model load, or the raw weight tensor packed on the fly
 // (bitwise identical; see docs/PERF.md). This helper keeps that choice in
-// one place instead of per-call-site if/else blocks.
+// one place: one grouped-GEMM problem whose packed_b is set when prepacked.
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/half.h"
-#include "gemm/gemm.h"
+#include "gemm/grouped.h"
 #include "gemm/packed.h"
 #include "parallel/device.h"
 #include "tensor/tensor.h"
@@ -23,14 +24,12 @@ inline void weight_gemm(par::Device& dev, bool prepacked, std::int64_t rows,
                         std::int64_t n, std::int64_t k, const fp16_t* a,
                         const gemm::PackedB& packed, const Tensor<fp16_t>& w,
                         fp16_t* c, const Epilogue& ep = {}) {
-  if (prepacked) {
-    gemm::gemm_prepacked(dev, gemm::Trans::N, rows, n, k, 1.0f, a, k, packed,
-                         0.0f, c, n, ep);
-  } else {
-    gemm::gemm<fp16_t, fp16_t, fp16_t>(dev, gemm::Trans::N, gemm::Trans::N,
-                                       rows, n, k, 1.0f, a, k, w.data(), n,
-                                       0.0f, c, n, ep);
-  }
+  const gemm::GroupedProblem<fp16_t, fp16_t, fp16_t> p{
+      rows, n, k, a, k, w.data(), n, c, n, prepacked ? &packed : nullptr};
+  gemm::grouped_gemm<fp16_t, fp16_t, fp16_t, gemm::IdentityATransform,
+                     Epilogue>(
+      dev, gemm::Trans::N, gemm::Trans::N, std::span(&p, 1), 1.0f, 0.0f, ep,
+      {}, gemm::claim_width(dev, rows, n, 1, /*dynamic_b=*/!prepacked));
 }
 
 }  // namespace bt::core

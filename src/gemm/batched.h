@@ -3,18 +3,19 @@
 // zero tokens (paper Sec. III-D: "batched GEMM in MHA requires identical
 // problem shapes among different batches").
 //
-// Dynamic B operands (attention Q K^T / P V) run in column mode: each CTA
-// owns one (batch, tile_n) output column and packs the B panels once into a
-// scratch stripe reused across the tile_m loop. batched_gemm_prepacked
-// serves a persistent PackedB shared by every batch entry.
+// An adapter over grouped_gemm, the one launch in gemm/ (gemm/grouped.h):
+// entry i is problem i, so epilogues and mainloop transforms see the batch
+// index as their problem index. The claim width comes from claim_width()
+// over all batch x tiles_n columns. A stride of 0 shares one operand across
+// the batch.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
+#include <span>
+#include <vector>
 
+#include "gemm/grouped.h"
 #include "gemm/microkernel.h"
-#include "gemm/packed.h"
-#include "gemm/panel_cache.h"
 #include "parallel/device.h"
 
 namespace bt::gemm {
@@ -29,86 +30,15 @@ void batched_gemm(par::Device& dev, Trans ta, Trans tb, int batch,
                   float beta, TC* c, std::int64_t ldc, std::int64_t stride_c,
                   const Epilogue& ep = {}, const ATransform& at = {}) {
   if (batch <= 0 || m <= 0 || n <= 0) return;
-  const auto tiles_m = ceil_div(m, TileShape::kM);
-  const auto tiles_n = ceil_div(n, TileShape::kN);
-  const auto k_blocks = ceil_div(k, TileShape::kK);
-  const bool column_mode =
-      tiles_m == 1 || tiles_n * batch >= dev.workers();
-  par::Dim3 grid;
-  if (column_mode) {
-    grid.x = static_cast<int>(tiles_n);
-    grid.z = batch;
-    dev.launch(grid, [&](par::CtaContext& ctx) {
-      auto panel_a = ctx.scratch->alloc_or_abort<float>(
-          TileShape::kM * TileShape::kK, "gemm A panel");
-      auto acc = ctx.scratch->alloc_or_abort<float>(
-          TileShape::kM * TileShape::kN, "gemm accumulator");
-      const int bi = ctx.block_z;
-      BStripeCache<TB> bsrc(*ctx.scratch, k_blocks);
-      bsrc.target(tb, b + bi * stride_b, ldb, k, n, ctx.block_x);
-      for (std::int64_t tm = 0; tm < tiles_m; ++tm) {
-        compute_tile_bsrc(/*problem=*/bi, ta, m, n, k, alpha,
-                          a + bi * stride_a, lda, bsrc, beta,
-                          c + bi * stride_c, ldc, tm, ctx.block_x,
-                          panel_a.data(), acc.data(), at, ep);
-      }
-    });
-    return;
+  std::vector<GroupedProblem<TA, TB, TC>> problems;
+  problems.reserve(static_cast<std::size_t>(batch));
+  for (int bi = 0; bi < batch; ++bi) {
+    problems.push_back({m, n, k, a + bi * stride_a, lda, b + bi * stride_b,
+                        ldb, c + bi * stride_c, ldc});
   }
-  grid.x = static_cast<int>(tiles_n);
-  grid.y = static_cast<int>(tiles_m);
-  grid.z = batch;
-  dev.launch(grid, [&](par::CtaContext& ctx) {
-    auto panel_a = ctx.scratch->alloc_or_abort<float>(
-        TileShape::kM * TileShape::kK, "gemm A panel");
-    auto panel_b = ctx.scratch->alloc_or_abort<float>(
-        TileShape::kK * TileShape::kN, "gemm B panel");
-    auto acc = ctx.scratch->alloc_or_abort<float>(
-        TileShape::kM * TileShape::kN, "gemm accumulator");
-    const int bi = ctx.block_z;
-    compute_tile(/*problem=*/bi, ta, tb, m, n, k, alpha, a + bi * stride_a,
-                 lda, b + bi * stride_b, ldb, beta, c + bi * stride_c, ldc,
-                 ctx.block_y, ctx.block_x, panel_a.data(), panel_b.data(),
-                 acc.data(), at, ep);
-  });
+  grouped_gemm<TA, TB, TC, ATransform, Epilogue>(
+      dev, ta, tb, std::span<const GroupedProblem<TA, TB, TC>>(problems),
+      alpha, beta, ep, at, claim_width(dev, m, n, batch, /*dynamic_b=*/true));
 }
-
-// Prepacked form: one persistent op(B) shared by all batch entries (e.g. a
-// weight matrix applied per head).
-template <typename TA, typename TC, typename ATransform = IdentityATransform,
-          typename Epilogue = IdentityEpilogue>
-void batched_gemm_prepacked(par::Device& dev, Trans ta, int batch,
-                            std::int64_t m, std::int64_t n, std::int64_t k,
-                            float alpha, const TA* a, std::int64_t lda,
-                            std::int64_t stride_a, const PackedB& b,
-                            float beta, TC* c, std::int64_t ldc,
-                            std::int64_t stride_c, const Epilogue& ep = {},
-                            const ATransform& at = {}) {
-  if (batch <= 0 || m <= 0 || n <= 0) return;
-  assert(b.k() == k && b.n() == n);
-  par::Dim3 grid;
-  grid.x = static_cast<int>(ceil_div(n, TileShape::kN));
-  grid.y = static_cast<int>(ceil_div(m, TileShape::kM));
-  grid.z = batch;
-  dev.launch(grid, [&](par::CtaContext& ctx) {
-    auto panel_a = ctx.scratch->alloc_or_abort<float>(
-        TileShape::kM * TileShape::kK, "gemm A panel");
-    auto acc = ctx.scratch->alloc_or_abort<float>(
-        TileShape::kM * TileShape::kN, "gemm accumulator");
-    const int bi = ctx.block_z;
-    compute_tile_bsrc(
-        /*problem=*/bi, ta, m, n, k, alpha, a + bi * stride_a, lda,
-        [&](std::int64_t k0, int /*kc*/) { return b.panel(ctx.block_x, k0); },
-        beta, c + bi * stride_c, ldc, ctx.block_y, ctx.block_x,
-        panel_a.data(), acc.data(), at, ep);
-  });
-}
-
-void batched_gemm_f16(par::Device& dev, Trans ta, Trans tb, int batch,
-                      std::int64_t m, std::int64_t n, std::int64_t k,
-                      float alpha, const fp16_t* a, std::int64_t lda,
-                      std::int64_t stride_a, const fp16_t* b, std::int64_t ldb,
-                      std::int64_t stride_b, float beta, fp16_t* c,
-                      std::int64_t ldc, std::int64_t stride_c);
 
 }  // namespace bt::gemm

@@ -1,24 +1,22 @@
 // Single-problem GEMM: C = epilogue(alpha * op(A) @ op(B)) + beta * C.
 //
-// Row-major operands, FP16 or FP32 storage, FP32 accumulation. Work is
-// decomposed into kM x kN output tiles launched as a CTA grid on the device.
-//
-// Two operand regimes:
-//   * gemm(..., b, ldb, ...)      — dynamic B. When the grid has spare
-//     parallelism, each CTA owns one output-tile *column* and packs the B
-//     panels once into a scratch stripe reused across the tile_m loop
-//     (gemm/panel_cache.h) instead of repacking per tile.
+// Row-major operands, FP16 or FP32 storage, FP32 accumulation, kM x kN
+// output tiles. Both forms are one-problem adapters over grouped_gemm, the
+// one launch in gemm/ (gemm/grouped.h), with the claim width from
+// claim_width():
+//   * gemm(..., b, ldb, ...)      — dynamic B, packed into a per-CTA stripe
+//     once per output column claimed (gemm/panel_cache.h).
 //   * gemm_prepacked(..., PackedB ...) — persistent B (weights): panels were
 //     packed once at load time (gemm/packed.h); the mainloop does no B
 //     packing at all.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
+#include <span>
 
+#include "gemm/grouped.h"
 #include "gemm/microkernel.h"
 #include "gemm/packed.h"
-#include "gemm/panel_cache.h"
 #include "parallel/device.h"
 
 namespace bt::gemm {
@@ -30,44 +28,10 @@ void gemm(par::Device& dev, Trans ta, Trans tb, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const TA* a, std::int64_t lda,
           const TB* b, std::int64_t ldb, float beta, TC* c, std::int64_t ldc,
           const Epilogue& ep = {}, const ATransform& at = {}) {
-  if (m <= 0 || n <= 0) return;
-  const auto tiles_m = ceil_div(m, TileShape::kM);
-  const auto tiles_n = ceil_div(n, TileShape::kN);
-  const auto k_blocks = ceil_div(k, TileShape::kK);
-  // Column mode reuses each packed B panel across the tile_m loop; fall back
-  // to the per-tile 2-D grid when columns alone cannot feed every worker.
-  const bool column_mode = tiles_m == 1 || tiles_n >= dev.workers();
-  par::Dim3 grid;
-  if (column_mode) {
-    grid.x = static_cast<int>(tiles_n);
-    dev.launch(grid, [&](par::CtaContext& ctx) {
-      auto panel_a = ctx.scratch->alloc_or_abort<float>(
-          TileShape::kM * TileShape::kK, "gemm A panel");
-      auto acc = ctx.scratch->alloc_or_abort<float>(
-          TileShape::kM * TileShape::kN, "gemm accumulator");
-      BStripeCache<TB> bsrc(*ctx.scratch, k_blocks);
-      bsrc.target(tb, b, ldb, k, n, ctx.block_x);
-      for (std::int64_t tm = 0; tm < tiles_m; ++tm) {
-        compute_tile_bsrc(/*problem=*/0, ta, m, n, k, alpha, a, lda, bsrc,
-                          beta, c, ldc, tm, ctx.block_x, panel_a.data(),
-                          acc.data(), at, ep);
-      }
-    });
-    return;
-  }
-  grid.x = static_cast<int>(tiles_n);
-  grid.y = static_cast<int>(tiles_m);
-  dev.launch(grid, [&](par::CtaContext& ctx) {
-    auto panel_a = ctx.scratch->alloc_or_abort<float>(
-        TileShape::kM * TileShape::kK, "gemm A panel");
-    auto panel_b = ctx.scratch->alloc_or_abort<float>(
-        TileShape::kK * TileShape::kN, "gemm B panel");
-    auto acc = ctx.scratch->alloc_or_abort<float>(
-        TileShape::kM * TileShape::kN, "gemm accumulator");
-    compute_tile(/*problem=*/0, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta,
-                 c, ldc, ctx.block_y, ctx.block_x, panel_a.data(),
-                 panel_b.data(), acc.data(), at, ep);
-  });
+  const GroupedProblem<TA, TB, TC> p{m, n, k, a, lda, b, ldb, c, ldc};
+  grouped_gemm<TA, TB, TC, ATransform, Epilogue>(
+      dev, ta, tb, std::span(&p, 1), alpha, beta, ep, at,
+      claim_width(dev, m, n, 1, /*dynamic_b=*/true));
 }
 
 // Prepacked-B form: op(B) was packed once via PackedB::pack (same op — the
@@ -79,24 +43,10 @@ void gemm_prepacked(par::Device& dev, Trans ta, std::int64_t m, std::int64_t n,
                     std::int64_t k, float alpha, const TA* a, std::int64_t lda,
                     const PackedB& b, float beta, TC* c, std::int64_t ldc,
                     const Epilogue& ep = {}, const ATransform& at = {}) {
-  if (m <= 0 || n <= 0) return;
-  assert(b.k() == k && b.n() == n);
-  const auto tiles_m = ceil_div(m, TileShape::kM);
-  const auto tiles_n = ceil_div(n, TileShape::kN);
-  par::Dim3 grid;
-  grid.x = static_cast<int>(tiles_n);
-  grid.y = static_cast<int>(tiles_m);
-  dev.launch(grid, [&](par::CtaContext& ctx) {
-    auto panel_a = ctx.scratch->alloc_or_abort<float>(
-        TileShape::kM * TileShape::kK, "gemm A panel");
-    auto acc = ctx.scratch->alloc_or_abort<float>(
-        TileShape::kM * TileShape::kN, "gemm accumulator");
-    compute_tile_bsrc(
-        /*problem=*/0, ta, m, n, k, alpha, a, lda,
-        [&](std::int64_t k0, int /*kc*/) { return b.panel(ctx.block_x, k0); },
-        beta, c, ldc, ctx.block_y, ctx.block_x, panel_a.data(), acc.data(),
-        at, ep);
-  });
+  const GroupedProblem<TA, TA, TC> p{m, n, k, a, lda, nullptr, 0, c, ldc, &b};
+  grouped_gemm<TA, TA, TC, ATransform, Epilogue>(
+      dev, ta, Trans::N, std::span(&p, 1), alpha, beta, ep, at,
+      claim_width(dev, m, n, 1, /*dynamic_b=*/false));
 }
 
 // Convenience wrappers for the common storage combinations; implemented in

@@ -5,7 +5,9 @@
 // This is the mechanism that lets ByteTransformer's long-sequence fused MHA
 // run one attention unit per (batch, head) pair at its true sequence length
 // — no padding — since, unlike batched GEMM, no shape uniformity is needed
-// (paper Sec. III-E2, Figs. 5-6).
+// (paper Sec. III-E2, Figs. 5-6). It is also the only launch in gemm/:
+// gemm, gemm_prepacked and batched_gemm build one or `batch` problems and
+// call grouped_gemm with the claim width from claim_width().
 //
 // B panels: each CTA keeps a scratch stripe targeted at the (problem,
 // tile_n) column it is currently working. The visitor numbers tiles
@@ -48,6 +50,20 @@ struct GroupedProblem {
 
 // Scheduler-visit prefetch width (paper default: one warp = 32 tiles).
 inline constexpr std::int64_t kDefaultPrefetch = 32;
+
+// Claim width for `batch` problems of one m x n shape. Dynamic B claims one
+// whole output column (tiles_m tiles; the column-major numbering makes such
+// a claim exactly one column, so its B stripe is packed once) when the
+// columns alone feed every worker. Otherwise — and always for prepacked B,
+// which packs nothing — a claim is one tile, so few-tile grids still spread
+// over every worker. A one-tile column makes both rules the same.
+inline std::int64_t claim_width(const par::Device& dev, std::int64_t m,
+                                std::int64_t n, std::int64_t batch,
+                                bool dynamic_b) {
+  const bool column = dynamic_b && ceil_div(n, TileShape::kN) * batch >=
+                                       dev.workers();
+  return column ? ceil_div(m, TileShape::kM) : 1;
+}
 
 template <typename TA, typename TB, typename TC,
           typename ATransform = IdentityATransform,
@@ -115,10 +131,5 @@ void grouped_gemm(par::Device& dev, Trans ta, Trans tb,
     }
   });
 }
-
-void grouped_gemm_f16(par::Device& dev, Trans ta, Trans tb,
-                      std::span<const GroupedProblem<fp16_t, fp16_t, fp16_t>> problems,
-                      float alpha, float beta,
-                      std::int64_t prefetch = kDefaultPrefetch);
 
 }  // namespace bt::gemm

@@ -14,9 +14,9 @@
 // scalar, register-blocked and AMX-BF16 microkernels; FP32-storage A keeps
 // an FP32 kernel, kernels::tile_multiply_fp32); this header owns packing,
 // the k loop, and the epilogue. compute_tile_bsrc abstracts *where* the B
-// panel comes from — packed on the fly into scratch, served from a
-// persistent prepacked weight panel (gemm/packed.h), or from a per-CTA
-// column stripe reused across the tile_m loop.
+// panel comes from: a persistent prepacked weight panel (gemm/packed.h), or
+// the per-CTA column stripe that packs a dynamic B once per output column
+// (gemm/panel_cache.h). Its one caller is grouped_gemm (gemm/grouped.h).
 #pragma once
 
 #include <algorithm>
@@ -179,27 +179,6 @@ inline void compute_tile_bsrc(int problem, Trans ta, std::int64_t m,
       }
     }
   }
-}
-
-// Pack-on-the-fly form: B is packed into `panel_b` scratch per K block.
-template <typename TA, typename TB, typename TC, typename ATransform,
-          typename Epilogue>
-inline void compute_tile(int problem, Trans ta, Trans tb, std::int64_t m,
-                         std::int64_t n, std::int64_t k, float alpha,
-                         const TA* a, std::int64_t lda, const TB* b,
-                         std::int64_t ldb, float beta, TC* c, std::int64_t ldc,
-                         std::int64_t tile_m, std::int64_t tile_n,
-                         float* panel_a, float* panel_b, float* acc,
-                         const ATransform& at, const Epilogue& ep) {
-  const std::int64_t col0 = tile_n * TileShape::kN;
-  const int nc = static_cast<int>(std::min<std::int64_t>(TileShape::kN, n - col0));
-  compute_tile_bsrc(
-      problem, ta, m, n, k, alpha, a, lda,
-      [&](std::int64_t k0, int kc) -> const float* {
-        pack_b_panel(tb, b, ldb, k0, col0, kc, nc, panel_b);
-        return panel_b;
-      },
-      beta, c, ldc, tile_m, tile_n, panel_a, acc, at, ep);
 }
 
 }  // namespace bt::gemm

@@ -3,9 +3,9 @@
 // Weight matrices are fixed across forward passes, yet the mainloop used to
 // re-pack them into kK x kN panels once per output tile row of every GEMM.
 // PackedB performs that packing exactly once — widening FP16 -> FP32
-// through the F16C row converters — and the gemm/batched/grouped front-ends
-// accept it in place of a raw (B, ldb) operand so the mainloop skips
-// pack_b_panel entirely.
+// through the F16C row converters — and gemm_prepacked and
+// GroupedProblem::packed_b accept it in place of a raw (B, ldb) operand so
+// the mainloop skips pack_b_panel entirely.
 //
 // Layout: panels[tile_n][k_block] of kK x kN row-major FP32, zero-padded at
 // both edges — byte-identical to what pack_b_panel would have produced for

@@ -140,7 +140,8 @@ std::vector<Response> Engine::run_batch() {
     stats_.cache_saved_tokens += c.prefix();
     saved_tokens += c.prefix();
   }
-  const BatchPlan plan = plan_batch(opts_.policy, lengths, opts_.group_size);
+  const BatchPlan plan = plan_batch(opts_.policy, lengths, opts_.group_size,
+                                    opts_.flags.zero_padding);
 
   for (const MicroBatch& mb : plan.micro) {
     StageTimes stages;

@@ -155,7 +155,8 @@ struct EngineStats {
   long long micro_batches = 0;   // one per packed pass (a micro-batch of
                                  // the plan, hits included)
   long long valid_tokens = 0;
-  long long processed_tokens = 0;  // per-policy padded-token accounting
+  long long processed_tokens = 0;  // tokens computed, padding included
+                                   // only when the pass ran padded
   double compute_seconds = 0;
 
   // Workspace::allocations() of the engine's one workspace as of the last

@@ -7,12 +7,11 @@ namespace bt::serving {
 
 namespace {
 
-MicroBatch whole_batch(std::span<const int> lengths, bool packed) {
+MicroBatch whole_batch(std::span<const int> lengths) {
   MicroBatch mb;
   mb.indices.resize(lengths.size());
   std::iota(mb.indices.begin(), mb.indices.end(), 0);
   mb.max_len = *std::max_element(lengths.begin(), lengths.end());
-  mb.packed = packed;
   mb.valid_tokens = std::accumulate(lengths.begin(), lengths.end(), 0LL);
   return mb;
 }
@@ -53,24 +52,23 @@ std::vector<MicroBatch> group_by_length(std::span<const int> lengths,
 }  // namespace
 
 BatchPlan plan_batch(BatchPolicy policy, std::span<const int> lengths,
-                     int group_size) {
+                     int group_size, bool packed) {
   BatchPlan plan;
   plan.policy = policy;
   if (lengths.empty()) return plan;
 
   switch (policy) {
     case BatchPolicy::kPadToMax:
-      plan.micro.push_back(whole_batch(lengths, /*packed=*/false));
-      break;
     case BatchPolicy::kPacked:
-      plan.micro.push_back(whole_batch(lengths, /*packed=*/true));
+      plan.micro.push_back(whole_batch(lengths));
       break;
     case BatchPolicy::kSortGroup:
       plan.micro = group_by_length(lengths, group_size);
       break;
   }
 
-  for (const MicroBatch& mb : plan.micro) {
+  for (MicroBatch& mb : plan.micro) {
+    mb.packed = packed;
     plan.valid_tokens += mb.valid_tokens;
     plan.processed_tokens += mb.processed_tokens();
   }

@@ -9,6 +9,10 @@
 //   * kPacked    — one micro-batch run through the padding-free pipeline,
 //                  so the compute processes exactly the valid tokens
 //                  (ByteTransformer).
+// The policy decides only the grouping. Whether a micro-batch is padded is
+// the pipeline's choice (OptFlags::zero_padding): under packed flags the
+// Engine runs every micro-batch padding-free, so kPadToMax and kPacked give
+// one plan and no policy reports padding it never computed.
 //
 // The plan is pure geometry — request indices, pad targets, and token
 // accounting — so it is unit-testable without a model and reusable by both
@@ -60,9 +64,10 @@ struct BatchPlan {
 
 // Builds the execution plan for `lengths` under `policy`. `group_size` is
 // only meaningful for kSortGroup (<= 0 degenerates to one group, i.e.
-// pad-to-max geometry). Empty lengths yield an empty plan.
+// pad-to-max geometry). `packed` marks every micro-batch padding-free (pass
+// the pipeline's zero_padding flag). Empty lengths yield an empty plan.
 BatchPlan plan_batch(BatchPolicy policy, std::span<const int> lengths,
-                     int group_size);
+                     int group_size, bool packed);
 
 // Admission rule shared by Engine::run_batch and AsyncEngine's batching
 // window: queue-front requests up to the request cap, stopping at the token

@@ -1,14 +1,20 @@
-// Batched GEMM == loop of single GEMMs; grouped GEMM == loop of single GEMMs
-// over arbitrary shape sets, for any scheduler prefetch width.
+// Every front-end (gemm, gemm_prepacked, batched_gemm) == grouped GEMM over
+// the same problems, bitwise, on any worker count; grouped GEMM == loop of
+// single GEMMs over arbitrary shape sets, for any scheduler prefetch width.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "gemm/batched.h"
 #include "gemm/gemm.h"
 #include "gemm/grouped.h"
+#include "gemm/packed.h"
 #include "parallel/device.h"
 #include "tensor/tensor.h"
 
@@ -20,59 +26,115 @@ par::Device& dev() {
   return d;
 }
 
-TEST(BatchedGemm, MatchesPerBatchGemm) {
-  const int batch = 6;
-  const int m = 40;
-  const int n = 50;
-  const int k = 64;
-  Rng rng(31);
-  auto a = Tensor<fp16_t>::random_normal({batch, m, k}, rng);
-  auto b = Tensor<fp16_t>::random_normal({batch, k, n}, rng);
-  auto c = Tensor<fp16_t>::zeros({batch, m, n});
-  batched_gemm<fp16_t, fp16_t, fp16_t>(
-      dev(), Trans::N, Trans::N, batch, m, n, k, 1.0f, a.data(), k,
-      static_cast<std::int64_t>(m) * k, b.data(), n,
-      static_cast<std::int64_t>(k) * n, 0.0f, c.data(), n,
-      static_cast<std::int64_t>(m) * n);
+// `batch` entries of one m x n x k shape.
+struct FrontEndShape {
+  int batch;
+  int m;
+  int n;
+  int k;
+};
 
-  for (int bi = 0; bi < batch; ++bi) {
-    auto want = Tensor<fp16_t>::zeros({m, n});
-    gemm_f16(dev(), Trans::N, Trans::N, m, n, k, 1.0f,
-             a.data() + static_cast<std::int64_t>(bi) * m * k, k,
-             b.data() + static_cast<std::int64_t>(bi) * k * n, n, 0.0f,
-             want.data(), n);
-    for (std::int64_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(c.data()[static_cast<std::int64_t>(bi) * m * n + i].bits(),
-                want.data()[i].bits());
+// Shapes for both claim rules on 1-3 workers: whole-column claims
+// (tiles_n x batch >= workers), one-tile claims where the columns are fewer
+// than the workers, one-tile columns (tiles_m == 1), and the m/n/k = 0
+// edges.
+constexpr FrontEndShape kFrontEndShapes[] = {
+    {1, 150, 40, 96}, {1, 200, 200, 300}, {3, 150, 40, 96}, {2, 40, 300, 64},
+    {2, 0, 50, 64},   {2, 50, 0, 64},     {2, 50, 60, 0},
+};
+
+std::uint32_t bits_of(fp16_t v) { return v.bits(); }
+std::uint32_t bits_of(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+template <typename T>
+void expect_same_bits(const Tensor<T>& want, const Tensor<T>& got,
+                      const std::string& what) {
+  for (std::int64_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(bits_of(want.data()[i]), bits_of(got.data()[i]))
+        << what << " at " << i;
+  }
+}
+
+// Every front-end is an adapter over grouped_gemm: each must equal
+// grouped_gemm over the same problems (default prefetch) bit for bit on 1, 2
+// and 3 workers — batched_gemm, gemm per entry, and gemm_prepacked per entry
+// (prepacked against the dynamic-B problems) — for every Trans combination.
+// A stride of 0 shares one B across the batch.
+template <typename T>
+void check_front_ends(bool shared_b, float alpha, float beta) {
+  for (const auto& [batch, m, n, k] : kFrontEndShapes) {
+    const std::int64_t sa = static_cast<std::int64_t>(m) * k;
+    const std::int64_t sb = shared_b ? 0 : static_cast<std::int64_t>(k) * n;
+    const std::int64_t sc = static_cast<std::int64_t>(m) * n;
+    Rng rng(static_cast<std::uint64_t>(batch * 7 + m * 131 + n * 8191 + k));
+    auto a = Tensor<T>::random_normal({batch * sa}, rng);
+    auto b = Tensor<T>::random_normal(
+        {shared_b ? static_cast<std::int64_t>(k) * n : batch * sb}, rng);
+    const auto c0 = Tensor<T>::random_normal({batch * sc}, rng);
+    for (auto ta : {Trans::N, Trans::T}) {
+      for (auto tb : {Trans::N, Trans::T}) {
+        const std::int64_t lda = ta == Trans::N ? k : m;
+        const std::int64_t ldb = tb == Trans::N ? n : k;
+        std::vector<PackedB> packed;
+        for (int bi = 0; bi < batch; ++bi) {
+          packed.push_back(PackedB::pack(tb, b.data() + bi * sb, ldb, k, n));
+        }
+        for (int workers : {1, 2, 3}) {
+          par::Device d(workers);
+          const std::string where =
+              "batch " + std::to_string(batch) + " m " + std::to_string(m) +
+              " n " + std::to_string(n) + " k " + std::to_string(k) + " ta " +
+              std::to_string(static_cast<int>(ta)) + " tb " +
+              std::to_string(static_cast<int>(tb)) + " workers " +
+              std::to_string(workers);
+          auto want = c0.clone();
+          std::vector<GroupedProblem<T, T, T>> problems;
+          for (int bi = 0; bi < batch; ++bi) {
+            problems.push_back({m, n, k, a.data() + bi * sa, lda,
+                                b.data() + bi * sb, ldb, want.data() + bi * sc,
+                                n});
+          }
+          grouped_gemm<T, T, T>(
+              d, ta, tb, std::span<const GroupedProblem<T, T, T>>(problems),
+              alpha, beta);
+
+          auto got = c0.clone();
+          batched_gemm<T, T, T>(d, ta, tb, batch, m, n, k, alpha, a.data(),
+                                lda, sa, b.data(), ldb, sb, beta, got.data(),
+                                n, sc);
+          expect_same_bits(want, got, "batched_gemm, " + where);
+
+          got = c0.clone();
+          for (int bi = 0; bi < batch; ++bi) {
+            gemm<T, T, T>(d, ta, tb, m, n, k, alpha, a.data() + bi * sa, lda,
+                          b.data() + bi * sb, ldb, beta, got.data() + bi * sc,
+                          n);
+          }
+          expect_same_bits(want, got, "gemm, " + where);
+
+          got = c0.clone();
+          for (int bi = 0; bi < batch; ++bi) {
+            gemm_prepacked(d, ta, m, n, k, alpha, a.data() + bi * sa, lda,
+                           packed[static_cast<std::size_t>(bi)], beta,
+                           got.data() + bi * sc, n);
+          }
+          expect_same_bits(want, got, "gemm_prepacked, " + where);
+        }
+      }
     }
   }
+}
+
+TEST(BatchedGemm, MatchesPerBatchGemm) {
+  check_front_ends<fp16_t>(/*shared_b=*/false, 1.0f, 0.0f);
+  check_front_ends<float>(/*shared_b=*/false, 1.0f, 0.0f);
 }
 
 TEST(BatchedGemm, SharedOperandViaZeroStride) {
   // Batch stride 0 on B: every batch multiplies the same matrix — the
   // pattern DeBERTa uses for the shared relative-embedding projections.
-  const int batch = 4;
-  const int m = 30;
-  const int n = 20;
-  const int k = 32;
-  Rng rng(32);
-  auto a = Tensor<fp16_t>::random_normal({batch, m, k}, rng);
-  auto b = Tensor<fp16_t>::random_normal({k, n}, rng);
-  auto c = Tensor<fp16_t>::zeros({batch, m, n});
-  batched_gemm<fp16_t, fp16_t, fp16_t>(
-      dev(), Trans::N, Trans::N, batch, m, n, k, 1.0f, a.data(), k,
-      static_cast<std::int64_t>(m) * k, b.data(), n, 0, 0.0f, c.data(), n,
-      static_cast<std::int64_t>(m) * n);
-  for (int bi = 0; bi < batch; ++bi) {
-    auto want = Tensor<fp16_t>::zeros({m, n});
-    gemm_f16(dev(), Trans::N, Trans::N, m, n, k, 1.0f,
-             a.data() + static_cast<std::int64_t>(bi) * m * k, k, b.data(), n,
-             0.0f, want.data(), n);
-    for (std::int64_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(c.data()[static_cast<std::int64_t>(bi) * m * n + i].bits(),
-                want.data()[i].bits());
-    }
-  }
+  check_front_ends<fp16_t>(/*shared_b=*/true, 0.75f, 0.5f);
+  check_front_ends<float>(/*shared_b=*/true, 0.75f, 0.5f);
 }
 
 struct GroupedCase {

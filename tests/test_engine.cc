@@ -160,7 +160,8 @@ TEST(Engine, SortGroupBitMatchesDirectForward) {
   ASSERT_EQ(responses.size(), kLens.size());
 
   // Replicate the scheduler's plan and run each group by hand.
-  const auto plan = plan_batch(BatchPolicy::kSortGroup, kLens, group_size);
+  const auto plan = plan_batch(BatchPolicy::kSortGroup, kLens, group_size,
+                               flags.zero_padding);
   for (const MicroBatch& mb : plan.micro) {
     const auto want =
         direct_forward(*model, expect_reqs, mb.indices, mb.max_len, flags);
@@ -184,7 +185,14 @@ TEST(Engine, PaddedTokenAccountingPerPolicy) {
                                 core::OptFlags::bias_gelu_fused()));
   Engine grouped(model, options_for(BatchPolicy::kSortGroup,
                                     core::OptFlags::layernorm_fused(), 2));
-  for (Engine* e : {&packed, &pad, &grouped}) {
+  // Under packed flags every policy runs padding-free, so none counts
+  // padding it never computed.
+  Engine pad_packed(model, options_for(BatchPolicy::kPadToMax,
+                                       core::OptFlags::byte_transformer()));
+  Engine grouped_packed(model, options_for(BatchPolicy::kSortGroup,
+                                           core::OptFlags::byte_transformer(),
+                                           2));
+  for (Engine* e : {&packed, &pad, &grouped, &pad_packed, &grouped_packed}) {
     for (auto& r : make_requests(kLens, static_cast<int>(h))) {
       e->submit(std::move(r));
     }
@@ -192,7 +200,10 @@ TEST(Engine, PaddedTokenAccountingPerPolicy) {
     EXPECT_EQ(e->stats().valid_tokens, valid);
   }
 
-  EXPECT_EQ(packed.stats().padding_tokens(), 0);
+  for (Engine* e : {&packed, &pad_packed, &grouped_packed}) {
+    EXPECT_EQ(e->stats().padding_tokens(), 0);
+    EXPECT_EQ(e->stats().processed_tokens, valid);
+  }
   EXPECT_EQ(pad.stats().padding_tokens(), grid - valid);
   // Grouping reduces but does not eliminate padding on non-uniform lengths.
   EXPECT_GT(grouped.stats().padding_tokens(), 0);

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "gemm/batched.h"
 #include "gemm/gemm.h"
 #include "gemm/grouped.h"
 #include "gemm/kernels/kernel.h"
@@ -468,29 +467,6 @@ TEST(PackedB, PrepackedGemmBitwiseEqualsOnTheFly) {
       ASSERT_EQ(c_fly.data()[i].bits(), c_pre.data()[i].bits())
           << "kernel=" << kernels::name(kind) << " at " << i;
     }
-  }
-}
-
-TEST(PackedB, BatchedPrepackedBitwiseEqualsOnTheFly) {
-  const int batch = 3;
-  const int m = 70;
-  const int n = 65;
-  const int k = 140;
-  Rng rng(17);
-  auto a = Tensor<fp16_t>::random_normal({batch * m, k}, rng);
-  auto b = Tensor<fp16_t>::random_normal({k, n}, rng);  // shared across batch
-  const PackedB pb = PackedB::pack(Trans::N, b.data(), n, k, n);
-  auto c_fly = Tensor<fp16_t>::zeros({batch * m, n});
-  auto c_pre = Tensor<fp16_t>::zeros({batch * m, n});
-  batched_gemm<fp16_t, fp16_t, fp16_t>(
-      dev(), Trans::N, Trans::N, batch, m, n, k, 1.0f, a.data(), k,
-      static_cast<std::int64_t>(m) * k, b.data(), n, /*stride_b=*/0, 0.0f,
-      c_fly.data(), n, static_cast<std::int64_t>(m) * n);
-  batched_gemm_prepacked(dev(), Trans::N, batch, m, n, k, 1.0f, a.data(), k,
-                         static_cast<std::int64_t>(m) * k, pb, 0.0f,
-                         c_pre.data(), n, static_cast<std::int64_t>(m) * n);
-  for (std::int64_t i = 0; i < c_fly.size(); ++i) {
-    ASSERT_EQ(c_fly.data()[i].bits(), c_pre.data()[i].bits()) << i;
   }
 }
 

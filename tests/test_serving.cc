@@ -53,7 +53,8 @@ TEST(RequestGen, ArrivalsAreMonotone) {
 // kSortGroup geometry: plan_batch sorts by descending length and chunks
 // into micro-batches of at most group_size, each padded to its own max.
 BatchPlan sort_group(std::span<const int> lens, int group_size) {
-  return plan_batch(BatchPolicy::kSortGroup, lens, group_size);
+  return plan_batch(BatchPolicy::kSortGroup, lens, group_size,
+                    /*packed=*/false);
 }
 
 TEST(Batching, GroupsRespectSizeAndOrder) {
@@ -187,7 +188,7 @@ TEST(Batching, GroupingIsDeterministicAcrossCalls) {
 
 TEST(Scheduler, PadToMaxPlanIsOneGridShapedMicroBatch) {
   const std::vector<int> lens{12, 3, 8, 16, 5};
-  const auto plan = plan_batch(BatchPolicy::kPadToMax, lens, 0);
+  const auto plan = plan_batch(BatchPolicy::kPadToMax, lens, 0, /*packed=*/false);
   ASSERT_EQ(plan.micro.size(), 1u);
   EXPECT_FALSE(plan.micro[0].packed);
   EXPECT_EQ(plan.micro[0].max_len, 16);
@@ -198,7 +199,7 @@ TEST(Scheduler, PadToMaxPlanIsOneGridShapedMicroBatch) {
 
 TEST(Scheduler, PackedPlanHasZeroPaddingTokens) {
   const std::vector<int> lens{12, 3, 8, 16, 5};
-  const auto plan = plan_batch(BatchPolicy::kPacked, lens, 0);
+  const auto plan = plan_batch(BatchPolicy::kPacked, lens, 0, /*packed=*/true);
   ASSERT_EQ(plan.micro.size(), 1u);
   EXPECT_TRUE(plan.micro[0].packed);
   EXPECT_EQ(plan.processed_tokens, plan.valid_tokens);
@@ -207,7 +208,7 @@ TEST(Scheduler, PackedPlanHasZeroPaddingTokens) {
 
 TEST(Scheduler, SortGroupPlanMatchesGrouping) {
   const std::vector<int> lens{12, 3, 8, 16, 5};
-  const auto plan = plan_batch(BatchPolicy::kSortGroup, lens, 2);
+  const auto plan = plan_batch(BatchPolicy::kSortGroup, lens, 2, /*packed=*/false);
   ASSERT_EQ(plan.micro.size(), 3u);  // 2 + 2 + 1, sorted descending
   EXPECT_EQ(plan.micro[0].max_len, 16);
   EXPECT_GE(plan.micro[0].max_len, plan.micro[1].max_len);
@@ -227,7 +228,7 @@ TEST(Scheduler, SortGroupPlanMatchesGrouping) {
 TEST(Scheduler, EmptyLengthsYieldEmptyPlan) {
   for (auto policy : {BatchPolicy::kPadToMax, BatchPolicy::kSortGroup,
                       BatchPolicy::kPacked}) {
-    const auto plan = plan_batch(policy, {}, 4);
+    const auto plan = plan_batch(policy, {}, 4, /*packed=*/false);
     EXPECT_TRUE(plan.micro.empty());
     EXPECT_EQ(plan.valid_tokens, 0);
     EXPECT_EQ(plan.processed_tokens, 0);
