@@ -43,23 +43,18 @@ Instruments& instruments() {
   return ins;
 }
 
-// Per-error-code failure counters; the kOk/default arm absorbs anything
-// untyped (it is wrapped as kInternal before reaching the caller anyway).
+// Per-error-code counters for the failures a replica resolves; the default
+// arm absorbs anything untyped (it is wrapped as kInternal before reaching
+// the caller anyway). Unknown models never reach a replica: Service counts
+// them. Declines resolve nothing: they return false, and the wire counts
+// its backpressure replies.
 obs::Counter& failure_counter(ErrorCode code) {
   auto& reg = obs::MetricRegistry::global();
-  static obs::Counter& unknown_model =
-      reg.counter("serving.errors.unknown_model");
-  static obs::Counter& backpressure =
-      reg.counter("serving.errors.backpressure");
   static obs::Counter& deadline_exceeded =
       reg.counter("serving.errors.deadline_exceeded");
   static obs::Counter& shutdown = reg.counter("serving.errors.shutdown");
   static obs::Counter& internal = reg.counter("serving.errors.internal");
   switch (code) {
-    case ErrorCode::kUnknownModel:
-      return unknown_model;
-    case ErrorCode::kBackpressure:
-      return backpressure;
     case ErrorCode::kDeadlineExceeded:
       return deadline_exceeded;
     case ErrorCode::kShutdown:
@@ -81,17 +76,6 @@ void fail_each(Requests& requests, ErrorCode code, const std::string& message) {
   }
 }
 
-AsyncEngineOptions resolve_async_options(AsyncEngineOptions opts) {
-  // The registry model name is the natural prefix-cache scope: pools and
-  // Service stamp model_name on every replica, so sessions of different
-  // models can never collide in a shared cache. An explicit cache_scope
-  // wins (lets tests and bare engines pick their own namespace).
-  if (opts.engine.prefix_cache != nullptr && opts.engine.cache_scope.empty()) {
-    opts.engine.cache_scope = opts.model_name;
-  }
-  return opts;
-}
-
 }  // namespace
 
 FutureReply future_reply() {
@@ -110,7 +94,7 @@ FutureReply future_reply() {
 
 AsyncEngine::AsyncEngine(std::shared_ptr<const core::BertModel> model,
                          AsyncEngineOptions opts)
-    : opts_(resolve_async_options(std::move(opts))),
+    : opts_(std::move(opts)),
       engine_(std::move(model), opts_.engine) {
   if (opts_.max_queue < 1) {
     throw std::invalid_argument("AsyncEngineOptions: max_queue must be >= 1");
@@ -128,9 +112,18 @@ AsyncEngine::AsyncEngine(core::BertModel model, AsyncEngineOptions opts)
 
 AsyncEngine::~AsyncEngine() { stop(); }
 
+// Both public paths validate first: the throw must reach the submitting
+// thread, not the scheduler — and before the backpressure wait or decline,
+// so a malformed request neither blocks behind a full queue nor looks like
+// transient backpressure.
 std::future<Response> AsyncEngine::submit(Request req) {
+  validate_request_shape("AsyncEngine::submit", req.hidden, hidden());
   FutureReply r = future_reply();
-  submit(std::move(req), std::move(r.reply), std::nullopt, /*wait=*/true);
+  while (!submit(req, r.reply, std::nullopt)) {
+    if (!wait_for_space()) {
+      throw ShutdownError("AsyncEngine::submit: engine is stopped");
+    }
+  }
   return std::move(r.future);
 }
 
@@ -139,39 +132,24 @@ std::future<Response> AsyncEngine::submit(Tensor<fp16_t> hidden) {
 }
 
 std::optional<std::future<Response>> AsyncEngine::try_submit(Request req) {
+  validate_request_shape("AsyncEngine::try_submit", req.hidden, hidden());
   FutureReply r = future_reply();
-  if (!submit(std::move(req), std::move(r.reply), std::nullopt,
-              /*wait=*/false)) {
-    return std::nullopt;
-  }
+  if (!submit(req, r.reply, std::nullopt)) return std::nullopt;
   return std::move(r.future);
 }
 
-bool AsyncEngine::submit(Request req, Reply reply,
-                         std::optional<RequestId> id, bool wait) {
-  // Same contract as Engine::submit, enforced here because the throw must
-  // reach the submitting thread, not the scheduler — and before the
-  // backpressure wait or decline, so a malformed request neither blocks
-  // behind a full queue nor looks like transient backpressure.
-  validate_request_shape(
-      wait ? "AsyncEngine::submit" : "AsyncEngine::try_submit", req.hidden,
-      hidden());
+bool AsyncEngine::submit(Request& req, Reply& reply,
+                         std::optional<RequestId> id) {
   MutexLock lock(mutex_);
-  while (wait && !stop_ && queue_.size() >= opts_.max_queue) {
-    cv_space_.wait(mutex_);
-  }
-  if (wait && stop_) {
-    throw ShutdownError("AsyncEngine::submit: engine is stopped");
-  }
   if (stop_ || queue_.size() >= opts_.max_queue) return false;
   Queued q;
-  q.id = id.has_value() ? *id : next_id_++;
-  q.hidden = std::move(req.hidden);
+  q.request.id = id.has_value() ? *id : next_id_++;
+  q.request.hidden = std::move(req.hidden);
+  q.request.session = std::move(req.session);
+  q.request.arrival = Clock::now();
   q.reply = std::move(reply);
-  q.arrival = Clock::now();
   q.deadline = req.deadline;
-  q.session = std::move(req.session);
-  queued_tokens_ += q.hidden.dim(0);
+  queued_tokens_ += q.request.hidden.dim(0);
   if (q.deadline.has_value()) ++deadline_count_;
   queue_.push_back(std::move(q));
   Instruments& ins = instruments();
@@ -179,6 +157,12 @@ bool AsyncEngine::submit(Request req, Reply reply,
   ins.queue_depth.add(1);
   cv_work_.notify_one();
   return true;
+}
+
+bool AsyncEngine::wait_for_space() {
+  MutexLock lock(mutex_);
+  while (!stop_ && queue_.size() >= opts_.max_queue) cv_space_.wait(mutex_);
+  return !stop_;
 }
 
 void AsyncEngine::stop() {
@@ -259,7 +243,7 @@ bool AsyncEngine::round_available_locked() const {
   const std::size_t count = admit_count(
       queue_.size(), opts_.engine.max_batch_requests,
       opts_.engine.max_batch_tokens,
-      [&](std::size_t i) { return queue_[order[i]].hidden.dim(0); },
+      [&](std::size_t i) { return queue_[order[i]].request.hidden.dim(0); },
       &admitted_tokens);
   return count ==
              static_cast<std::size_t>(opts_.engine.max_batch_requests) ||
@@ -286,7 +270,7 @@ void AsyncEngine::scheduler_loop() {
       while (!stop_ && !queue_.empty() && !round_available_locked()) {
         const auto window = std::chrono::duration_cast<Clock::duration>(
             std::chrono::duration<double>(opts_.max_wait_seconds));
-        Clock::time_point close = queue_.front().arrival + window;
+        Clock::time_point close = queue_.front().request.arrival + window;
         if (deadline_count_ > 0) {
           // Dispatch with at least the batching window of slack before the
           // earliest queued deadline: closing exactly at the deadline would
@@ -314,7 +298,7 @@ void AsyncEngine::scheduler_loop() {
     std::size_t count = admit_count(
         queue_.size(), opts_.engine.max_batch_requests,
         opts_.engine.max_batch_tokens,
-        [&](std::size_t i) { return queue_[order[i]].hidden.dim(0); });
+        [&](std::size_t i) { return queue_[order[i]].request.hidden.dim(0); });
     std::vector<Queued> round;
     round.reserve(count);
     if (deadline_count_ == 0) {
@@ -337,7 +321,7 @@ void AsyncEngine::scheduler_loop() {
     }
     long long round_tokens = 0;  // hiddens are moved out during compute
     for (const Queued& q : round) {
-      round_tokens += q.hidden.dim(0);
+      round_tokens += q.request.hidden.dim(0);
       if (q.deadline.has_value()) --deadline_count_;
     }
     queued_tokens_ -= round_tokens;
@@ -370,7 +354,7 @@ void AsyncEngine::scheduler_loop() {
       // decision is already final, and an SLO-aware caller (retry, hedging)
       // should not learn about it a full round late.
       long long shed_tokens = 0;
-      for (const Queued& q : shed) shed_tokens += q.hidden.dim(0);
+      for (const Queued& q : shed) shed_tokens += q.request.hidden.dim(0);
       lock.lock();
       count -= shed.size();
       round_tokens -= shed_tokens;
@@ -388,19 +372,17 @@ void AsyncEngine::scheduler_loop() {
           .inc(static_cast<long long>(shed.size()));
     }
 
-    // Compute outside the lock: the inner Engine is only ever touched here.
-    // Per-request valid-token counts are captured up front — the hiddens
-    // are moved out during compute, and the trace records need them.
-    std::vector<long long> live_rows;
-    live_rows.reserve(live.size());
+    // Compute outside the lock: the inner Engine is only ever touched here,
+    // and runs the live round as one round of its own.
+    std::vector<Engine::Pending> work;
+    work.reserve(live.size());
     long long live_tokens = 0;
-    for (const Queued& q : live) {
-      live_rows.push_back(q.hidden.dim(0));
-      live_tokens += q.hidden.dim(0);
+    for (Queued& q : live) {
+      live_tokens += q.request.hidden.dim(0);
+      work.push_back(std::move(q.request));
     }
     const auto t_compute_start = Clock::now();
     std::vector<Response> responses;
-    bool failed = false;
     std::exception_ptr error;
     try {
       // Injected replica faults for resilience tests (docs/ROBUSTNESS.md):
@@ -415,15 +397,8 @@ void AsyncEngine::scheduler_loop() {
         BT_FAULT_DELAY("serving.compute.delay", opts_.replica_index);
         BT_FAULT_THROW("serving.compute.fail", opts_.replica_index);
       }
-      for (Queued& q : live) {
-        Request r;
-        r.hidden = std::move(q.hidden);
-        r.session = std::move(q.session);
-        engine_.submit(std::move(r), q.id);
-      }
-      if (!live.empty()) responses = engine_.drain();
+      responses = engine_.run_round(work);
     } catch (...) {
-      failed = true;
       error = std::current_exception();
     }
     const auto t_compute_end = Clock::now();
@@ -434,37 +409,28 @@ void AsyncEngine::scheduler_loop() {
     lock.lock();
     in_flight_ -= count;  // the live share; shed accounting settled above
     in_flight_tokens_ -= round_tokens;
-    if (failed || responses.size() != live.size()) {
-      ErrorCode code = ErrorCode::kInternal;
-      std::string message =
-          "AsyncEngine: inner engine lost responses for a round";
-      if (error) {
-        // Keep typed serving errors (their code is the contract); wrap
-        // anything untyped — an engine exception, an injected fault — as
-        // InternalError so the failure carries kInternal end-to-end: the
-        // wire frames it, and a retrying client can tell "this request
-        // broke" (retryable) from "the server is going away" (not).
-        std::string detail;
-        code = error_code_of(error, ErrorCode::kInternal, &detail);
-        message = code == ErrorCode::kInternal
-                      ? "AsyncEngine: round failed: " + detail
-                      : detail;
-      }
+    if (error) {
+      // Keep typed serving errors (their code is the contract); wrap
+      // anything untyped — an engine exception, an injected fault — as
+      // InternalError so the failure carries kInternal end-to-end: the
+      // wire frames it, and a retrying client can tell "this request
+      // broke" (retryable) from "the server is going away" (not). The
+      // round left the queue when it was popped, so a failure leaves
+      // nothing behind for the next round.
+      std::string detail;
+      const ErrorCode code = error_code_of(error, ErrorCode::kInternal, &detail);
+      const std::string message =
+          code == ErrorCode::kInternal ? "AsyncEngine: round failed: " + detail
+                                       : detail;
       health_.failed += static_cast<long long>(live.size());
       health_.consecutive_failures += static_cast<long long>(live.size());
       ins.failed.inc(static_cast<long long>(live.size()));
       failure_counter(code).inc(static_cast<long long>(live.size()));
       fail_each(live, code, message);
-      // A mid-compute failure leaves the round's unprocessed requests
-      // queued inside the inner engine; drop them so they cannot bleed into
-      // the next round's drain() and fail healthy requests.
-      engine_.discard_pending();
     } else {
-      // drain() returns responses in submission order == round (dispatch)
-      // order, so replies run in dispatch order — the resolution-order
-      // contract stop()'s drain relies on. The inner engine only saw
-      // each request at round start, so rewrite queue_seconds to cover the
-      // async wait (submit -> round start).
+      // run_round returns responses in round (dispatch) order, so replies
+      // run in dispatch order — the resolution-order contract stop()'s
+      // drain relies on.
       if (!live.empty()) {
         health_.completed += static_cast<long long>(live.size());
         health_.consecutive_failures = 0;
@@ -476,10 +442,6 @@ void AsyncEngine::scheduler_loop() {
       const bool tracing = obs::enabled() && !live.empty();
       if (tracing) traced.reserve(live.size());
       for (std::size_t i = 0; i < live.size(); ++i) {
-        responses[i].queue_seconds =
-            std::chrono::duration<double>(round_start - live[i].arrival)
-                .count();
-        responses[i].model = opts_.model_name;
         responses[i].replica = opts_.replica_index;
         if (live[i].deadline.has_value()) {
           (resolved_at <= *live[i].deadline)
@@ -488,22 +450,22 @@ void AsyncEngine::scheduler_loop() {
         }
         ins.queue_seconds.record_seconds(responses[i].queue_seconds);
         ins.e2e_seconds.record_seconds(
-            std::chrono::duration<double>(resolved_at - live[i].arrival)
+            std::chrono::duration<double>(resolved_at - work[i].arrival)
                 .count());
         if (tracing) {
           obs::TraceRecord rec;
           rec.request_id = responses[i].id;
-          rec.model = opts_.model_name;
+          rec.model = responses[i].model;
           if (responses[i].session.has_value()) {
             rec.session = *responses[i].session;
           }
           rec.replica = opts_.replica_index;
           rec.round = responses[i].round;
           rec.batch_requests = static_cast<int>(live.size());
-          rec.valid_tokens = live_rows[i];
+          rec.valid_tokens = work[i].hidden.dim(0);
           rec.round_valid_tokens = live_tokens;
           rec.round_processed_tokens = round_processed;
-          rec.t_submit = obs::trace_seconds(live[i].arrival);
+          rec.t_submit = obs::trace_seconds(work[i].arrival);
           rec.t_window_close = obs::trace_seconds(t_window_close);
           rec.t_admit = obs::trace_seconds(t_admit);
           rec.t_dispatch = obs::trace_seconds(round_start);

@@ -8,7 +8,10 @@
 // from any number of threads and get a std::future<Response> back, while the
 // scheduler forms batches under the configured BatchPolicy and runs compute
 // — so round k's forward overlaps the arrival and admission of round k+1
-// (the TurboTransformers-style serving loop the roadmap calls for).
+// (the TurboTransformers-style serving loop the roadmap calls for). Its
+// queue is the one place an accepted request waits: the scheduler pops a
+// round from it and hands that round to the inner Engine whole, as one
+// Engine round.
 //
 //   serving::AsyncEngine engine(model, opts);
 //   auto fut = engine.submit(std::move(hidden));   // any thread
@@ -43,8 +46,9 @@
 //   response resolved before / after its deadline.
 //
 // Backpressure
-//   The submission queue is bounded (max_queue). submit() blocks until
-//   space frees up; try_submit() returns std::nullopt instead of blocking.
+//   The submission queue is bounded (max_queue). Every submit path is one
+//   non-blocking enqueue: try_submit() returns std::nullopt when it
+//   declines, and submit() waits until space frees up, then enqueues again.
 //
 // Shutdown
 //   stop() (idempotent, also run by the destructor) wakes the scheduler,
@@ -95,10 +99,8 @@ struct AsyncEngineOptions {
   std::size_t max_queue = 1024;    // bounded submission queue (backpressure)
   double max_wait_seconds = 0.002; // batching window from the oldest request;
                                    // 0 dispatches as soon as work exists
-  // Provenance stamped into every Response: the registry name this engine
-  // serves and its replica index within an EnginePool. Set by the owning
-  // EnginePool/Service; the defaults mark a standalone engine.
-  std::string model_name;
+  // Replica index within an EnginePool, stamped into Response::replica. Set
+  // by the owning EnginePool; -1 marks a standalone engine.
   int replica_index = -1;
 };
 
@@ -170,21 +172,22 @@ class AsyncEngine {
 
   using Clock = std::chrono::steady_clock;
 
-  // The entry point behind the public ones: `id` is the owning tier's id,
-  // or std::nullopt to take the next value of next_id_ under the lock.
-  // `wait` blocks while the queue is full and throws once stopped (submit);
-  // without it a full or stopped engine returns false (try_submit).
+  // The one enqueue behind every submit path, never blocking: when the
+  // engine runs and the queue has room it moves `req` and `reply` into the
+  // queue and returns true, else it returns false and leaves both as they
+  // were. `id` is the owning tier's id, or std::nullopt to take the next
+  // value of next_id_ under the lock. The caller has validated `req`.
   // `reply` runs exactly once if this returns true, never otherwise.
-  bool submit(Request req, Reply reply, std::optional<RequestId> id,
-              bool wait) BT_EXCLUDES(mutex_);
+  bool submit(Request& req, Reply& reply, std::optional<RequestId> id)
+      BT_EXCLUDES(mutex_);
+  // Blocks until the queue has room or the engine stops; false once
+  // stopped. A blocking submit is this wait, then the enqueue again.
+  bool wait_for_space() BT_EXCLUDES(mutex_);
 
   struct Queued {
-    RequestId id;
-    Tensor<fp16_t> hidden;
+    Engine::Pending request;  // id, rows, session, arrival
     Reply reply;
-    Clock::time_point arrival;
     std::optional<Deadline> deadline;
-    std::optional<std::string> session;
   };
 
   // Queue indices in admission order: identity (FIFO) while no queued

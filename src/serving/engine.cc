@@ -82,13 +82,10 @@ void validate_request_shape(const char* who, const Tensor<fp16_t>& hidden,
 }
 
 RequestId Engine::submit(Request req) {
-  return submit(std::move(req), next_id_++);
-}
-
-RequestId Engine::submit(Request req, RequestId id) {
   validate_request_shape("Engine::submit", req.hidden, hidden());
-  queue_.push_back(
-      Pending{id, std::move(req.hidden), Timer(), std::move(req.session)});
+  const RequestId id = next_id_++;
+  queue_.push_back(Pending{id, std::move(req.hidden), std::move(req.session),
+                           std::chrono::steady_clock::now()});
   return id;
 }
 
@@ -97,16 +94,20 @@ RequestId Engine::submit(Tensor<fp16_t> hidden) {
 }
 
 std::vector<Response> Engine::run_batch() {
-  if (queue_.empty()) return {};
-
   const std::size_t count = admit_count(
       queue_.size(), opts_.max_batch_requests, opts_.max_batch_tokens,
       [&](std::size_t i) { return queue_[i].hidden.dim(0); });
+  const auto end = queue_.begin() + static_cast<std::ptrdiff_t>(count);
+  std::vector<Pending> round(std::make_move_iterator(queue_.begin()),
+                             std::make_move_iterator(end));
+  queue_.erase(queue_.begin(), end);
+  return run_round(round);
+}
 
-  std::vector<double> queue_secs(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    queue_secs[i] = queue_[i].queued.seconds();
-  }
+std::vector<Response> Engine::run_round(std::vector<Pending>& round) {
+  if (round.empty()) return {};
+  const std::size_t count = round.size();
+  const auto start = std::chrono::steady_clock::now();
 
   const std::int64_t h = hidden();
   const int layers = model_->config().layers;
@@ -125,11 +126,11 @@ std::vector<Response> Engine::run_batch() {
   std::vector<int> lengths(count);
   long long saved_tokens = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    const Pending& p = queue_[i];
+    const Pending& p = round[i];
     lengths[i] = static_cast<int>(p.hidden.dim(0));
     if (opts_.prefix_cache == nullptr || !p.session.has_value()) continue;
     Cached& c = cached[i];
-    c.key = cache::PrefixCache::session_key(opts_.cache_scope, *p.session);
+    c.key = cache::PrefixCache::session_key(opts_.model_name, *p.session);
     c.entry = opts_.prefix_cache->probe(c.key, p.hidden.data(), lengths[i]);
     if (c.entry == nullptr) {
       stats_.cache_misses += 1;
@@ -175,7 +176,7 @@ std::vector<Response> Engine::run_batch() {
       }
       std::int64_t row = 0;
       for (int i : order) {
-        const Tensor<fp16_t>& src = queue_[static_cast<std::size_t>(i)].hidden;
+        const Tensor<fp16_t>& src = round[static_cast<std::size_t>(i)].hidden;
         const std::int64_t prefix = cached[static_cast<std::size_t>(i)].prefix();
         std::memcpy(in.data() + row * h, src.data() + prefix * h,
                     static_cast<std::size_t>((src.dim(0) - prefix) * h) *
@@ -189,7 +190,7 @@ std::vector<Response> Engine::run_batch() {
       row = 0;
       for (int i : order) {
         const auto pos = static_cast<std::size_t>(i);
-        const Pending& p = queue_[pos];
+        const Pending& p = round[pos];
         Cached& c = cached[pos];
         const std::int64_t total = p.hidden.dim(0);
         const std::int64_t prefix = c.prefix();
@@ -231,7 +232,7 @@ std::vector<Response> Engine::run_batch() {
       std::vector<int> mb_lens;
       for (std::size_t j = 0; j < mb.indices.size(); ++j) {
         const Tensor<fp16_t>& src =
-            queue_[static_cast<std::size_t>(mb.indices[j])].hidden;
+            round[static_cast<std::size_t>(mb.indices[j])].hidden;
         mb_lens.push_back(static_cast<int>(src.dim(0)));
         std::memcpy(in.data() + static_cast<std::int64_t>(j) * mb.max_len * h,
                     src.data(), static_cast<std::size_t>(src.size()) * sizeof(fp16_t));
@@ -253,17 +254,17 @@ std::vector<Response> Engine::run_batch() {
     for (int i : mb.indices) {
       const auto pos = static_cast<std::size_t>(i);
       Response& r = responses[pos];
-      r.id = queue_[pos].id;
-      r.queue_seconds = queue_secs[pos];
+      r.id = round[pos].id;
+      r.queue_seconds =
+          std::chrono::duration<double>(start - round[pos].arrival).count();
       r.compute_seconds = compute;
       r.round = stats_.batches;  // 0-based: incremented after the round
       r.stages = stages;
-      r.session = std::move(queue_[pos].session);
+      r.model = opts_.model_name;
+      r.session = std::move(round[pos].session);
     }
   }
 
-  queue_.erase(queue_.begin(),
-               queue_.begin() + static_cast<std::ptrdiff_t>(count));
   stats_.requests += static_cast<long long>(count);
   stats_.batches += 1;
   stats_.micro_batches += static_cast<long long>(plan.micro.size());
@@ -273,12 +274,6 @@ std::vector<Response> Engine::run_batch() {
   stats_.processed_tokens += plan.processed_tokens - saved_tokens;
   stats_.workspace_allocations = static_cast<long long>(ws_.allocations());
   return responses;
-}
-
-std::size_t Engine::discard_pending() {
-  const std::size_t n = queue_.size();
-  queue_.clear();
-  return n;
 }
 
 std::vector<Response> Engine::drain() {

@@ -17,7 +17,9 @@
 // calling thread (the engine's Device parallelizes the kernels), and the
 // object is not thread-safe — one thread owns it. For online traffic use
 // serving::AsyncEngine (serving/async_engine.h), the pipelined executor
-// that runs this Engine behind a background scheduler thread; replicated
+// that runs this Engine behind a background scheduler thread: it keeps the
+// one queue an online request waits in, and hands each round it pops to
+// the Engine's round function whole (run_round, below); replicated
 // and multi-model serving stack EnginePool (serving/pool.h) and Service
 // (serving/service.h) on top of the same Request/Response surface, and
 // net::Client (net/client.h) delivers that same Response over a socket.
@@ -65,13 +67,15 @@ struct EngineOptions {
   // requires fused_mha) + flags.zero_padding, and a non-DeBERTa model; the
   // Engine constructor throws otherwise. The cache may be shared by many
   // engines (EnginePool replicas, Service pools): it locks internally, and
-  // entries are scoped by cache_scope so models never exchange state.
+  // entries are scoped by model_name so models never exchange state.
   std::shared_ptr<cache::PrefixCache> prefix_cache;
-  // Key namespace for this engine's sessions, normally the registry model
-  // name (AsyncEngine copies its model_name here when unset; a bare Engine
-  // may leave it empty). Two engines serving the SAME weights may share a
-  // scope; engines serving different models never may.
-  std::string cache_scope;
+  // Registry name of the served model: stamped into Response::model, and
+  // the key namespace of this engine's sessions in prefix_cache (the
+  // engine's probes and its pool's routing notes both read it). Service
+  // sets it to the registry key; empty marks a bare engine. Two engines
+  // serving the SAME weights may share a name; engines serving different
+  // models never may.
+  std::string model_name;
 };
 
 // Absolute SLO deadline on the serving clock. All deadline comparisons run
@@ -137,10 +141,9 @@ struct Response {
   StageTimes stages;           // stage breakdown of the owning micro-batch,
                                // summed over its layers
   // Provenance: which registered model / replica served the request, and
-  // the session it belonged to. `model` is the registry name the serving
-  // tier was built under (empty on a bare Engine/AsyncEngine/EnginePool);
-  // `replica` is the EnginePool replica index (-1 outside a pool);
-  // `session` echoes Request::session.
+  // the session it belonged to. `model` is EngineOptions::model_name (empty
+  // unless set; Service sets the registry key); `replica` is the EnginePool
+  // replica index (-1 outside a pool); `session` echoes Request::session.
   std::string model;
   int replica = -1;
   std::optional<std::string> session = std::nullopt;
@@ -230,17 +233,12 @@ class Engine {
 
   // Runs one scheduling round over the queue front (bounded by
   // max_batch_requests / max_batch_tokens) and returns the responses in
-  // submission order. Empty queue -> empty vector.
+  // submission order. Empty queue -> empty vector. The round's requests
+  // leave the queue when admitted, so a round that throws drops them.
   std::vector<Response> run_batch();
 
   // Runs rounds until the queue is empty; responses in submission order.
   std::vector<Response> drain();
-
-  // Drops every queued (not yet computed) request and returns how many were
-  // discarded. Used by AsyncEngine to clear the engine after a round failed
-  // mid-compute, so the leftovers cannot bleed into the next round's
-  // responses.
-  std::size_t discard_pending();
 
   std::size_t pending() const { return queue_.size(); }
   const EngineStats& stats() const { return stats_; }
@@ -249,17 +247,24 @@ class Engine {
   int hidden() const { return model_->config().hidden(); }
 
  private:
-  friend class AsyncEngine;  // hands down the id it assigned, and counts
-                             // the deadline fields into stats_
+  friend class AsyncEngine;  // runs its popped rounds through run_round,
+                             // and counts the deadline fields into stats_
 
-  RequestId submit(Request req, RequestId id);
-
+  // One queued request: the id its tier assigned, its valid rows, its
+  // session, and when it arrived (Response::queue_seconds counts from it).
   struct Pending {
     RequestId id;
     Tensor<fp16_t> hidden;
-    Timer queued;
     std::optional<std::string> session;
+    std::chrono::steady_clock::time_point arrival;
   };
+
+  // One scheduling round over exactly `round` (already admitted; empty ->
+  // no round): cache probe, batch plan, packed or padded passes, stats.
+  // Reads each request's rows and moves its session into its Response;
+  // responses come back in `round` order. run_batch() is admission from
+  // queue_ and then this; AsyncEngine hands it each live round it popped.
+  std::vector<Response> run_round(std::vector<Pending>& round);
 
   EngineOptions opts_;
   std::shared_ptr<const core::BertModel> model_;

@@ -50,12 +50,11 @@ EnginePool::EnginePool(std::shared_ptr<const core::BertModel> model,
   }
   AsyncEngineOptions replica_opts = opts_.engine;
   replica_opts.engine.threads = resolve_threads_per_replica(opts_);
-  replica_opts.model_name = opts_.model_name;
+  const std::string& model_name = opts_.engine.engine.model_name;
   // Per-model unique-session cardinality. Bare pools share one "default"
   // estimator; Service-owned pools get their registry name.
   sessions_hll_ = &obs::MetricRegistry::global().hll_prefixed(
-      "serving.sessions.unique",
-      opts_.model_name.empty() ? "default" : opts_.model_name);
+      "serving.sessions.unique", model_name.empty() ? "default" : model_name);
   routed_.resize(static_cast<std::size_t>(opts_.replicas));
   breakers_.resize(static_cast<std::size_t>(opts_.replicas));
   engines_.reserve(static_cast<std::size_t>(opts_.replicas));
@@ -133,19 +132,15 @@ bool EnginePool::replica_available_locked(std::size_t i) const {
   return true;
 }
 
-EnginePool::RouteDecision EnginePool::route_and_account(const Request& req) {
+EnginePool::RouteDecision EnginePool::route_locked(const Request& req) {
   refresh_breakers_locked();
   std::vector<ReplicaLoad> loads(engines_.size());
   bool any_available = false;
   for (std::size_t i = 0; i < engines_.size(); ++i) {
-    // Replica-visible load plus the pool's in-transit share, so requests
-    // routed by other submitters but still between the pool lock and the
-    // replica queue count against their destination.
-    loads[i].outstanding_requests =
-        engines_[i]->pending() +
-        static_cast<std::size_t>(routed_[i].in_transit_requests);
-    loads[i].outstanding_tokens =
-        engines_[i]->pending_tokens() + routed_[i].in_transit_tokens;
+    // Every accepted request sits in its replica's queue (or in flight
+    // there), so the replicas' own counts are the whole load.
+    loads[i].outstanding_requests = engines_[i]->pending();
+    loads[i].outstanding_tokens = engines_[i]->pending_tokens();
     loads[i].available = replica_available_locked(i);
     any_available = any_available || loads[i].available;
   }
@@ -158,76 +153,55 @@ EnginePool::RouteDecision EnginePool::route_and_account(const Request& req) {
   if (req.session.has_value()) {
     decision.sessioned = true;
     // Lock-free CAS-max on 4 KiB of registers — cheap enough to sit on the
-    // routing path. Deliberately not undone by undo_route: the session was
-    // seen, whether or not this particular submit landed.
+    // routing path. Counted whether or not the replica accepts: the session
+    // was seen either way.
     if (obs::enabled()) sessions_hll_->add(*req.session);
   }
   // sticky_hit: an existing pin decided the pick (reported by the router so
-  // the hot path pays exactly one pin lookup).
+  // the hot path pays exactly one pin lookup). A pin the pick creates
+  // survives a decline: re-routing the retry to the same replica is
+  // exactly what stickiness means.
   decision.target = router_.pick(loads, req.session, &decision.sticky_hit);
   if (decision.sessioned && opts_.engine.engine.prefix_cache != nullptr) {
-    // Tell the prefix cache where this session landed. When the pin MOVED
-    // (breaker quarantine re-routed the session) the cache drops the
-    // session's entry — state built on a quarantined replica is not
-    // trusted. Pool mutex -> cache mutex only; engines take the cache
-    // mutex bare, so the order cannot cycle.
+    // Tell the prefix cache where this session landed, before the replica
+    // can probe it. When the pin MOVED (breaker quarantine re-routed the
+    // session) the cache drops the session's entry — state built on a
+    // quarantined replica is not trusted. Pool mutex -> cache mutex only;
+    // engines take the cache mutex bare, so the order cannot cycle.
     opts_.engine.engine.prefix_cache->note_route(
-        cache::PrefixCache::session_key(opts_.model_name, *req.session),
+        cache::PrefixCache::session_key(opts_.engine.engine.model_name,
+                                        *req.session),
         decision.target);
   }
   decision.seen_outstanding = loads[decision.target].outstanding_requests;
-  Breaker& b = breakers_[decision.target];
+  const Breaker& b = breakers_[decision.target];
   if (b.state == Breaker::State::kHalfOpen && !b.probe_in_flight) {
-    // This request is the half-open probe; the replica stays unavailable
-    // to everyone else until its outcome shows in the health counters.
-    const ReplicaHealth h = engines_[decision.target]->health();
-    b.probe_in_flight = true;
-    b.since = Clock::now();
-    b.probe_completed = h.completed;
-    b.probe_failed = h.failed;
     decision.probe = true;
-    breaker_stats_.probes += 1;
+    decision.baseline = engines_[decision.target]->health();
   }
-  Routed& acct = routed_[decision.target];
-  acct.requests += 1;
-  acct.tokens += req.hidden.dim(0);
-  acct.in_transit_requests += 1;
-  acct.in_transit_tokens += req.hidden.dim(0);
-  sessions_.session_requests += decision.sessioned ? 1 : 0;
-  sessions_.sticky_hits += decision.sticky_hit ? 1 : 0;
   return decision;
 }
 
-void EnginePool::settle_hand_off_locked(const RouteDecision& d,
-                                        long long tokens) {
+void EnginePool::charge_locked(const RouteDecision& d, long long tokens) {
   Routed& acct = routed_[d.target];
-  acct.in_transit_requests -= 1;
-  acct.in_transit_tokens -= tokens;
-  // Queue depth high-water from the router's vantage — recorded only for
-  // requests that actually landed: the load it saw plus the one it placed.
+  acct.requests += 1;
+  acct.tokens += tokens;
+  // Queue depth high-water from the router's vantage: the load it saw plus
+  // the one it placed.
   acct.peak_outstanding =
       std::max(acct.peak_outstanding, d.seen_outstanding + 1);
-}
-
-void EnginePool::undo_route(const RouteDecision& d, long long tokens) {
-  // A declined or failed hand-off leaves no trace in the routing
-  // accounting. (A sticky pin created by the declined pick survives:
-  // re-routing the retry to the same replica is exactly what stickiness
-  // means.)
-  Routed& acct = routed_[d.target];
-  acct.requests -= 1;
-  acct.tokens -= tokens;
-  acct.in_transit_requests -= 1;
-  acct.in_transit_tokens -= tokens;
-  sessions_.session_requests -= d.sessioned ? 1 : 0;
-  sessions_.sticky_hits -= d.sticky_hit ? 1 : 0;
+  sessions_.session_requests += d.sessioned ? 1 : 0;
+  sessions_.sticky_hits += d.sticky_hit ? 1 : 0;
   if (d.probe) {
-    // The probe never reached the replica (declined queue / submit threw):
-    // release the slot so the next routed request probes instead — without
-    // this, half-open would wait out the whole patience window.
+    // This request is the half-open probe; the replica stays unavailable
+    // to everyone else until its outcome shows in the health counters,
+    // judged against the baseline taken when it was picked.
     Breaker& b = breakers_[d.target];
-    b.probe_in_flight = false;
-    breaker_stats_.probes -= 1;
+    b.probe_in_flight = true;
+    b.since = Clock::now();
+    b.probe_completed = d.baseline.completed;
+    b.probe_failed = d.baseline.failed;
+    breaker_stats_.probes += 1;
   }
 }
 
@@ -259,42 +233,28 @@ bool EnginePool::submit(Request req, Reply reply,
       hidden());
   const long long tokens = req.hidden.dim(0);
   MutexLock lock(mutex_);
-  if (wait && stop_) {
-    throw ShutdownError("EnginePool::submit: pool is stopped");
-  }
-  if (stop_) return false;
   if (!id.has_value()) id = next_id_++;
-  const RouteDecision decision = route_and_account(req);
-  AsyncEngine& replica = *engines_[decision.target];
-  if (!wait) {
-    // The replica call is non-blocking and its lock is always taken after
-    // the pool's, never the reverse, so the whole route + hand-off + settle
-    // runs under one pool lock hold. The decline does not shop around: a
-    // declined request re-enters routing on the caller's retry.
-    const bool accepted =
-        replica.submit(std::move(req), std::move(reply), id, /*wait=*/false);
-    if (accepted) {
-      settle_hand_off_locked(decision, tokens);
-    } else {
-      undo_route(decision, tokens);
+  while (!stop_) {
+    // Route and hand off under one lock hold: the replica's enqueue never
+    // blocks, and its lock is always taken after the pool's, never the
+    // reverse. A decline does not shop around; it charges nothing.
+    const RouteDecision decision = route_locked(req);
+    AsyncEngine& replica = *engines_[decision.target];
+    if (replica.submit(req, reply, id)) {
+      charge_locked(decision, tokens);
+      return true;
     }
-    return accepted;
-  }
-  // Hand off outside the pool lock: a full replica queue blocks this
-  // submitter without stalling routing for everyone else (the in-transit
-  // charge keeps the router honest meanwhile). A stop() racing this
-  // hand-off surfaces as the replica's stopped error.
-  lock.unlock();
-  try {
-    replica.submit(std::move(req), std::move(reply), id, /*wait=*/true);
-  } catch (...) {
+    if (!wait) return false;
+    // The pick is full: wait for room there outside the pool lock, so
+    // routing to every other replica goes on, then route again (the loads
+    // have moved meanwhile). A stopped pick means the pool is stopping.
+    lock.unlock();
+    const bool open = replica.wait_for_space();
     lock.lock();
-    undo_route(decision, tokens);
-    throw;
+    if (!open) break;
   }
-  lock.lock();
-  settle_hand_off_locked(decision, tokens);
-  return true;
+  if (wait) throw ShutdownError("EnginePool::submit: pool is stopped");
+  return false;
 }
 
 void EnginePool::stop() {

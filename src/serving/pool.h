@@ -27,7 +27,7 @@
 // Request ids
 //   The pool assigns every id from one pool-level counter and hands it down
 //   to the chosen replica, so ids are unique across replicas and increase
-//   in submission order. A declined try_submit may burn one.
+//   in submission order. A declined try_submit burns one.
 //
 // Deadlines
 //   Request::deadline passes through to the target replica, whose batching
@@ -35,11 +35,13 @@
 //   deadline (see async_engine.h).
 //
 // Threading
-//   submit()/try_submit() are thread-safe. Routing decisions are serialized
-//   under the pool lock (so each pick sees the loads and pins left by every
-//   earlier one), but the hand-off to the chosen replica happens outside
-//   it — a submit() blocking on one replica's full queue never stalls
-//   routing to the others.
+//   submit()/try_submit() are thread-safe. Each request is routed and
+//   handed off under one pool lock hold: the hand-off is the replica's
+//   non-blocking enqueue, so every pick sees the true queue depths and the
+//   pins left by every earlier one, and a request is charged to the
+//   routing accounting only once its replica accepted it. A submit() whose
+//   pick is full waits for room there outside the pool lock, then routes
+//   again — it never stalls routing to the others.
 //
 // Replica health and circuit breaking
 //   At routing time the pool polls every replica's ReplicaHealth
@@ -94,10 +96,6 @@ struct EnginePoolOptions {
   // replicas (min 1) — so replicas split the cores instead of
   // oversubscribing a shared global pool.
   int threads_per_replica = 0;
-  // Registry name stamped into Response::model (with the replica index in
-  // Response::replica). serving::Service sets it to the model's key; empty
-  // marks a bare pool.
-  std::string model_name;
 };
 
 class EnginePool {
@@ -112,9 +110,10 @@ class EnginePool {
   EnginePool(const EnginePool&) = delete;
   EnginePool& operator=(const EnginePool&) = delete;
 
-  // Routes the request to a replica and returns its future. Blocks while
-  // the chosen replica's queue is full. Throws std::invalid_argument on a
-  // malformed tensor, std::runtime_error after stop().
+  // Routes the request to a replica and returns its future. While the
+  // chosen replica's queue is full it waits for room there, then routes
+  // again. Throws std::invalid_argument on a malformed tensor,
+  // std::runtime_error after stop().
   std::future<Response> submit(Request req) BT_EXCLUDES(mutex_);
   std::future<Response> submit(Tensor<fp16_t> hidden) BT_EXCLUDES(mutex_);
 
@@ -206,7 +205,9 @@ class EnginePool {
 
   // The entry point behind the public ones: `id` is the owning tier's id,
   // or std::nullopt to take the next value of next_id_ under the pool lock.
-  // `wait` and the return value follow AsyncEngine's private submit.
+  // With `wait` a full pick is waited out and a stopped pool throws;
+  // without it both return false. `reply` runs exactly once if this
+  // returns true, never otherwise.
   bool submit(Request req, Reply reply, std::optional<RequestId> id,
               bool wait) BT_EXCLUDES(mutex_);
 
@@ -215,7 +216,8 @@ class EnginePool {
     std::size_t seen_outstanding = 0;  // the load the router observed
     bool sessioned = false;            // request carried a session id
     bool sticky_hit = false;           // an existing pin decided the target
-    bool probe = false;                // the half-open probe slot is ours
+    bool probe = false;                // it would be the half-open probe
+    ReplicaHealth baseline;            // the target's health at the pick
   };
 
   // One replica's breaker state. Probe outcome is judged from the health
@@ -238,35 +240,26 @@ class EnginePool {
   // machines.
   void refresh_breakers_locked() const BT_REQUIRES(mutex_);
   bool replica_available_locked(std::size_t i) const BT_REQUIRES(mutex_);
-  // Picks a replica and charges requests/tokens/in-transit to it. The
-  // in-transit share covers requests routed here but not yet visible in the
-  // replica's own pending() (the hand-off happens outside the pool lock):
-  // without it, a concurrent burst would see every replica at zero and
-  // tie-break onto replica 0. Callers must settle the in-transit charge via
-  // settle_hand_off_locked or undo_route.
-  RouteDecision route_and_account(const Request& req) BT_REQUIRES(mutex_);
-  // Clears the in-transit charge and records the queue-depth high-water
-  // mark for a request that landed on its replica.
-  void settle_hand_off_locked(const RouteDecision& d, long long tokens)
-      BT_REQUIRES(mutex_);
-  void undo_route(const RouteDecision& d, long long tokens)  // declined/threw
+  // Picks a replica from the replicas' own queue depths; charges nothing.
+  RouteDecision route_locked(const Request& req) BT_REQUIRES(mutex_);
+  // Charges a request its replica accepted to the routing accounting:
+  // requests/tokens, session counters, the queue-depth high-water mark,
+  // and the probe slot when it is the half-open probe.
+  void charge_locked(const RouteDecision& d, long long tokens)
       BT_REQUIRES(mutex_);
 
   EnginePoolOptions opts_;
   std::vector<std::unique_ptr<AsyncEngine>> engines_;
 
-  // Router state, id counter, routing accounting. Never held across a
-  // blocking replica call: submit() releases it before the hand-off, and
-  // try_submit()'s whole chain under it is non-blocking (replica locks
-  // order strictly after the pool's).
+  // Router state, id counter, routing accounting. Held across each
+  // hand-off, which is the replica's non-blocking enqueue (replica locks
+  // order strictly after the pool's); never held across a wait for room.
   mutable Mutex mutex_;
   Router router_ BT_GUARDED_BY(mutex_);
   RequestId next_id_ BT_GUARDED_BY(mutex_) = 0;
   struct Routed {
     long long requests = 0;
     long long tokens = 0;
-    long long in_transit_requests = 0;  // routed, replica enqueue pending
-    long long in_transit_tokens = 0;
     std::size_t peak_outstanding = 0;
   };
   std::vector<Routed> routed_ BT_GUARDED_BY(mutex_);

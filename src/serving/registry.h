@@ -41,9 +41,9 @@ struct StringKeyHash {
 
 struct ModelSpec {
   std::shared_ptr<const core::BertModel> model;
-  // Replica-group shape for this model. `model_name` is overwritten with
-  // the registry key by Service so Response::model always reports the name
-  // the request resolved to.
+  // Replica-group shape for this model. Its engine.engine.model_name is
+  // overwritten with the registry key by Service, so Response::model always
+  // reports the name the request resolved to.
   EnginePoolOptions pool;
 };
 

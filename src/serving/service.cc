@@ -42,14 +42,14 @@ Service::Service(ModelRegistry registry, ServiceOptions opts)
     EnginePoolOptions pool_opts = spec.pool;
     // Response::model must report the registry key the request resolved to,
     // whatever label (usually none) the spec carried.
-    pool_opts.model_name = name;
+    pool_opts.engine.engine.model_name = name;
     if (opts.prefix_cache_bytes > 0 &&
         pool_opts.engine.engine.flags.causal &&
         pool_opts.engine.engine.flags.zero_padding &&
         spec.model->config().kind != core::ModelKind::kDeberta) {
       // One cache shared across every eligible model: cross-model byte
       // pressure lands on a single LRU, and entries are scoped by the
-      // registry name (the replicas' cache_scope) so models stay isolated.
+      // registry name (the replicas' model_name) so models stay isolated.
       if (prefix_cache_ == nullptr) {
         prefix_cache_ =
             std::make_shared<cache::PrefixCache>(opts.prefix_cache_bytes);

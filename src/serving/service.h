@@ -91,8 +91,8 @@ struct ServiceOptions {
 
 class Service {
  public:
-  // Builds one EnginePool per registered model (each pool's model_name is
-  // set to its registry key). Throws std::invalid_argument on an empty
+  // Builds one EnginePool per registered model (each pool's
+  // EngineOptions::model_name is set to its registry key). Throws std::invalid_argument on an empty
   // registry or a default_model that is not registered; per-pool option
   // validation surfaces from the EnginePool constructors.
   explicit Service(ModelRegistry registry, ServiceOptions opts = {});

@@ -375,27 +375,6 @@ TEST(Engine, RejectsInconsistentOptions) {
   EXPECT_THROW(Engine(model, opts), std::invalid_argument);
 }
 
-TEST(Engine, DiscardPendingDropsQueueAndBurnsIds) {
-  Engine engine(shared_model(),
-                options_for(BatchPolicy::kPacked,
-                            core::OptFlags::byte_transformer()));
-  const std::int64_t h = engine.hidden();
-  Rng rng(13);
-  const RequestId a = engine.submit(Tensor<fp16_t>::random_normal({3, h}, rng));
-  EXPECT_EQ(a, 0);
-  const RequestId b = engine.submit(Tensor<fp16_t>::random_normal({5, h}, rng));
-  EXPECT_EQ(engine.discard_pending(), 2u);
-  EXPECT_EQ(engine.pending(), 0u);
-  EXPECT_TRUE(engine.drain().empty());
-  // Discarded ids stay burned (never reissued); the engine keeps working
-  // for new requests.
-  const RequestId c = engine.submit(Tensor<fp16_t>::random_normal({2, h}, rng));
-  EXPECT_GT(c, b);
-  const auto responses = engine.drain();
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].id, c);
-}
-
 TEST(Engine, SubmitRejectsMalformedHidden) {
   Engine engine(shared_model(),
                 options_for(BatchPolicy::kPacked,

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/fault.h"
 #include "core/model.h"
 #include "serving/pool.h"
 #include "tensor/tensor.h"
@@ -389,6 +392,75 @@ TEST(EnginePool, TrySubmitDeclineLeavesNoTraceInRouting) {
   // Declined attempts left no trace in the routing accounting.
   const auto rs = pool.replica_stats();
   EXPECT_EQ(rs[0].routed_requests, 3);
+}
+
+// A blocking submit whose pick is full waits for room on that replica
+// outside the routing lock: a try_submit routed to the other replica is
+// served meanwhile, the waiter lands once the slot frees, and the routing
+// accounting counts exactly what each replica served.
+TEST(EnginePool, BlockedSubmitWaitsOutsideTheRoutingLock) {
+  EnginePoolOptions opts =
+      pool_options(all_policies()[2], /*replicas=*/2,
+                   RoutePolicy::kStickySession, 8, /*max_wait=*/30.0);
+  opts.engine.max_queue = 1;
+  // Replica 0's first round stalls, so its one queue slot stays taken.
+  fault::Injector inj(1);
+  fault::PointConfig stall;
+  stall.instance = 0;
+  stall.fire_at = {0};
+  stall.max_fires = 1;
+  stall.param = 1000000;  // us
+  inj.arm("serving.compute.delay", stall);
+  fault::ScopedInjector scope(inj);
+  EnginePool pool(shared_model(), opts);
+  const std::int64_t h = pool.hidden();
+  Rng rng(11);
+  const auto pinned = [&](int rows) {
+    Request req{Tensor<fp16_t>::random_normal({rows, h}, rng)};
+    req.session = "s";
+    return req;
+  };
+
+  auto computing = pool.submit(pinned(3));  // pins "s" to replica 0 (tie)
+  while (inj.stats("serving.compute.delay").hits == 0) {
+    std::this_thread::yield();
+  }
+  auto queued = pool.submit(pinned(4));  // fills replica 0's slot
+  std::atomic<bool> landed{false};
+  std::future<Response> waiter;
+  std::thread blocked([&, req = pinned(5)]() mutable {
+    waiter = pool.submit(std::move(req));  // pick full: waits for room
+    landed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // Sessionless: least-loaded routing sends it to the idle replica 1.
+  auto other =
+      pool.try_submit(Request{Tensor<fp16_t>::random_normal({2, h}, rng)});
+  ASSERT_TRUE(other.has_value());
+  EXPECT_EQ(other->get().replica, 1);
+  EXPECT_FALSE(landed.load()) << "landed while replica 0 was still full";
+  EXPECT_NE(computing.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+
+  blocked.join();
+  EXPECT_EQ(waiter.get().replica, 0);
+  EXPECT_EQ(computing.get().replica, 0);
+  EXPECT_EQ(queued.get().replica, 0);
+  pool.stop();
+
+  const auto rs = pool.replica_stats();
+  EXPECT_EQ(rs[0].routed_requests, 3);
+  EXPECT_EQ(rs[0].routed_tokens, 3 + 4 + 5);
+  EXPECT_EQ(rs[1].routed_requests, 1);
+  EXPECT_EQ(rs[1].routed_tokens, 2);
+  for (const auto& r : rs) {
+    EXPECT_EQ(r.routed_requests, r.engine.requests);
+    EXPECT_EQ(r.routed_tokens, r.engine.valid_tokens);
+  }
+  // The waiter's decline before its wait charged nothing.
+  EXPECT_EQ(pool.session_route_stats().session_requests, 3);
+  EXPECT_EQ(pool.session_route_stats().sticky_hits, 2);
 }
 
 TEST(EnginePool, RejectsInconsistentOptions) {

@@ -316,7 +316,7 @@ TEST_P(PrefixCacheEngine, ResumedRoundsAreBitwiseEqualToFullEncode) {
   auto cache = std::make_shared<cache::PrefixCache>(std::size_t(64) << 20);
   serving::EngineOptions cached_opts = engine_options(GetParam());
   cached_opts.prefix_cache = cache;
-  cached_opts.cache_scope = "tiny";
+  cached_opts.model_name = "tiny";
   serving::Engine cached(shared_model(), cached_opts);
   serving::Engine plain(shared_model(), engine_options(GetParam()));
 
@@ -352,7 +352,7 @@ TEST_P(PrefixCacheEngine, DivergentHistoryFallsBackToFullEncode) {
   auto cache = std::make_shared<cache::PrefixCache>(std::size_t(64) << 20);
   serving::EngineOptions cached_opts = engine_options(GetParam());
   cached_opts.prefix_cache = cache;
-  cached_opts.cache_scope = "tiny";
+  cached_opts.model_name = "tiny";
   serving::Engine cached(shared_model(), cached_opts);
   serving::Engine plain(shared_model(), engine_options(GetParam()));
 
@@ -391,7 +391,7 @@ TEST_P(PrefixCacheEngine, EvictionMidConversationStaysExact) {
     auto sizing = std::make_shared<cache::PrefixCache>(std::size_t(1) << 30);
     serving::EngineOptions opts = engine_options(policy);
     opts.prefix_cache = sizing;
-    opts.cache_scope = "tiny";
+    opts.model_name = "tiny";
     serving::Engine e(shared_model(), opts);
     run_one(e, prefix_of(hist_a, 80), "a");
     one_entry = sizing->stats().bytes;
@@ -401,7 +401,7 @@ TEST_P(PrefixCacheEngine, EvictionMidConversationStaysExact) {
       std::make_shared<cache::PrefixCache>(one_entry + one_entry / 2);
   serving::EngineOptions cached_opts = engine_options(policy);
   cached_opts.prefix_cache = cache;
-  cached_opts.cache_scope = "tiny";
+  cached_opts.model_name = "tiny";
   serving::Engine cached(shared_model(), cached_opts);
   serving::Engine plain(shared_model(), engine_options(policy));
 
@@ -433,7 +433,7 @@ TEST_P(PrefixCacheEngine, OneRoundOfHitsIsOnePackedPassAndStaysExact) {
   auto cache = std::make_shared<cache::PrefixCache>(std::size_t(64) << 20);
   serving::EngineOptions cached_opts = engine_options(GetParam());
   cached_opts.prefix_cache = cache;
-  cached_opts.cache_scope = "tiny";
+  cached_opts.model_name = "tiny";
   serving::Engine cached(shared_model(), cached_opts);
   serving::Engine plain(shared_model(), engine_options(GetParam()));
   const int hidden = static_cast<int>(cached.hidden());
@@ -544,7 +544,7 @@ TEST(PrefixCacheEngineValidation, SessionlessTrafficBypassesTheCache) {
   auto cache = std::make_shared<cache::PrefixCache>(std::size_t(64) << 20);
   serving::EngineOptions opts = engine_options(serving::BatchPolicy::kPacked);
   opts.prefix_cache = cache;
-  opts.cache_scope = "tiny";
+  opts.model_name = "tiny";
   serving::Engine engine(shared_model(), opts);
 
   const int hidden = static_cast<int>(engine.hidden());
